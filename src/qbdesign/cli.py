@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures as fixture_registry
@@ -124,9 +126,12 @@ def cmd_optimize(args) -> int:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0 or not 0 <= lo < hi <= 1:
+    """Points lo + i*step up to hi; the count comes from the decimal values
+    as typed, so float error neither adds a point past hi nor drops hi."""
+    if not (math.isfinite(step) and step > 0) or not 0 <= lo < hi <= 1:
         raise QbDesignError("need 0 <= lo < hi <= 1 and step > 0")
-    return [lo + i * step for i in range(round((hi - lo) / step) + 1)]
+    n = int((Fraction(repr(hi)) - Fraction(repr(lo))) / Fraction(repr(step)))
+    return [min(lo + i * step, hi) for i in range(n + 1)]
 
 
 def cmd_sweep(args) -> int:
@@ -150,14 +155,17 @@ def cmd_sweep(args) -> int:
         pi2_grid = _grid(args.pi2_lo, args.pi2_hi, args.pi2_step)
     else:
         pi2_grid = [args.pi2]
+    # every prior is checked before the header, so bad input prints no CSV
+    priors = [[Prior(pi1, pi2, order) for pi2 in pi2_grid] for pi1 in pi1_grid]
     header = (["pi1", "pi2"] if two_d else ["pi1"])
     header += [f"qb:{n}" for n in names] + [f"releff:{n}" for n in names]
     print(",".join(header))
     prev_argmin = None
-    for pi1 in pi1_grid:
-        for pi2 in pi2_grid:
+    for row_priors in priors:
+        for prior in row_priors:
+            pi1, pi2 = prior.pi1, prior.pi2
             qbs = [
-                qb_from_word_counts(w, Prior(pi1, pi2, order), d.factors)
+                qb_from_word_counts(w, prior, d.factors)
                 for w, d in zip(counts, designs)
             ]
             qmin = min(qbs)
@@ -310,10 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QbDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (QbDesignError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,14 +6,19 @@ repeats until a full sweep accepts nothing.  Restarts from independent random
 starts guard against local optima, with the As efficiency of the full
 main-effects fit as an optional tie-breaker among equal-QB results.
 
-The criterion is maintained incrementally and exactly: QB is a weighted sum
-over factor subsets s of J_s^2/N^2, and flipping entry (i, j) changes J_s
-only for subsets containing j, by -2 * prod_{l in s} x_il.  Since that
-product P is +-1,
+The criterion is maintained incrementally and exactly through the
+distance form of the word counts (see `wordcounts`):
 
-    J_s'^2 - J_s^2 = 4 (1 - P * J_s),
+    S_k = sum_{r, r'} K_k(d_rr'; m).
 
-an integer, so the per-size totals S_k stay exact along the whole search.
+Flipping entry (i, j) changes only the distances from run i, each by
+sg_r = x_ij * x_rj = +-1 (0 for r = i).  So
+
+    S_k' - S_k = 2 * sum_r [K_k(d_ir + sg_r; m) - K_k(d_ir; m)] = 4 t_k,
+
+with t_k an integer, and S_k stays exact along the whole search.  One numpy
+gather over the N x m matrix of sg values gives t_k for all m flips of a
+row and every k at once, in O(N m k_max).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .criteria import Prior, as_efficiency, qb_coefficients
 from .design import Design
-from .wordcounts import WordCounts
+from .wordcounts import WordCounts, krawtchouk_table, run_distances
 
 QB_TIE_TOL = 1e-9
 
@@ -51,6 +56,8 @@ class OptimizerConfig:
             raise ValueError("epsilon must be >= 0")
         if self.max_stale_sweeps < 1:
             raise ValueError("max_stale_sweeps must be >= 1")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,7 @@ class OptResult:
 
 
 class QbEngine:
-    """Mutable search state: the design, all J values up to k_max, and exact S_k."""
+    """Mutable search state: the design, its run distances, and exact S_k."""
 
     def __init__(self, design: Design, prior: Prior):
         self.n = design.runs
@@ -81,26 +88,9 @@ class QbEngine:
         self.k_max = min(len(coeff), self.m)
         self.weights = coeff[: self.k_max]
         self._n2 = self.n * self.n
-
-        # per size k: subset array (C, k), J values (C,), and for each factor
-        # the indices of subsets containing it plus the complementary members
-        self._j: list[np.ndarray] = []
-        self._s: list[int] = []
-        self._by_factor: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(self.m)
-        ]
-        for k in range(1, self.k_max + 1):
-            combos = np.array(list(itertools.combinations(range(self.m), k)))
-            j_vals = self.x[:, combos].prod(axis=2).sum(axis=0)
-            self._j.append(j_vals)
-            self._s.append(int((j_vals * j_vals).sum()))
-            for jf in range(self.m):
-                mask = (combos == jf).any(axis=1)
-                idx = np.flatnonzero(mask)
-                others = np.array(
-                    [[v for v in row if v != jf] for row in combos[idx]], dtype=np.intp
-                ).reshape(len(idx), k - 1)
-                self._by_factor[jf].append((idx, others))
+        self._kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
+        self._dist = run_distances(self.x)
+        self._s = [int(kr[self._dist].sum()) for kr in self._kraw]
 
     def qb(self) -> float:
         """Criterion value from the exact per-size totals."""
@@ -109,29 +99,41 @@ class QbEngine:
     def word_counts(self) -> WordCounts:
         return WordCounts(runs=self.n, s_k=tuple(self._s))
 
-    def _flip_terms(self, i: int, j: int):
-        """Per size: (subset indices, products P, integer total of (1 - P*J))."""
-        row = self.x[i]
-        out = []
-        for k, (idx, others) in enumerate(self._by_factor[j]):
-            p = row[others].prod(axis=1) * row[j]
-            t = len(idx) - int(p @ self._j[k][idx])
-            out.append((idx, p, t))
-        return out
+    def row_deltas(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """QB changes for sign-switching each entry of row i, with their exact terms.
+
+        Returns (delta, t): delta[j] is the QB change of flipping (i, j) and
+        t[k - 1, j] = (S_k' - S_k) / 4 the integer behind it.
+        """
+        sg = self.x[i] * self.x
+        sg[i] = 0
+        di = self._dist[i]
+        moved = self._kraw[:, di[:, None] + sg].sum(axis=1)
+        t = (moved - self._kraw[:, di].sum(axis=1, keepdims=True)) // 2
+        # w_1 t_1 + w_2 t_2 + ... left to right, so each delta[j] is the same
+        # float a per-coordinate sum would give
+        acc = self.weights[0] * t[0]
+        for w, tk in zip(self.weights[1:], t[1:]):
+            acc = acc + w * tk
+        return 4.0 * acc / self._n2, t
 
     def delta(self, i: int, j: int) -> float:
         """QB change if entry (i, j) were sign-switched."""
-        return (
-            4.0
-            * sum(w * t for w, (_, _, t) in zip(self.weights, self._flip_terms(i, j)))
-            / self._n2
-        )
+        return float(self.row_deltas(i)[0][j])
 
-    def flip(self, i: int, j: int) -> None:
-        """Apply the sign switch, updating J values and S_k exactly."""
-        for k, (idx, p, t) in enumerate(self._flip_terms(i, j)):
-            self._j[k][idx] -= 2 * p
-            self._s[k] += 4 * t
+    def flip(self, i: int, j: int, t: np.ndarray | None = None) -> None:
+        """Apply the sign switch, updating run distances and S_k exactly.
+
+        `t` is the term matrix `row_deltas(i)` returned for the current
+        state, when the caller already has it.
+        """
+        if t is None:
+            t = self.row_deltas(i)[1]
+        step = self.x[i, j] * self.x[:, j]
+        step[i] = 0
+        self._dist[i] += step
+        self._dist[:, i] += step
+        self._s = [s + 4 * int(tk) for s, tk in zip(self._s, t[:, j])]
         self.x[i, j] = -self.x[i, j]
 
     def design(self) -> Design:
@@ -170,14 +172,23 @@ def coordinate_exchange(
         sweeps += 1
         accepted = 0
         for i in range(eng.n):
-            for j in range(eng.m):
-                if eng.delta(i, j) < -epsilon:
-                    eng.flip(i, j)
-                    accepted += 1
-                    if debug:
-                        fresh = QbEngine(eng.design(), prior)
-                        assert eng._s == fresh._s
-                        assert abs(eng.qb() - fresh.qb()) <= 1e-10
+            j = 0
+            while j < eng.m:
+                # the first improving flip at or after j; the row's later
+                # deltas are evaluated again once it is applied
+                delta, t = eng.row_deltas(i)
+                hits = np.flatnonzero(delta[j:] < -epsilon)
+                if not hits.size:
+                    break
+                j += int(hits[0])
+                eng.flip(i, j, t)
+                accepted += 1
+                j += 1
+                if debug:
+                    fresh = QbEngine(eng.design(), prior)
+                    assert eng._s == fresh._s
+                    assert np.array_equal(eng._dist, fresh._dist)
+                    assert abs(eng.qb() - fresh.qb()) <= 1e-10
         stale = stale + 1 if accepted == 0 else 0
     return eng.design(), eng.qb(), sweeps
 

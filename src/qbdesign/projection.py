@@ -94,10 +94,14 @@ def projection_report(
     is t = 1..C(f,2).
     """
     m = d.factors
-    rows = []
-    for f in sorted(set(f_values)):
+    f_sorted = sorted(set(f_values))
+    for f in f_sorted:
+        if f < 1:
+            raise ValueError(f"projection size must be >= 1, got {f}")
         if f > m:
             raise ValueError(f"projection size {f} exceeds {m} factors")
+    rows = []
+    for f in f_sorted:
         max_t = f * (f - 1) // 2
         wanted = tuple(t_values[f]) if t_values and f in t_values else tuple(
             range(1, max_t + 1)

@@ -4,13 +4,27 @@ For a factor subset s, the J-characteristic is the integer sum over runs of
 the product of the columns in s.  The generalized word count b_k sums
 (J_s/N)^2 over all k-subsets; b_1 measures level imbalance, b_2 pairwise
 non-orthogonality, b_3 and b_4 the aliasing relevant to two-factor
-interaction models.  Everything is accumulated in exact integer arithmetic:
-S_k = N^2 b_k is an integer and is what gets stored.
+interaction models.  S_k = N^2 b_k is an integer and is what gets stored.
+
+S_k is not summed over subsets.  Expanding J_s^2 as a double sum over runs
+r, r' and summing over all k-subsets gives the moment/word-length duality
+(Xu & Wu, Ann. Statist. 29, 2001; Xu, Statistica Sinica 13, 2003):
+
+    S_k = sum_{r, r'} K_k(d_rr'; m),
+    K_k(d; m) = sum_j (-1)^j C(d, j) C(m - d, k - j),
+
+where d_rr' is the Hamming distance between runs r and r' and K_k is the
+Krawtchouk polynomial: the product x_rl x_r'l is -1 on the d_rr' factors
+where the runs differ and +1 on the others.  All S_k come from the N x N
+distance matrix in O(N^2 m) integer operations, with no intermediate that
+grows with C(m, k).  The optimizer keeps the same two pieces, the distance
+matrix and the Krawtchouk table, as its incremental state.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -18,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .design import Design
-from .errors import BadSubsetError
+from .errors import BadSubsetError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -68,8 +82,35 @@ def j_characteristic(d: Design, subset: Sequence[int]) -> int:
     return int(d.entries[:, cols].prod(axis=1).sum())
 
 
+def krawtchouk_table(m: int, k_max: int, runs: int = 1) -> np.ndarray:
+    """K[k, d] = K_k(d; m) for k = 0..k_max and d = 0..m, as exact int64.
+
+    Raises TooLargeError when a sum of runs^2 entries of one row, which is
+    what S_k adds up, could leave the int64 range.
+    """
+    rows = [
+        [
+            sum((-1) ** j * math.comb(d, j) * math.comb(m - d, k - j) for j in range(k + 1))
+            for d in range(m + 1)
+        ]
+        for k in range(k_max + 1)
+    ]
+    peak = max(abs(v) for row in rows for v in row)
+    if runs * runs * peak >= 2**63:
+        raise TooLargeError(
+            f"word counts of a {runs}-run design at k <= {k_max} of m = {m}"
+            " can exceed the int64 range"
+        )
+    return np.array(rows, dtype=np.int64)
+
+
+def run_distances(x: np.ndarray) -> np.ndarray:
+    """N x N Hamming distances between the runs (rows) of a +-1 matrix."""
+    return (x.shape[1] - x @ x.T) // 2
+
+
 def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
-    """S_k and b_k for k = 1..k_max by exhaustive subset enumeration.
+    """S_k and b_k for k = 1..k_max from the run distances (see module docstring).
 
     k_max defaults to min(4, m): the second-order criterion needs b_1..b_4
     only; higher k is available on request for diagnostics.
@@ -79,13 +120,10 @@ def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
         k_max = min(4, m)
     if not 1 <= k_max <= m:
         raise BadSubsetError(f"k_max must be in 1..{m}, got {k_max}")
-    x = d.entries
-    s_k = []
-    for k in range(1, k_max + 1):
-        combos = np.array(list(itertools.combinations(range(m), k)))
-        j_vals = x[:, combos].prod(axis=2).sum(axis=0)
-        s_k.append(int((j_vals * j_vals).sum()))
-    return WordCounts(runs=d.runs, s_k=tuple(s_k))
+    table = krawtchouk_table(m, k_max, d.runs)
+    dist = run_distances(d.entries)
+    s_k = tuple(int(table[k, dist].sum()) for k in range(1, k_max + 1))
+    return WordCounts(runs=d.runs, s_k=s_k)
 
 
 def word_counts_from_xtx(a: np.ndarray, n_runs: int, m: int) -> WordCounts:

@@ -30,3 +30,21 @@ def random_designs(count, seed, n_lo=4, n_hi=12, m_lo=2, m_hi=7):
         n = int(rng.integers(n_lo, n_hi + 1))
         m = int(rng.integers(m_lo, m_hi + 1))
         yield Design(rng.integers(0, 2, size=(n, m)) * 2 - 1), rng
+
+
+def enumerated_word_counts(x, k_max):
+    """S_1..S_k_max by summing J_s^2 over every k-subset of columns.
+
+    The reference for the distance/Krawtchouk kernel: it shares no code with
+    the package.  Subsets are taken in chunks so memory stays bounded.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    s_k = []
+    for k in range(1, k_max + 1):
+        combos = itertools.combinations(range(x.shape[1]), k)
+        total = 0
+        while chunk := list(itertools.islice(combos, 20_000)):
+            j_vals = x[:, np.array(chunk)].prod(axis=2).sum(axis=0)
+            total += int((j_vals * j_vals).sum())
+        s_k.append(total)
+    return tuple(s_k)

@@ -118,6 +118,21 @@ class TestSweep:
         )
         assert code == 1 and "error" in err
 
+    def test_grid_never_passes_hi(self, capsys):
+        # rounding (hi - lo) / step up used to add a point past hi = 1 and
+        # fail after a partial CSV; float error in lo + i*step must not either
+        for lo, step, points, last in (("0", "0.007", 143, "0.994"), ("0.09", "0.07", 14, "1")):
+            code, out, err = run(
+                capsys,
+                "sweep", str(DATA / "supp1_d1.txt"), str(DATA / "supp1_d2.txt"),
+                "--lo", lo, "--hi", "1", "--step", step,
+            )
+            assert code == 0 and "error" not in err
+            lines = out.strip().splitlines()
+            assert len(lines) == 1 + points
+            assert lines[1].split(",")[0] == lo
+            assert lines[-1].split(",")[0] == last
+
 
 class TestProject:
     def test_csv_cells(self, capsys):
@@ -276,3 +291,31 @@ class TestSweep2D:
             "sweep", "fixture:supp1.d1", "fixture:supp1.d2", "--pi2-lo", "0.1",
         )
         assert code == 1 and "order 2" in err
+
+
+class TestInputErrors:
+    """Bad input gets one `error:` line on stderr and no output at all."""
+
+    def check(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    def test_project_f_zero(self, capsys):
+        err = self.check(capsys, "project", str(DATA / "case4_d1.txt"), "--f", "0", "3")
+        assert "projection size" in err
+
+    def test_optimize_negative_seed(self, capsys):
+        err = self.check(
+            capsys, "optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3", "--seed", "-1"
+        )
+        assert "seed" in err
+
+    def test_sweep_bad_fixed_pi2(self, capsys):
+        err = self.check(
+            capsys,
+            "sweep", "fixture:supp1.d1", "fixture:supp1.d2", "--order", "2", "--pi2", "1.5",
+        )
+        assert "pi2" in err

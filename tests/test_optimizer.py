@@ -12,18 +12,21 @@ from qbdesign.optimizer import (
     multi_restart,
     qb_delta,
 )
-from qbdesign.wordcounts import word_counts
+from qbdesign.wordcounts import WordCounts, word_counts
 
-from conftest import full_factorial, random_designs
+from conftest import enumerated_word_counts, full_factorial, random_designs
 
 
 def full_recompute_delta(d, i, j, prior):
     flipped = d.entries.copy()
     flipped[i, j] = -flipped[i, j]
     k_max = min(2 if prior.order is ModelOrder.FIRST_ORDER else 4, d.factors)
-    before = qb_from_word_counts(word_counts(d, k_max), prior, d.factors)
-    after = qb_from_word_counts(word_counts(Design(flipped), k_max), prior, d.factors)
-    return after - before
+
+    def qb(x):
+        w = WordCounts(runs=d.runs, s_k=enumerated_word_counts(x, k_max))
+        return qb_from_word_counts(w, prior, d.factors)
+
+    return qb(flipped) - qb(d.entries)
 
 
 class TestQbDelta:
@@ -81,9 +84,38 @@ class TestQbDelta:
             eng.flip(i, j)
             fresh = QbEngine(eng.design(), prior)
             assert eng._s == fresh._s
-            for a, b in zip(eng._j, fresh._j):
-                assert np.array_equal(a, b)
+            assert np.array_equal(eng._dist, fresh._dist)
             assert eng.qb() == pytest.approx(fresh.qb(), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, m, prior",
+        [
+            (24, 30, Prior(0.6, 0.3, ModelOrder.SECOND_ORDER)),
+            (12, 14, Prior(0.2)),
+        ],
+    )
+    def test_state_matches_enumeration_after_flips(self, n, m, prior):
+        rng = np.random.Generator(np.random.Philox(key=79))
+        eng = QbEngine(random_design(n, m, seed=89), prior)
+        for step in range(1, 61):
+            eng.flip(int(rng.integers(n)), int(rng.integers(m)))
+            if step % 15 == 0:
+                assert tuple(eng._s) == enumerated_word_counts(eng.x, eng.k_max)
+
+    def test_row_terms_match_enumeration(self):
+        rng = np.random.Generator(np.random.Philox(key=97))
+        prior = Prior(0.7, 0.4, ModelOrder.SECOND_ORDER)
+        for d, _ in random_designs(10, seed=101, n_hi=16, m_lo=4, m_hi=9):
+            eng = QbEngine(d, prior)
+            base = enumerated_word_counts(d.entries, 4)
+            i = int(rng.integers(d.runs))
+            delta, t = eng.row_deltas(i)
+            for j in range(d.factors):
+                flipped = d.entries.copy()
+                flipped[i, j] = -flipped[i, j]
+                after = enumerated_word_counts(flipped, 4)
+                assert [4 * int(v) for v in t[:, j]] == [a - b for a, b in zip(after, base)]
+                assert eng.delta(i, j) == delta[j]
 
 
 class TestCoordinateExchange:
@@ -115,6 +147,28 @@ class TestCoordinateExchange:
                 for j in range(5):
                     assert eng.delta(i, j) >= -1e-9
             assert qb <= qb_first_order(word_counts(start, 2), 0.3) + 1e-12
+
+    def test_row_scan_matches_coordinate_scan(self):
+        # the row-at-a-time scan makes the same decisions as evaluating one
+        # coordinate at a time in row-major order
+        priors = [Prior(0.3), Prior(0.8, 0.5, ModelOrder.SECOND_ORDER)]
+        for seed in range(6):
+            prior = priors[seed % 2]
+            start = random_design(10 + seed, 5 + seed, seed=seed)
+            eng = QbEngine(start, prior)
+            sweeps = stale = 0
+            while stale < 2:
+                sweeps += 1
+                accepted = 0
+                for i in range(eng.n):
+                    for j in range(eng.m):
+                        if eng.delta(i, j) < -1e-9:
+                            eng.flip(i, j)
+                            accepted += 1
+                stale = stale + 1 if accepted == 0 else 0
+            best, qb, n_sweeps = coordinate_exchange(start, prior)
+            assert np.array_equal(best.entries, eng.x)
+            assert (qb, n_sweeps) == (eng.qb(), sweeps)
 
 
 class TestMultiRestart:
@@ -197,6 +251,10 @@ class TestMultiRestart:
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), epsilon=-1.0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), seed=-1)
+        with pytest.raises(ValueError):
+            OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), seed=2**128)
 
 
 class TestDebugMode:

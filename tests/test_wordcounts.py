@@ -1,18 +1,21 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qbdesign.design import Design, ModelOrder, information_matrix, model_matrix
-from qbdesign.errors import BadSubsetError
+from qbdesign.errors import BadSubsetError, TooLargeError
 from qbdesign.wordcounts import (
     j_characteristic,
+    krawtchouk_table,
+    run_distances,
     subset_diagnostics,
     word_counts,
     word_counts_from_xtx,
 )
 
-from conftest import full_factorial, random_designs
+from conftest import enumerated_word_counts, full_factorial, random_designs
 
 
 class TestJCharacteristic:
@@ -84,6 +87,42 @@ class TestWordCounts:
     def test_missing_k_reported_zero(self):
         w = word_counts(full_factorial(3), 2)
         assert w.s(3) == 0 and w.b(4) == 0
+
+
+class TestKrawtchoukKernel:
+    def test_matches_enumeration(self):
+        rng = np.random.Generator(np.random.Philox(key=47))
+        shapes = [(24, 30, 6), (12, 1, 1), (5, 1, 1), (9, 5, 5), (16, 6, 6)]
+        for _ in range(40):
+            n = int(rng.integers(2, 25))
+            m = int(rng.integers(1, 31))
+            shapes.append((n, m, int(rng.integers(1, min(m, 6 if m <= 14 else 4) + 1))))
+        for n, m, k_max in shapes:
+            x = rng.integers(0, 2, size=(n, m)) * 2 - 1
+            assert word_counts(Design(x), k_max).s_k == enumerated_word_counts(x, k_max), (
+                n, m, k_max
+            )
+
+    def test_value_at_distance_zero(self):
+        for m in range(0, 40):
+            table = krawtchouk_table(m, m)
+            assert table[:, 0].tolist() == [math.comb(m, k) for k in range(m + 1)]
+
+    def test_run_distances(self):
+        for d, _ in random_designs(20, seed=53):
+            x = d.entries
+            expected = (x[:, None, :] != x[None, :, :]).sum(axis=2)
+            assert np.array_equal(run_distances(x), expected)
+
+    def test_int64_bound(self):
+        # max |K_32(d; 64)| = C(64, 32) ~ 1.8e18: 2 runs fit in int64, 3 do not
+        assert krawtchouk_table(64, 32, runs=2)[32, 0] == math.comb(64, 32)
+        with pytest.raises(TooLargeError):
+            krawtchouk_table(64, 32, runs=3)
+        d = Design(np.ones((3, 64), dtype=np.int64))
+        with pytest.raises(TooLargeError):
+            word_counts(d, 32)
+        assert word_counts(d, 4).s_k == tuple(9 * math.comb(64, k) for k in range(1, 5))
 
 
 class TestInvariances:
