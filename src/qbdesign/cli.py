@@ -185,11 +185,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_project(args) -> int:
+    if args.t_max is not None and args.t_max < 1:
+        raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     d = _load(args.design)
     t_values = None
     if args.t_max is not None:
         t_values = {f: range(1, args.t_max + 1) for f in args.f}
-    rep = projection_report(d, args.f, t_values, threads=args.threads)
+    rep = projection_report(d, args.f, t_values)
     sys.stdout.write(rep.to_csv())
     return 0
 
@@ -296,7 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("design")
     p.add_argument("--f", type=int, nargs="+", required=True)
     p.add_argument("--t-max", type=int)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=_default_threads(),
+        help="accepted for compatibility; has no effect (scoring is batched in one process)",
+    )
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("theory", help="level-balance interval table and pattern checks")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design import Design, InfoMatrix, ModelOrder, Term, model_terms
+from .design import Design, InfoMatrix, ModelOrder, Term, model_terms, term_columns
 from .errors import DimensionMismatchError, TooLargeError
 from .wordcounts import WordCounts, word_counts
 
@@ -228,10 +228,22 @@ def ue_s2(d: Design) -> Fraction:
 
 
 def centered_gram(d: Design, terms: tuple[Term, ...] | list[Term]) -> np.ndarray:
-    """D'Q0 D for the model columns given by `terms` (0-based factor tuples)."""
-    x = d.entries
-    cols = [x[:, t].prod(axis=1) if len(t) > 1 else x[:, t[0]] for t in terms]
-    dm = np.column_stack(cols).astype(float)
+    """D'Q0 D for the model columns given by `terms` (0-based factor tuples).
+
+    Terms are main effects (j,) and two-factor interactions (a, b), in any order.
+    """
+    if any(len(t) not in (1, 2) for t in terms):
+        raise ValueError("terms must be main effects or two-factor interactions")
+    mains = [t for t in terms if len(t) == 1]
+    pairs = [t for t in terms if len(t) == 2]
+    cols = term_columns(
+        d.entries,
+        np.array(mains, dtype=np.intp).reshape(-1),
+        np.array(pairs, dtype=np.intp).reshape(-1, 2),
+    )
+    # term_columns puts mains first; put the columns back in the order of `terms`
+    position = {t: i for i, t in enumerate(mains + pairs)}
+    dm = cols[:, [position[t] for t in terms]].astype(float)
     csum = dm.sum(axis=0)
     return dm.T @ dm - np.outer(csum, csum) / d.runs
 
@@ -244,13 +256,19 @@ def as_efficiency(d: Design, terms: tuple[Term, ...] | list[Term] | None = None)
     """
     if terms is None:
         terms = [(j,) for j in range(d.factors)]
-    g = centered_gram(d, terms)
-    return _as_from_gram(g, d.runs)
+    a = as_from_eigenvalues(np.linalg.eigvalsh(centered_gram(d, terms)), d.runs)
+    return None if np.isnan(a) else float(a)
 
 
-def _as_from_gram(g: np.ndarray, n_runs: int) -> float | None:
-    eig = np.linalg.eigvalsh(g)
-    lo, hi = eig[0], eig[-1]
-    if hi <= 0 or lo / hi < RCOND_SINGULAR:
-        return None
-    return len(eig) / (n_runs * float((1.0 / eig).sum()))
+def as_from_eigenvalues(eig: np.ndarray, n_runs: int) -> np.ndarray:
+    """As efficiency p / (N * sum(1/eig)) per row of ascending eigenvalues.
+
+    `eig` has shape (..., p), as np.linalg.eigvalsh returns it for a stack of
+    centered Grams.  A row whose reciprocal condition is below RCOND_SINGULAR
+    (the model is not estimable) gives NaN.
+    """
+    lo, hi = eig[..., 0], eig[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (hi <= 0) | (lo / hi < RCOND_SINGULAR)
+        inv_trace = (1.0 / eig).sum(axis=-1)
+    return np.where(singular, np.nan, eig.shape[-1] / (n_runs * inv_trace))

@@ -173,17 +173,24 @@ def save_design(d: Design, path: str | Path) -> None:
     Path(path).write_text(format_design(d))
 
 
+def term_columns(x: np.ndarray, mains: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Main-effect columns x[:, j] followed by pair products x[:, a] * x[:, b].
+
+    `mains` holds factor indices, shape (..., a), and `pairs` factor-index
+    pairs, shape (..., b, 2), with the same leading shape.  The result has
+    shape (N, ..., a + b): plain indices give an N x (a + b) model matrix, and
+    a stack of S factor subsets gives an (N, S, a + b) stack of them.
+    """
+    return np.concatenate([x[:, mains], x[:, pairs[..., 0]] * x[:, pairs[..., 1]]], axis=-1)
+
+
 def model_matrix(d: Design, order: ModelOrder) -> ModelMatrix:
     """Expand a design to its model matrix for the chosen maximal model."""
     terms = model_terms(d.factors, order)
-    cols = [np.ones(d.runs, dtype=np.int64)]
-    cols.extend(d.entries[:, j] for j in range(d.factors))
-    if order is ModelOrder.SECOND_ORDER:
-        cols.extend(
-            d.entries[:, i] * d.entries[:, j]
-            for i, j in itertools.combinations(range(d.factors), 2)
-        )
-    return ModelMatrix(terms=terms, entries=np.column_stack(cols), order=order)
+    pairs = np.array([t for t in terms if len(t) == 2], dtype=np.intp).reshape(-1, 2)
+    cols = term_columns(d.entries, np.arange(d.factors), pairs)
+    ones = np.ones((d.runs, 1), dtype=np.int64)
+    return ModelMatrix(terms=terms, entries=np.hstack([ones, cols]), order=order)
 
 
 def information_matrix(mm: ModelMatrix) -> InfoMatrix:

@@ -6,23 +6,34 @@ by As efficiency; singular models count as efficiency 0 and are tallied as
 non-estimable.  Under effect marginality these models are exactly the
 f-factor projections of the second-order model space.
 
-Work is embarrassingly parallel over f-subsets.  Per-model values are
-reduced in a fixed enumeration order with exact summation, so the report is
-bit-identical for any worker count.
+Scoring is batched.  The centered Grams of a stack of f-subsets are built at
+once, an (S, q, q) array with q = f + C(f,2), from the full mains-plus-pairs
+columns of each subset.  Each model's Gram is the p x p block (p = f + t) of
+its subset's Gram on the f mains and its t pairs; the blocks are gathered
+into (count, p, p) chunks of at most BLOCKS_PER_CALL, and each chunk takes
+one batched eigvalsh call.  The stack and the chunks are bounded, so memory
+does not grow with the number of models.  Each model's eigenvalues and
+efficiency are computed exactly as a one-model-at-a-time loop computes them,
+and the mean is math.fsum over the estimable values, correctly rounded in any
+order, so the report does not depend on how models are grouped into chunks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .criteria import RCOND_SINGULAR
-from .design import Design
+from .criteria import as_from_eigenvalues
+from .design import Design, term_columns
+
+# Models per batched eigvalsh call, and f-subsets per stack of centered Grams.
+# Both only bound memory: a chunk of 256 blocks of 16 x 16 takes 0.5 MB.
+BLOCKS_PER_CALL = 256
+SUBSETS_PER_STACK = 1024
 
 
 @dataclass(frozen=True)
@@ -52,41 +63,62 @@ class ProjectionReport:
         return "\n".join(lines) + "\n"
 
 
+def _block_offsets(f: int, q: int, t: int):
+    """Where each model's Gram lies in its subset's flattened q x q Gram, in chunks.
+
+    A model is the f mains plus one choice of t of the pairs f..q-1, taken in
+    lexicographic order; its p x p block (p = f + t) is read from the flat
+    positions row * q + col.  A chunk has at most BLOCKS_PER_CALL models.
+    """
+    n_choices = math.comb(q - f, t)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(f, q), t))
+    for start in range(0, n_choices, BLOCKS_PER_CALL):
+        k = min(BLOCKS_PER_CALL, n_choices - start)
+        idx = np.empty((k, f + t), dtype=np.intp)
+        idx[:, :f] = np.arange(f)
+        idx[:, f:] = np.fromiter(combos, np.intp, k * t).reshape(k, t)
+        yield idx[:, :, None] * q + idx[:, None, :]
+
+
 def _score_subsets(
-    entries: np.ndarray,
-    f: int,
-    subsets: Sequence[tuple[int, ...]],
-    wanted: tuple[int, ...],
-) -> dict[int, tuple[list[float], int, int]]:
-    """Per t: (estimable efficiencies in enumeration order, no_est, n_models)."""
-    n = entries.shape[0]
-    out: dict[int, tuple[list[float], int, int]] = {t: ([], 0, 0) for t in wanted}
-    for fs in subsets:
-        pairs = list(itertools.combinations(fs, 2))
-        cols = [entries[:, j] for j in fs]
-        cols += [entries[:, a] * entries[:, b] for a, b in pairs]
-        dm = np.column_stack(cols).astype(float)
-        csum = dm.sum(axis=0)
-        gram = dm.T @ dm - np.outer(csum, csum) / n
+    x: np.ndarray, f: int, wanted: tuple[int, ...]
+) -> dict[int, tuple[np.ndarray, int]]:
+    """Per t: (efficiencies of the estimable models, no_est).
+
+    Models are taken f-subset by f-subset in lexicographic order, and within
+    a subset by choice of pairs in lexicographic order.
+    """
+    n, m = x.shape
+    pair_pos = np.array(list(itertools.combinations(range(f), 2)), dtype=np.intp).reshape(-1, 2)
+    q = f + len(pair_pos)
+    vals: dict[int, list[np.ndarray]] = {t: [] for t in wanted}
+    no_est = dict.fromkeys(wanted, 0)
+    subsets = itertools.combinations(range(m), f)
+    while stack := list(itertools.islice(subsets, SUBSETS_PER_STACK)):
+        fs = np.array(stack, dtype=np.intp)
+        cols = term_columns(x, fs, fs[:, pair_pos]).transpose(1, 0, 2)
+        cols = cols.astype(float)  # (S, N, q); every +-1 product and sum is exact
+        csum = cols.sum(axis=1)
+        gram = cols.transpose(0, 2, 1) @ cols - csum[:, :, None] * csum[:, None, :] / n
+        gram = gram.reshape(len(stack), q * q)
         for t in wanted:
-            vals, no_est, count = out[t]
-            for choice in itertools.combinations(range(len(pairs)), t):
-                idx = list(range(f)) + [f + c for c in choice]
-                eig = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
-                count += 1
-                if eig[-1] <= 0 or eig[0] / eig[-1] < RCOND_SINGULAR:
-                    no_est += 1
-                else:
-                    vals.append(len(idx) / (n * float((1.0 / eig).sum())))
-            out[t] = (vals, no_est, count)
-    return out
+            # as many whole subsets per call as fit, else one subset per call
+            group = max(1, BLOCKS_PER_CALL // math.comb(q - f, t))
+            for s0 in range(0, len(stack), group):
+                for offsets in _block_offsets(f, q, t):
+                    blocks = gram[s0 : s0 + group].take(offsets, axis=1)
+                    eig = np.linalg.eigvalsh(blocks.reshape(-1, f + t, f + t))
+                    eff = as_from_eigenvalues(eig, n)
+                    estimable = ~np.isnan(eff)
+                    vals[t].append(eff[estimable])
+                    no_est[t] += len(eff) - int(estimable.sum())
+    return {t: (np.concatenate(vals[t]), no_est[t]) for t in wanted}
 
 
 def projection_report(
     d: Design,
     f_values: Iterable[int],
     t_values: Mapping[int, Sequence[int]] | None = None,
-    threads: int = 1,
 ) -> ProjectionReport:
     """Mean As and non-estimable counts per (f, t) cell.
 
@@ -107,40 +139,18 @@ def projection_report(
             range(1, max_t + 1)
         )
         wanted = tuple(t for t in wanted if 0 <= t <= max_t)
-        subsets = list(itertools.combinations(range(m), f))
-        if threads > 1 and len(subsets) > 1:
-            size = math.ceil(len(subsets) / threads)
-            chunks = [subsets[i : i + size] for i in range(0, len(subsets), size)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(
-                    pool.map(
-                        _score_subsets,
-                        itertools.repeat(d.entries),
-                        itertools.repeat(f),
-                        chunks,
-                        itertools.repeat(wanted),
-                    )
-                )
-        else:
-            parts = [_score_subsets(d.entries, f, subsets, wanted)]
+        scores = _score_subsets(d.entries, f, wanted)
         for t in wanted:
-            vals: list[float] = []
-            no_est = 0
-            count = 0
-            for part in parts:
-                pv, pn, pc = part[t]
-                vals.extend(pv)
-                no_est += pn
-                count += pc
+            vals, no_est = scores[t]
             n_models = math.comb(m, f) * math.comb(max_t, t)
-            assert count == n_models
+            assert len(vals) + no_est == n_models
             rows.append(
                 ProjectionRow(
                     f=f,
                     t=t,
                     n_models=n_models,
                     no_est=no_est,
-                    mean_as=math.fsum(vals) / n_models if n_models else 0.0,
+                    mean_as=math.fsum(vals) / n_models,
                 )
             )
     return ProjectionReport(rows=tuple(rows))

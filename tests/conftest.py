@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qbdesign.criteria import RCOND_SINGULAR
 from qbdesign.design import Design
 from qbdesign.fixtures import load_fixture
 
@@ -48,3 +49,31 @@ def enumerated_word_counts(x, k_max):
             total += int((j_vals * j_vals).sum())
         s_k.append(total)
     return tuple(s_k)
+
+
+def enumerated_projection_values(x, f, t):
+    """Per-model As efficiencies of the (f, t) projection models, one eigvalsh each.
+
+    The reference for the batched projection scorer: models are taken subset
+    by subset and choice by choice in lexicographic order.  Returns (the
+    efficiencies of the estimable models in that order, the number of
+    non-estimable models).
+    """
+    x = np.asarray(x)
+    n = x.shape[0]
+    vals = []
+    no_est = 0
+    for fs in itertools.combinations(range(x.shape[1]), f):
+        pairs = list(itertools.combinations(fs, 2))
+        cols = [x[:, j] for j in fs] + [x[:, a] * x[:, b] for a, b in pairs]
+        dm = np.column_stack(cols).astype(float)
+        csum = dm.sum(axis=0)
+        gram = dm.T @ dm - np.outer(csum, csum) / n
+        for choice in itertools.combinations(range(len(pairs)), t):
+            idx = list(range(f)) + [f + c for c in choice]
+            eig = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+            if eig[-1] <= 0 or eig[0] / eig[-1] < RCOND_SINGULAR:
+                no_est += 1
+            else:
+                vals.append(len(idx) / (n * float((1.0 / eig).sum())))
+    return vals, no_est

@@ -145,6 +145,14 @@ class TestProject:
         assert lines[1] == "3,1,60,0,1.000"
         assert lines[2] == "3,2,60,0,1.000"
 
+    def test_threads_no_effect(self, capsys):
+        outs = [
+            run(capsys, "project", "fixture:case4.d6", "--f", "4", "--threads", n)
+            for n in ("3", "1")
+        ]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
+
 
 class TestTheory:
     def test_interval_table(self, capsys):
@@ -306,6 +314,11 @@ class TestInputErrors:
     def test_project_f_zero(self, capsys):
         err = self.check(capsys, "project", str(DATA / "case4_d1.txt"), "--f", "0", "3")
         assert "projection size" in err
+
+    def test_project_t_max_below_one(self, capsys):
+        for t_max in ("0", "-2"):
+            err = self.check(capsys, "project", "fixture:had16", "--f", "3", "--t-max", t_max)
+            assert "--t-max" in err
 
     def test_optimize_negative_seed(self, capsys):
         err = self.check(

@@ -6,6 +6,7 @@ import pytest
 from qbdesign.criteria import (
     Prior,
     as_efficiency,
+    centered_gram,
     es2,
     prior_sums_oracle,
     qb_first_order,
@@ -241,6 +242,17 @@ class TestAsEfficiency:
         d = full_factorial(3)
         terms = [(0,), (1,), (2,), (0, 1)]
         assert as_efficiency(d, terms) == pytest.approx(1.0, abs=1e-12)
+
+    def test_centered_gram_keeps_term_order(self):
+        d = random_design(12, 5, 8)
+        terms = [(3, 4), (1,), (0, 2), (4,), (2,)]
+        x = d.entries.astype(float)
+        dm = np.column_stack([x[:, list(t)].prod(axis=1) for t in terms])
+        csum = dm.sum(axis=0)
+        want = dm.T @ dm - np.outer(csum, csum) / 12
+        assert np.array_equal(centered_gram(d, terms), want)
+        with pytest.raises(ValueError):
+            centered_gram(d, [(0,), (0, 1, 2)])
 
     def test_saturated_benchmarks(self, fx):
         # published table values carry an (m-1)/m normalization relative to

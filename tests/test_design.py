@@ -10,6 +10,7 @@ from qbdesign.design import (
     model_matrix,
     parse_design,
     random_design,
+    term_columns,
 )
 from qbdesign.errors import (
     EmptyDesignError,
@@ -89,6 +90,19 @@ class TestModelMatrix:
                 if len(term) == 2:
                     i, j = term
                     assert np.array_equal(col, d.entries[:, i] * d.entries[:, j])
+
+    def test_term_columns_stacked(self):
+        # a stack of subsets gives each subset's own model matrix
+        x = random_design(10, 6, 4).entries
+        fs = np.array([[0, 2, 5], [1, 3, 4]])
+        pairs = fs[:, [[0, 1], [0, 2], [1, 2]]]
+        stacked = term_columns(x, fs, pairs)
+        assert stacked.shape == (10, 2, 6) and stacked.dtype == np.int64
+        for s, (a, b, c) in enumerate(fs):
+            want = np.column_stack([x[:, a], x[:, b], x[:, c], x[:, a] * x[:, b],
+                                    x[:, a] * x[:, c], x[:, b] * x[:, c]])
+            assert np.array_equal(stacked[:, s], want)
+            assert np.array_equal(term_columns(x, fs[s], pairs[s]), want)
 
     def test_table3_first_xtx(self, fx):
         f = fx("table3.first")

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
-from qbdesign.projection import projection_report
+from qbdesign import projection
+from qbdesign.design import random_design
+from qbdesign.projection import _score_subsets, projection_report
 
-from conftest import full_factorial
+from conftest import enumerated_projection_values, full_factorial
 
 
 class TestProjectionReport:
@@ -51,12 +54,6 @@ class TestProjectionReport:
             rep = projection_report(fx(fid).design, [4])
             assert rep.cell(4, 6).mean_as <= rep.cell(4, 1).mean_as + 1e-12
 
-    def test_threads_bit_identical(self, fx):
-        d = fx("case4.d6").design
-        serial = projection_report(d, [4], threads=1)
-        parallel = projection_report(d, [4], threads=3)
-        assert serial == parallel
-
     def test_oversized_projection_rejected(self, fx):
         with pytest.raises(ValueError):
             projection_report(fx("case4.d1").design, [7])
@@ -66,3 +63,47 @@ class TestProjectionReport:
         lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "f,t,n_models,no_est,mean_as"
         assert lines[1] == "3,1,60,0,1.000"
+
+
+def assert_matches_enumeration(x, f, t_values=None):
+    """The batched scorer's per-model values are == the one-model-at-a-time loop's."""
+    wanted = tuple(range(f * (f - 1) // 2 + 1)) if t_values is None else tuple(t_values)
+    scores = _score_subsets(np.asarray(x), f, wanted)
+    no_est = 0
+    for t in wanted:
+        vals, n_bad = scores[t]
+        want_vals, want_bad = enumerated_projection_values(x, f, t)
+        assert vals.tolist() == want_vals, (f, t)
+        assert n_bad == want_bad, (f, t)
+        no_est += n_bad
+    return no_est
+
+
+class TestBatchedScoring:
+    """Every (f, t) cell from t = 0 up, against the enumeration oracle."""
+
+    @pytest.mark.parametrize("fid", ["case4.d1", "case4.d3", "case4.d6"])
+    def test_case4(self, fx, fid):
+        # f = 6 = m; t = 5..10 give 3003..6435 models, past one chunk
+        for f in (3, 4, 5, 6):
+            assert_matches_enumeration(fx(fid).design.entries, f)
+
+    def test_had16(self, fx):
+        assert_matches_enumeration(fx("had16").design.entries, 3)
+
+    @pytest.mark.parametrize("runs,factors,seed", [(12, 8, 1), (20, 10, 2)])
+    def test_random_designs_with_non_estimable_models(self, runs, factors, seed):
+        x = random_design(runs, factors, seed).entries
+        assert sum(assert_matches_enumeration(x, f) for f in (3, 4)) > 0
+
+    def test_single_factor(self, fx):
+        assert_matches_enumeration(fx("had16").design.entries, 1)
+
+    def test_chunk_and_stack_boundaries(self, fx, monkeypatch):
+        # chunks that split the choices of one subset, and stacks that split
+        # the subsets, at sizes that divide nothing evenly
+        monkeypatch.setattr(projection, "BLOCKS_PER_CALL", 7)
+        monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 11)
+        assert_matches_enumeration(fx("had16").design.entries, 3)
+        assert_matches_enumeration(fx("case4.d6").design.entries, 4)
+        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
