@@ -92,7 +92,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+
+
 def cmd_optimize(args) -> int:
+    _check_threads(args)
     order = _order(args.order)
     cfg = OptimizerConfig(
         runs=args.runs,
@@ -104,13 +110,15 @@ def cmd_optimize(args) -> int:
         epsilon=args.epsilon,
         tiebreak_as=not args.no_tiebreak_as,
     )
-    res = multi_restart(cfg, threads=args.threads)
-    if args.progress:
-        for st in res.restart_log:
+
+    def progress(stats) -> None:
+        for st in stats:
             print(
                 f"restart={st.seed} seed={cfg.seed} qb={_fmt(st.qb)} sweeps={st.sweeps}",
                 file=sys.stderr,
             )
+
+    res = multi_restart(cfg, threads=args.threads, on_block=progress if args.progress else None)
     print(f"best QB = {_fmt(res.qb)}")
     bs = " ".join(f"b{k}={res.word_counts.b(k)}" for k in range(1, res.word_counts.k_max + 1))
     print(f"word counts: {bs}")
@@ -185,6 +193,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_project(args) -> int:
+    _check_threads(args)
     if args.t_max is not None and args.t_max < 1:
         raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     d = _load(args.design)
@@ -279,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-tiebreak-as", action="store_true")
     p.add_argument("--output", "-o")
     p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--progress", action="store_true", help="per-restart log on stderr")
+    p.add_argument(
+        "--progress", action="store_true", help="per-restart log on stderr, as restarts finish"
+    )
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="QB over a pi1 (and optional pi2) grid (CSV)")

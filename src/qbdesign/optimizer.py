@@ -16,16 +16,35 @@ sg_r = x_ij * x_rj = +-1 (0 for r = i).  So
 
     S_k' - S_k = 2 * sum_r [K_k(d_ir + sg_r; m) - K_k(d_ir; m)] = 4 t_k,
 
-with t_k an integer, and S_k stays exact along the whole search.  One numpy
-gather over the N x m matrix of sg values gives t_k for all m flips of a
-row and every k at once, in O(N m k_max).
+with t_k an integer, and S_k stays exact along the whole search.  With the
+difference tables U = Dp - Dm and V = Dp + Dm, where Dp(d) = K_k(d + 1) -
+K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
+2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d), so t_k for all m flips of a row
+and every k is one small integer matmul over the N x m matrix of sg values
+(the run itself, sg = 0, taken back out), in O(N m k_max).
+
+Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts
+keeps its designs, distances and S_k stacked along a leading restart axis,
+and each restart has its own cursor: the row and column where its scan
+stands, its sweep count, its count of stale sweeps, and whether the current
+sweep has accepted a flip.  One iteration scores the current row of every
+running restart in one call, and each restart takes the first improving
+column at or after its cursor; all the flips taken go in as one update.  A
+restart then moves its cursor exactly as a scan of that restart alone would:
+past the flipped column, or to the next row when the row has no improving
+column left or the flip was in its last column; after the last row it ends
+the sweep, and it leaves the block after max_stale_sweeps stale sweeps.  No
+quantity ever mixes restarts, and every decision rests on integer t_k and on
+the same float expression per restart.  So each restart follows the
+trajectory it would follow alone, and the results do not depend on the
+block size or on the number of worker processes.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +53,7 @@ from .design import Design
 from .wordcounts import WordCounts, krawtchouk_table, run_distances
 
 QB_TIE_TOL = 1e-9
+RESTARTS_PER_BLOCK = 64  # restarts advanced together; bounds the block's memory
 
 
 @dataclass(frozen=True)
@@ -77,24 +97,97 @@ class OptResult:
     as_main: float | None = None
 
 
-class QbEngine:
-    """Mutable search state: the design, its run distances, and exact S_k."""
+class _Block:
+    """Stacked search state of R restarts: designs, run distances and exact S_k.
 
-    def __init__(self, design: Design, prior: Prior):
-        self.n = design.runs
-        self.m = design.factors
-        self.x = design.entries.copy()
+    x is (R, N, m), dist (R, N, N) and s (R, k_max), all int64 and owned by
+    the block.  row_deltas and flip are the package's one row-delta and one
+    flip update; QbEngine is a block of one.
+    """
+
+    def __init__(self, x: np.ndarray, prior: Prior):
+        self.x = x
+        self.n, self.m = x.shape[1:]
         coeff = qb_coefficients(prior, self.m)
         self.k_max = min(len(coeff), self.m)
         self.weights = coeff[: self.k_max]
-        self._n2 = self.n * self.n
-        self._kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
-        self._dist = run_distances(self.x)
-        self._s = [int(kr[self._dist].sum()) for kr in self._kraw]
+        self.n2 = self.n * self.n
+        kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
+        self.dist = run_distances(x)
+        self.s = np.stack([kr[self.dist].sum(axis=(1, 2)) for kr in kraw], axis=1)
+        # K(d + 1) - K(d) and K(d - 1) - K(d), 0 where the step leaves 0..m,
+        # as U = Dp - Dm and V = Dp + Dm indexed [d, k]
+        diff = kraw[:, 1:] - kraw[:, :-1]
+        dp = np.pad(diff, ((0, 0), (0, 1)))
+        dm = np.pad(-diff, ((0, 0), (1, 0)))
+        self._u = np.ascontiguousarray((dp - dm).T)
+        self._v = np.ascontiguousarray((dp + dm).T)
+        self._own = 2 * diff[:, 0]
+
+    def qb(self, r: int) -> float:
+        """Criterion value of restart r from its exact per-size totals."""
+        return sum(w * int(s) for w, s in zip(self.weights, self.s[r])) / self.n2
+
+    def row_deltas(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """QB changes of sign-switching each entry of row rows[r], for every restart r.
+
+        Returns (delta, t): delta[r, j] is the QB change of flipping
+        (rows[r], j) in restart r and t[r, k - 1, j] = (S_k' - S_k) / 4 the
+        integer behind it.
+        """
+        at = np.arange(len(rows))
+        di = self.dist[at, rows]
+        # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = +-1.  Summed over the
+        # runs r with sg_r = x_ij x_rj it is one integer matmul per restart,
+        # less the run itself (d = 0, sg = +1), whose distance does not move
+        moved = (np.swapaxes(self._u[di], 1, 2) @ self.x) * self.x[at, rows][:, None, :]
+        t = (moved + (self._v[di].sum(axis=1) - self._own)[:, :, None]) // 4
+        # w_1 t_1 + w_2 t_2 + ... left to right, so each delta is the same
+        # float a per-coordinate sum would give
+        acc = self.weights[0] * t[:, 0]
+        for k in range(1, self.k_max):
+            acc = acc + self.weights[k] * t[:, k]
+        return 4.0 * acc / self.n2, t
+
+    def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
+        """Sign-switch entry (rows[h], cols[h]) of restart at[h], for every h.
+
+        t[h] holds the exact terms (S_k' - S_k) / 4 of that flip.
+        """
+        h = np.arange(len(at))
+        col = self.x[at, :, cols]
+        xij = col[h, rows]
+        # run i's distances move by x_ij x_rj; its distance to itself stays 0
+        dist = self.dist[at, rows] + xij[:, None] * col
+        dist[h, rows] = 0
+        self.dist[at, rows] = dist
+        self.dist[at, :, rows] = dist
+        self.s[at] += 4 * t
+        self.x[at, rows, cols] = -xij
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the restarts where mask is False."""
+        self.x, self.dist, self.s = self.x[mask], self.dist[mask], self.s[mask]
+
+
+class QbEngine:
+    """Mutable search state of one design: a block of one restart."""
+
+    def __init__(self, design: Design, prior: Prior):
+        self._block = _Block(design.entries[None].copy(), prior)
+        self.n, self.m = self._block.n, self._block.m
+        self.k_max = self._block.k_max
+        self.weights = self._block.weights
+        self.x = self._block.x[0]
+        self._dist = self._block.dist[0]
+
+    @property
+    def _s(self) -> list[int]:
+        return [int(v) for v in self._block.s[0]]
 
     def qb(self) -> float:
         """Criterion value from the exact per-size totals."""
-        return sum(w * s for w, s in zip(self.weights, self._s)) / self._n2
+        return self._block.qb(0)
 
     def word_counts(self) -> WordCounts:
         return WordCounts(runs=self.n, s_k=tuple(self._s))
@@ -105,17 +198,8 @@ class QbEngine:
         Returns (delta, t): delta[j] is the QB change of flipping (i, j) and
         t[k - 1, j] = (S_k' - S_k) / 4 the integer behind it.
         """
-        sg = self.x[i] * self.x
-        sg[i] = 0
-        di = self._dist[i]
-        moved = self._kraw[:, di[:, None] + sg].sum(axis=1)
-        t = (moved - self._kraw[:, di].sum(axis=1, keepdims=True)) // 2
-        # w_1 t_1 + w_2 t_2 + ... left to right, so each delta[j] is the same
-        # float a per-coordinate sum would give
-        acc = self.weights[0] * t[0]
-        for w, tk in zip(self.weights[1:], t[1:]):
-            acc = acc + w * tk
-        return 4.0 * acc / self._n2, t
+        delta, t = self._block.row_deltas(np.array([i]))
+        return delta[0], t[0]
 
     def delta(self, i: int, j: int) -> float:
         """QB change if entry (i, j) were sign-switched."""
@@ -129,12 +213,7 @@ class QbEngine:
         """
         if t is None:
             t = self.row_deltas(i)[1]
-        step = self.x[i, j] * self.x[:, j]
-        step[i] = 0
-        self._dist[i] += step
-        self._dist[:, i] += step
-        self._s = [s + 4 * int(tk) for s, tk in zip(self._s, t[:, j])]
-        self.x[i, j] = -self.x[i, j]
+        self._block.flip(np.array([0]), np.array([i]), np.array([j]), t[None, :, j])
 
     def design(self) -> Design:
         return Design(self.x.copy())
@@ -150,6 +229,70 @@ def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
     return QbEngine(d, prior).delta(i, j)
 
 
+def _check_state(block: _Block, r: int, prior: Prior) -> None:
+    """Assert restart r's incremental state equals a from-scratch rebuild."""
+    fresh = _Block(block.x[r : r + 1].copy(), prior)
+    assert np.array_equal(block.s[r], fresh.s[0])
+    assert np.array_equal(block.dist[r], fresh.dist[0])
+    assert abs(block.qb(r) - fresh.qb(0)) <= 1e-10
+
+
+def _exchange(
+    x: np.ndarray,
+    prior: Prior,
+    max_stale_sweeps: int,
+    epsilon: float,
+    debug: bool = False,
+) -> list[tuple[np.ndarray, float, int]]:
+    """Coordinate exchange from each start in the (R, N, m) stack x, in lockstep.
+
+    Every iteration scores the current row of each running restart and
+    takes, per restart, the first improving column at or after its cursor.
+    Returns (entries, qb, sweeps) per start, in input order.
+    """
+    block = _Block(x, prior)
+    n, m = block.n, block.m
+    ids = np.arange(len(x))
+    pos = np.zeros(len(x), dtype=np.intp)  # row * m + column of each cursor
+    sweeps = np.ones(len(x), dtype=np.int64)
+    stale = np.zeros(len(x), dtype=np.int64)
+    accepted = np.zeros(len(x), dtype=bool)  # in the current sweep
+    out: list[tuple[np.ndarray, float, int]] = [None] * len(x)
+    cols = np.arange(m)
+    while len(ids):
+        row, col = np.divmod(pos, m)
+        delta, t = block.row_deltas(row)
+        improving = (delta < -epsilon) & (cols >= col[:, None])
+        hit = improving.any(axis=1)
+        j = improving.argmax(axis=1)
+        at = np.flatnonzero(hit)
+        if at.size:
+            j_at = j[at]
+            block.flip(at, row[at], j_at, t[at, :, j_at])
+            if debug:
+                for r in at:
+                    _check_state(block, r, prior)
+        accepted |= hit
+        # on past the flip, or to the next row; a flip in the last column
+        # ends the row without a re-evaluation
+        pos += np.where(hit, j + 1, m) - col
+        swept = pos == n * m
+        if not swept.any():
+            continue
+        pos[swept] = 0
+        stale[swept] = np.where(accepted[swept], 0, stale[swept] + 1)
+        accepted[swept] = False
+        done = stale >= max_stale_sweeps
+        sweeps += swept & ~done
+        if done.any():
+            for r in np.flatnonzero(done):
+                out[ids[r]] = (block.x[r].copy(), block.qb(r), int(sweeps[r]))
+            keep = ~done
+            ids, pos, sweeps, stale, accepted = (a[keep] for a in (ids, pos, sweeps, stale, accepted))
+            block.keep(keep)
+    return out
+
+
 def coordinate_exchange(
     start: Design,
     prior: Prior,
@@ -163,59 +306,66 @@ def coordinate_exchange(
     QB by more than epsilon; stops after `max_stale_sweeps` consecutive
     sweeps without an accepted flip.  Returns (design, qb, sweeps).  With
     debug=True the incremental state is checked against a from-scratch
-    recomputation after every accepted flip.
+    recomputation after every accepted flip.  This is the lockstep kernel
+    run on a block of one.
     """
-    eng = QbEngine(start, prior)
-    sweeps = 0
-    stale = 0
-    while stale < max_stale_sweeps:
-        sweeps += 1
-        accepted = 0
-        for i in range(eng.n):
-            j = 0
-            while j < eng.m:
-                # the first improving flip at or after j; the row's later
-                # deltas are evaluated again once it is applied
-                delta, t = eng.row_deltas(i)
-                hits = np.flatnonzero(delta[j:] < -epsilon)
-                if not hits.size:
-                    break
-                j += int(hits[0])
-                eng.flip(i, j, t)
-                accepted += 1
-                j += 1
-                if debug:
-                    fresh = QbEngine(eng.design(), prior)
-                    assert eng._s == fresh._s
-                    assert np.array_equal(eng._dist, fresh._dist)
-                    assert abs(eng.qb() - fresh.qb()) <= 1e-10
-        stale = stale + 1 if accepted == 0 else 0
-    return eng.design(), eng.qb(), sweeps
-
-
-def _run_restart(cfg: OptimizerConfig, r: int) -> tuple[int, float, int, np.ndarray]:
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(r))
-    start = Design(rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1)
-    best, qb, sweeps = coordinate_exchange(
-        start, cfg.prior, cfg.max_stale_sweeps, cfg.epsilon
+    [(entries, qb, sweeps)] = _exchange(
+        start.entries[None].copy(), prior, max_stale_sweeps, epsilon, debug
     )
-    return r, qb, sweeps, best.entries
+    return Design(entries), qb, sweeps
 
 
-def multi_restart(cfg: OptimizerConfig, threads: int = 1) -> OptResult:
+def _start(cfg: OptimizerConfig, r: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(r))
+    return rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1
+
+
+def _run_block(cfg: OptimizerConfig, lo: int, hi: int) -> list[tuple[int, float, int, np.ndarray]]:
+    """Restarts lo..hi-1 through the lockstep kernel, as (r, qb, sweeps, entries)."""
+    x = np.stack([_start(cfg, r) for r in range(lo, hi)])
+    res = _exchange(x, cfg.prior, cfg.max_stale_sweeps, cfg.epsilon)
+    return [(r, qb, sweeps, entries) for r, (entries, qb, sweeps) in zip(range(lo, hi), res)]
+
+
+def _collect(blocks, on_block) -> list[tuple[int, float, int, np.ndarray]]:
+    raw = []
+    for block in blocks:
+        raw += block
+        if on_block is not None:
+            on_block(tuple(RestartStat(seed=r, qb=qb, sweeps=sw) for r, qb, sw, _ in block))
+    return raw
+
+
+def multi_restart(
+    cfg: OptimizerConfig,
+    threads: int = 1,
+    on_block: Callable[[tuple[RestartStat, ...]], None] | None = None,
+) -> OptResult:
     """Coordinate exchange from `restarts` random starts; deterministic reduction.
 
     Restart r draws its start from the Philox stream jumped r times from
     cfg.seed, so results are reproducible and independent of the execution
-    schedule.  QB ties within 1e-9 are broken by the larger main-effects As
+    schedule.  Restarts run in contiguous blocks of at most
+    RESTARTS_PER_BLOCK, and with threads > 1 the blocks are spread over a
+    process pool.  `on_block`, when given, receives each block's restart
+    stats in restart order as soon as that block and every earlier one are
+    done.  QB ties within 1e-9 are broken by the larger main-effects As
     efficiency (when tiebreak_as is set), then by restart index.
     """
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(_run_restart, itertools.repeat(cfg), range(cfg.restarts)))
-        raw.sort(key=lambda t: t[0])
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    size = min(RESTARTS_PER_BLOCK, -(-cfg.restarts // threads))
+    los = range(0, cfg.restarts, size)
+    his = [min(lo + size, cfg.restarts) for lo in los]
+    if threads > 1 and len(los) > 1:
+        # imported here: loading the pool machinery costs about 20 ms, which
+        # every command would pay at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(threads, len(los))) as pool:
+            raw = _collect(pool.map(_run_block, itertools.repeat(cfg), los, his), on_block)
     else:
-        raw = [_run_restart(cfg, r) for r in range(cfg.restarts)]
+        raw = _collect(map(_run_block, itertools.repeat(cfg), los, his), on_block)
 
     log = tuple(RestartStat(seed=r, qb=qb, sweeps=sw) for r, qb, sw, _ in raw)
     qb_min = min(st.qb for st in log)

@@ -105,8 +105,11 @@ def krawtchouk_table(m: int, k_max: int, runs: int = 1) -> np.ndarray:
 
 
 def run_distances(x: np.ndarray) -> np.ndarray:
-    """N x N Hamming distances between the runs (rows) of a +-1 matrix."""
-    return (x.shape[1] - x @ x.T) // 2
+    """N x N Hamming distances between the runs (rows) of a +-1 matrix.
+
+    A stack of matrices, shape (..., N, m), gives a stack of distance matrices.
+    """
+    return (x.shape[-1] - x @ np.swapaxes(x, -1, -2)) // 2
 
 
 def word_counts(d: Design, k_max: int | None = None) -> WordCounts:

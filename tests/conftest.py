@@ -6,6 +6,7 @@ import pytest
 from qbdesign.criteria import RCOND_SINGULAR
 from qbdesign.design import Design
 from qbdesign.fixtures import load_fixture
+from qbdesign.optimizer import QbEngine
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,34 @@ def enumerated_word_counts(x, k_max):
             total += int((j_vals * j_vals).sum())
         s_k.append(total)
     return tuple(s_k)
+
+
+def serial_coordinate_exchange(start, prior, max_stale_sweeps=2, epsilon=1e-9):
+    """One restart of first-improvement coordinate exchange, row by row.
+
+    The reference for the lockstep kernel: it scans rows in order, flips the
+    first improving entry at or after the cursor and re-scores the rest of
+    the row, until `max_stale_sweeps` sweeps in a row accept nothing.
+    Returns (entries, qb, sweeps).
+    """
+    eng = QbEngine(start, prior)
+    sweeps = stale = 0
+    while stale < max_stale_sweeps:
+        sweeps += 1
+        accepted = 0
+        for i in range(eng.n):
+            j = 0
+            while j < eng.m:
+                delta, t = eng.row_deltas(i)
+                hits = np.flatnonzero(delta[j:] < -epsilon)
+                if not hits.size:
+                    break
+                j += int(hits[0])
+                eng.flip(i, j, t)
+                accepted += 1
+                j += 1
+        stale = stale + 1 if accepted == 0 else 0
+    return eng.x.copy(), eng.qb(), sweeps
 
 
 def enumerated_projection_values(x, f, t):

@@ -79,6 +79,21 @@ class TestOptimize:
         assert len(lines) == 3
         assert "qb=" in lines[0] and "sweeps=" in lines[0]
 
+    def test_progress_log_in_restart_order(self, capsys):
+        args = (
+            "optimize",
+            "--runs", "6", "--factors", "3", "--pi1", "0.2",
+            "--restarts", "9", "--seed", "5", "--progress",
+        )
+        logs = []
+        for threads in ("1", "2"):
+            code, _, err = run(capsys, *args, "--threads", threads)
+            assert code == 0
+            logs.append(err)
+        assert logs[0] == logs[1]
+        starts = [ln.split()[0] for ln in logs[0].splitlines()]
+        assert starts == [f"restart={r}" for r in range(9)]
+
 
 class TestSweep:
     def test_crossovers(self, capsys):
@@ -325,6 +340,20 @@ class TestInputErrors:
             capsys, "optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3", "--seed", "-1"
         )
         assert "seed" in err
+
+    def test_optimize_threads_below_one(self, capsys):
+        for threads in ("0", "-1"):
+            err = self.check(
+                capsys,
+                "optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3",
+                "--restarts", "3", "--threads", threads,
+            )
+            assert "--threads" in err
+
+    def test_project_threads_below_one(self, capsys):
+        for threads in ("0", "-1"):
+            err = self.check(capsys, "project", "fixture:had16", "--f", "3", "--threads", threads)
+            assert "--threads" in err
 
     def test_sweep_bad_fixed_pi2(self, capsys):
         err = self.check(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qbdesign import optimizer
 from qbdesign.criteria import Prior, qb_first_order, qb_from_word_counts
 from qbdesign.design import Design, ModelOrder, random_design
 from qbdesign.optimizer import (
@@ -14,7 +15,14 @@ from qbdesign.optimizer import (
 )
 from qbdesign.wordcounts import WordCounts, word_counts
 
-from conftest import enumerated_word_counts, full_factorial, random_designs
+from conftest import (
+    enumerated_word_counts,
+    full_factorial,
+    random_designs,
+    serial_coordinate_exchange,
+)
+
+SECOND = ModelOrder.SECOND_ORDER
 
 
 def full_recompute_delta(d, i, j, prior):
@@ -257,6 +265,96 @@ class TestMultiRestart:
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), seed=2**128)
 
 
+def restart_starts(cfg):
+    """The random start of every restart, drawn as multi_restart documents."""
+    return [
+        np.random.Generator(np.random.Philox(key=cfg.seed).jumped(r)).integers(
+            0, 2, size=(cfg.runs, cfg.factors)
+        ) * 2 - 1
+        for r in range(cfg.restarts)
+    ]
+
+
+def oracle_restarts(cfg):
+    return [
+        serial_coordinate_exchange(Design(x), cfg.prior, cfg.max_stale_sweeps, cfg.epsilon)
+        for x in restart_starts(cfg)
+    ]
+
+
+def assert_matches_oracle(res, expected):
+    assert [(st.qb, st.sweeps) for st in res.restart_log] == [(qb, sw) for _, qb, sw in expected]
+    qb_min = min(qb for _, qb, _ in expected)
+    first = next(x for x, qb, _ in expected if qb <= qb_min + 1e-9)
+    assert np.array_equal(res.best.entries, first)
+
+
+class TestLockstep:
+    """The lockstep kernel against one-restart-at-a-time serial scans."""
+
+    @pytest.mark.parametrize(
+        "n, m, prior",
+        [
+            (12, 14, Prior(0.1)),
+            (24, 7, Prior(0.8, 0.5, SECOND)),
+            (16, 6, Prior(0.6, 0.4, SECOND)),
+            (20, 19, Prior(0.5, 0.5, SECOND)),
+            (2, 1, Prior(0.4)),
+            (2, 1, Prior(0.7, 0.3, SECOND)),
+            (3, 1, Prior(0.5, 0.5, SECOND)),
+            (4, 2, Prior(0.9, 0.2, SECOND)),
+            (6, 3, Prior(0.3, 0.9, SECOND)),
+            (8, 5, Prior(0.0)),
+            (8, 5, Prior(1.0)),
+            (10, 4, Prior(1.0, 1.0, SECOND)),
+            (10, 4, Prior(0.0, 0.5, SECOND)),
+        ],
+    )
+    def test_matches_serial_oracle(self, n, m, prior):
+        cfg = OptimizerConfig(
+            runs=n, factors=m, prior=prior, restarts=9, seed=13, tiebreak_as=False
+        )
+        expected = oracle_restarts(cfg)
+        got = optimizer._exchange(
+            np.stack(restart_starts(cfg)), prior, cfg.max_stale_sweeps, cfg.epsilon
+        )
+        for (x0, qb0, sw0), (x, qb, sw) in zip(expected, got, strict=True):
+            assert np.array_equal(x, x0)
+            assert (qb, sw) == (qb0, sw0)
+        assert_matches_oracle(multi_restart(cfg), expected)
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_and_workers(self, monkeypatch, per_block, threads):
+        monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
+        for cfg in (
+            OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=10, seed=2,
+                            tiebreak_as=False),
+            OptimizerConfig(runs=24, factors=7, prior=Prior(0.8, 0.5, SECOND), restarts=8,
+                            seed=5, tiebreak_as=False),
+        ):
+            blocks = []
+            res = multi_restart(cfg, threads=threads, on_block=blocks.append)
+            assert_matches_oracle(res, oracle_restarts(cfg))
+            assert all(0 < len(b) <= per_block for b in blocks)
+            assert tuple(st for b in blocks for st in b) == res.restart_log
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_callback_sees_every_restart_in_order(self, threads):
+        cfg = OptimizerConfig(runs=8, factors=5, prior=Prior(0.35), restarts=150, seed=7)
+        blocks = []
+        res = multi_restart(cfg, threads=threads, on_block=blocks.append)
+        assert [st.seed for b in blocks for st in b] == list(range(150))
+        assert tuple(st for b in blocks for st in b) == res.restart_log
+        assert all(len(b) <= optimizer.RESTARTS_PER_BLOCK for b in blocks)
+
+    def test_threads_below_one(self):
+        cfg = OptimizerConfig(runs=8, factors=4, prior=Prior(0.3), restarts=3)
+        for threads in (0, -1):
+            with pytest.raises(ValueError):
+                multi_restart(cfg, threads=threads)
+
+
 class TestDebugMode:
     def test_debug_asserts_state(self):
         start = random_design(8, 4, seed=17)
@@ -264,6 +362,32 @@ class TestDebugMode:
         plain, qb2, _ = coordinate_exchange(start, Prior(0.4))
         assert np.array_equal(best.entries, plain.entries)
         assert qb == qb2
+
+    def test_debug_on_a_block(self, monkeypatch):
+        checks = []
+        check_state = optimizer._check_state
+
+        def counted(block, r, prior):
+            checks.append(r)
+            check_state(block, r, prior)
+
+        monkeypatch.setattr(optimizer, "_check_state", counted)
+        prior = Prior(0.7, 0.4, SECOND)
+        cfg = OptimizerConfig(runs=10, factors=5, prior=prior, restarts=6, seed=19)
+        starts = np.stack(restart_starts(cfg))
+        debugged = optimizer._exchange(starts.copy(), prior, 2, 1e-9, debug=True)
+        plain = optimizer._exchange(starts.copy(), prior, 2, 1e-9)
+        assert len(checks) > len(starts)
+        for (x, qb, sw), (x0, qb0, sw0) in zip(debugged, plain, strict=True):
+            assert np.array_equal(x, x0)
+            assert (qb, sw) == (qb0, sw0)
+
+    def test_debug_catches_a_broken_state(self):
+        prior = Prior(0.4)
+        block = optimizer._Block(random_design(8, 4, seed=17).entries[None].copy(), prior)
+        block.s[0, 1] += 4
+        with pytest.raises(AssertionError):
+            optimizer._check_state(block, 0, prior)
 
 
 class TestSecondOrderBenchmark:
