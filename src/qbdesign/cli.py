@@ -14,6 +14,7 @@ from .criteria import (
     Prior,
     as_efficiency,
     es2,
+    qb_coefficients,
     qb_from_word_counts,
     ue_s2,
 )
@@ -40,13 +41,6 @@ def _order(arg: int) -> ModelOrder:
     return ModelOrder.FIRST_ORDER if arg == 1 else ModelOrder.SECOND_ORDER
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QBDESIGN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load(path: str) -> Design:
     """Read a design from a file, stdin ("-"), or the corpus ("fixture:<id>")."""
     if path == "-":
@@ -63,7 +57,9 @@ def cmd_evaluate(args) -> int:
     d = _load(args.design)
     order = _order(args.order)
     prior = Prior(args.pi1, args.pi2, order)
-    k_max = min(2 if order is ModelOrder.FIRST_ORDER else 4, d.factors)
+    if args.subsets is not None and not 1 <= args.subsets <= d.factors:
+        raise QbDesignError(f"--subsets must be in 1..{d.factors}, got {args.subsets}")
+    k_max = len(qb_coefficients(prior, d.factors))
     w = word_counts(d, k_max)
     prof = balance_profile(d)
     tf = args.table_format
@@ -86,19 +82,26 @@ def cmd_evaluate(args) -> int:
     print(f"UE(s2) = b1+b2 = {ue_s2(d)}")
     a = as_efficiency(d)
     print(f"As(main effects) = {'not estimable' if a is None else _fmt(a, tf)}")
-    if args.subsets:
+    if args.subsets is not None:
         for line in subset_diagnostics(d, args.subsets):
             print(line)
     return 0
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+def _threads(args) -> int:
+    """--threads, else QBDESIGN_THREADS (unset or empty means 1); both must be >= 1."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        return args.threads
+    raw = os.environ.get("QBDESIGN_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"QBDESIGN_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def cmd_optimize(args) -> int:
-    _check_threads(args)
+    threads = _threads(args)
     order = _order(args.order)
     cfg = OptimizerConfig(
         runs=args.runs,
@@ -118,7 +121,7 @@ def cmd_optimize(args) -> int:
                 file=sys.stderr,
             )
 
-    res = multi_restart(cfg, threads=args.threads, on_block=progress if args.progress else None)
+    res = multi_restart(cfg, threads=threads, on_block=progress if args.progress else None)
     print(f"best QB = {_fmt(res.qb)}")
     bs = " ".join(f"b{k}={res.word_counts.b(k)}" for k in range(1, res.word_counts.k_max + 1))
     print(f"word counts: {bs}")
@@ -153,8 +156,7 @@ def cmd_sweep(args) -> int:
             stem += "+"
         names.append(stem)
     order = _order(args.order)
-    k_max = 2 if order is ModelOrder.FIRST_ORDER else 4
-    counts = [word_counts(d, min(k_max, d.factors)) for d in designs]
+    counts = [word_counts(d) for d in designs]
     pi1_grid = _grid(args.lo, args.hi, args.step)
     two_d = args.pi2_lo is not None
     if two_d:
@@ -193,7 +195,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_project(args) -> int:
-    _check_threads(args)
+    _threads(args)
     if args.t_max is not None and args.t_max < 1:
         raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     d = _load(args.design)
@@ -206,19 +208,21 @@ def cmd_project(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    # everything that can fail runs before the first line is printed
     bi = balance_intervals(args.runs, args.factors)
+    split = bi.split_for(args.pi1) if args.pi1 is not None else None
+    rep = verify_block_pattern(_load(args.design)) if args.design else None
     print(f"N={args.runs} m={args.factors}: {bi.k} intervals")
     for lo, hi, nlb, lb in bi.intervals():
         print(f"  pi1 in ({lo}, {hi}]: non-level-balanced={nlb} level-balanced={lb}")
-    if args.pi1 is not None:
-        nlb, lb = bi.split_for(args.pi1)
+    if split is not None:
+        nlb, lb = split
         val = qb_block_value(args.runs, args.factors, lb, args.pi1)
         print(
             f"pi1={_fmt(args.pi1)}: optimal split non-level-balanced={nlb}"
             f" level-balanced={lb} QB={_fmt(val)}"
         )
-    if args.design:
-        rep = verify_block_pattern(_load(args.design))
+    if rep is not None:
         print(
             f"pattern match: {'yes' if rep.matches else 'no'}"
             f" (level-balanced={rep.n_level_balanced},"
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stale-sweeps", type=int, default=2)
     p.add_argument("--no-tiebreak-as", action="store_true")
     p.add_argument("--output", "-o")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, help="worker processes (default: QBDESIGN_THREADS or 1)")
     p.add_argument(
         "--progress", action="store_true", help="per-restart log on stderr, as restarts finish"
     )
@@ -312,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
         help="accepted for compatibility; has no effect (scoring is batched in one process)",
     )
     p.set_defaults(func=cmd_project)

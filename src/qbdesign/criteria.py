@@ -153,38 +153,32 @@ def prior_sums_oracle(m: int, prior: Prior) -> PriorSums:
 
 
 def qb_coefficients(prior: Prior, m: int) -> tuple[float, ...]:
-    """Word-count weights (w1..w4) such that QB = sum_k w_k b_k."""
+    """Word-count weights (w_1, ..., w_kmax) such that QB = sum_k w_k b_k.
+
+    One weight per word count the maximal model uses: b_1, b_2 for first
+    order and b_1..b_4 for second order, never more than m (no k-subsets
+    exist beyond k = m).  Its length is the package's one k_max rule.
+    """
     p1, p2 = prior.pi1, prior.pi2
     if prior.order is ModelOrder.FIRST_ORDER:
-        return (p1, 2 * p1**2)
-    return (
-        p1 + 2 * (m - 1) * p1**2 * p2,
-        2 * p1**2 + p1**2 * p2 + 2 * (m - 2) * p1**3 * p2**2,
-        6 * p1**3 * p2,
-        6 * p1**4 * p2**2,
-    )
-
-
-def qb_first_order(w: WordCounts, pi1: float) -> float:
-    """QB for the main-effects maximal model: pi1*b1 + 2*pi1^2*b2."""
-    return pi1 * w.b_float(1) + 2 * pi1 * pi1 * w.b_float(2)
-
-
-def qb_second_order(w: WordCounts, prior: Prior, m: int) -> float:
-    """QB for the two-factor-interaction maximal model (weights on b1..b4).
-
-    Word counts that cannot exist (b3 with m < 3, b4 with m < 4) contribute 0.
-    """
-    coeff = qb_coefficients(
-        Prior(prior.pi1, prior.pi2, ModelOrder.SECOND_ORDER), m
-    )
-    return sum(c * w.b_float(k) for k, c in enumerate(coeff, start=1))
+        coeff = (p1, 2 * p1**2)
+    else:
+        coeff = (
+            p1 + 2 * (m - 1) * p1**2 * p2,
+            2 * p1**2 + p1**2 * p2 + 2 * (m - 2) * p1**3 * p2**2,
+            6 * p1**3 * p2,
+            6 * p1**4 * p2**2,
+        )
+    return coeff[:m]
 
 
 def qb_from_word_counts(w: WordCounts, prior: Prior, m: int) -> float:
-    if prior.order is ModelOrder.FIRST_ORDER:
-        return qb_first_order(w, prior.pi1)
-    return qb_second_order(w, prior, m)
+    """QB = sum_k w_k b_k over the weights of qb_coefficients(prior, m).
+
+    The package's one QB evaluator: the optimizer, evaluate and sweep all
+    report through it.
+    """
+    return sum(c * w.b_float(k) for k, c in enumerate(qb_coefficients(prior, m), start=1))
 
 
 def qb_general(im: InfoMatrix, ps: PriorSums) -> float:

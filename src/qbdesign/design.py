@@ -13,7 +13,6 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -213,8 +212,3 @@ def random_design(n_runs: int, n_factors: int, seed: int) -> Design:
 def balance_profile(d: Design) -> BalanceProfile:
     """|column sum| per factor; a factor is level-balanced iff its value is 0."""
     return BalanceProfile(tuple(int(abs(v)) for v in d.column_sums()))
-
-
-def design_from_rows(rows: Iterable[Sequence[int]]) -> Design:
-    """Convenience constructor from nested sequences."""
-    return Design(np.array(list(rows), dtype=np.int64))

@@ -43,14 +43,15 @@ block size or on the number of worker processes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .criteria import Prior, as_efficiency, qb_coefficients
+from .criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from .design import Design
-from .wordcounts import WordCounts, krawtchouk_table, run_distances
+from .wordcounts import WordCounts, krawtchouk_table, run_distances, word_counts
 
 QB_TIE_TOL = 1e-9
 RESTARTS_PER_BLOCK = 64  # restarts advanced together; bounds the block's memory
@@ -70,10 +71,14 @@ class OptimizerConfig:
     tiebreak_as: bool = True
 
     def __post_init__(self):
+        if self.runs < 2:
+            raise ValueError(f"runs must be >= 2, got {self.runs}")
+        if self.factors < 1:
+            raise ValueError(f"factors must be >= 1, got {self.factors}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_stale_sweeps < 1:
             raise ValueError("max_stale_sweeps must be >= 1")
         if not 0 <= self.seed < 2**128:
@@ -102,15 +107,15 @@ class _Block:
 
     x is (R, N, m), dist (R, N, N) and s (R, k_max), all int64 and owned by
     the block.  row_deltas and flip are the package's one row-delta and one
-    flip update; QbEngine is a block of one.
+    flip update; qb_delta and coordinate_exchange run a block of one.
     """
 
     def __init__(self, x: np.ndarray, prior: Prior):
         self.x = x
         self.n, self.m = x.shape[1:]
-        coeff = qb_coefficients(prior, self.m)
-        self.k_max = min(len(coeff), self.m)
-        self.weights = coeff[: self.k_max]
+        self.prior = prior
+        self.weights = qb_coefficients(prior, self.m)
+        self.k_max = len(self.weights)
         self.n2 = self.n * self.n
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
         self.dist = run_distances(x)
@@ -124,9 +129,13 @@ class _Block:
         self._v = np.ascontiguousarray((dp + dm).T)
         self._own = 2 * diff[:, 0]
 
+    def word_counts(self, r: int) -> WordCounts:
+        """Restart r's exact word counts."""
+        return WordCounts(runs=self.n, s_k=tuple(int(v) for v in self.s[r]))
+
     def qb(self, r: int) -> float:
-        """Criterion value of restart r from its exact per-size totals."""
-        return sum(w * int(s) for w, s in zip(self.weights, self.s[r])) / self.n2
+        """Criterion value of restart r from its exact word counts."""
+        return qb_from_word_counts(self.word_counts(r), self.prior, self.m)
 
     def row_deltas(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """QB changes of sign-switching each entry of row rows[r], for every restart r.
@@ -170,63 +179,15 @@ class _Block:
         self.x, self.dist, self.s = self.x[mask], self.dist[mask], self.s[mask]
 
 
-class QbEngine:
-    """Mutable search state of one design: a block of one restart."""
-
-    def __init__(self, design: Design, prior: Prior):
-        self._block = _Block(design.entries[None].copy(), prior)
-        self.n, self.m = self._block.n, self._block.m
-        self.k_max = self._block.k_max
-        self.weights = self._block.weights
-        self.x = self._block.x[0]
-        self._dist = self._block.dist[0]
-
-    @property
-    def _s(self) -> list[int]:
-        return [int(v) for v in self._block.s[0]]
-
-    def qb(self) -> float:
-        """Criterion value from the exact per-size totals."""
-        return self._block.qb(0)
-
-    def word_counts(self) -> WordCounts:
-        return WordCounts(runs=self.n, s_k=tuple(self._s))
-
-    def row_deltas(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """QB changes for sign-switching each entry of row i, with their exact terms.
-
-        Returns (delta, t): delta[j] is the QB change of flipping (i, j) and
-        t[k - 1, j] = (S_k' - S_k) / 4 the integer behind it.
-        """
-        delta, t = self._block.row_deltas(np.array([i]))
-        return delta[0], t[0]
-
-    def delta(self, i: int, j: int) -> float:
-        """QB change if entry (i, j) were sign-switched."""
-        return float(self.row_deltas(i)[0][j])
-
-    def flip(self, i: int, j: int, t: np.ndarray | None = None) -> None:
-        """Apply the sign switch, updating run distances and S_k exactly.
-
-        `t` is the term matrix `row_deltas(i)` returned for the current
-        state, when the caller already has it.
-        """
-        if t is None:
-            t = self.row_deltas(i)[1]
-        self._block.flip(np.array([0]), np.array([i]), np.array([j]), t[None, :, j])
-
-    def design(self) -> Design:
-        return Design(self.x.copy())
-
-
 def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
-    """QB(d with entry (i, j) negated) - QB(d), via the incremental engine.
+    """QB(d with entry (i, j) negated) - QB(d), via the incremental row deltas.
 
     Row and factor indices are 0-based.
     """
     if not (0 <= i < d.runs and 0 <= j < d.factors):
         raise IndexError(f"coordinate ({i}, {j}) out of range")
-    return QbEngine(d, prior).delta(i, j)
+    delta, _ = _Block(d.entries[None].copy(), prior).row_deltas(np.array([i]))
+    return float(delta[0, j])
 
 
 def _check_state(block: _Block, r: int, prior: Prior) -> None:
@@ -234,7 +195,6 @@ def _check_state(block: _Block, r: int, prior: Prior) -> None:
     fresh = _Block(block.x[r : r + 1].copy(), prior)
     assert np.array_equal(block.s[r], fresh.s[0])
     assert np.array_equal(block.dist[r], fresh.dist[0])
-    assert abs(block.qb(r) - fresh.qb(0)) <= 1e-10
 
 
 def _exchange(
@@ -382,12 +342,11 @@ def multi_restart(
         r, qb, _, entries = eligible[0]
 
     best = Design(entries)
-    eng = QbEngine(best, cfg.prior)
-    wc = eng.word_counts()
+    wc = word_counts(best, len(qb_coefficients(cfg.prior, cfg.factors)))
     n_lb = int((best.column_sums() == 0).sum())
     return OptResult(
         best=best,
-        qb=eng.qb(),
+        qb=qb_from_word_counts(wc, cfg.prior, cfg.factors),
         word_counts=wc,
         restart_log=log,
         n_level_balanced=n_lb,

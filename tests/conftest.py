@@ -6,7 +6,7 @@ import pytest
 from qbdesign.criteria import RCOND_SINGULAR
 from qbdesign.design import Design
 from qbdesign.fixtures import load_fixture
-from qbdesign.optimizer import QbEngine
+from qbdesign.optimizer import _Block
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +52,26 @@ def enumerated_word_counts(x, k_max):
     return tuple(s_k)
 
 
+def block_of_one(d, prior):
+    """The optimizer's search state for the single design d."""
+    return _Block(d.entries[None].copy(), prior)
+
+
+def row_of_one(block, i):
+    """(delta, t) of row i of a block of one: delta[j] is the QB change of
+    flipping (i, j) and t[k - 1, j] the exact term (S_k' - S_k) / 4."""
+    delta, t = block.row_deltas(np.array([i]))
+    return delta[0], t[0]
+
+
+def flip_one(block, i, j, t=None):
+    """Sign-switch entry (i, j) of a block of one; t is row_of_one's term
+    matrix for the current state, when the caller already has it."""
+    if t is None:
+        t = row_of_one(block, i)[1]
+    block.flip(np.array([0]), np.array([i]), np.array([j]), t[None, :, j])
+
+
 def serial_coordinate_exchange(start, prior, max_stale_sweeps=2, epsilon=1e-9):
     """One restart of first-improvement coordinate exchange, row by row.
 
@@ -60,24 +80,24 @@ def serial_coordinate_exchange(start, prior, max_stale_sweeps=2, epsilon=1e-9):
     the row, until `max_stale_sweeps` sweeps in a row accept nothing.
     Returns (entries, qb, sweeps).
     """
-    eng = QbEngine(start, prior)
+    block = block_of_one(start, prior)
     sweeps = stale = 0
     while stale < max_stale_sweeps:
         sweeps += 1
         accepted = 0
-        for i in range(eng.n):
+        for i in range(block.n):
             j = 0
-            while j < eng.m:
-                delta, t = eng.row_deltas(i)
+            while j < block.m:
+                delta, t = row_of_one(block, i)
                 hits = np.flatnonzero(delta[j:] < -epsilon)
                 if not hits.size:
                     break
                 j += int(hits[0])
-                eng.flip(i, j, t)
+                flip_one(block, i, j, t)
                 accepted += 1
                 j += 1
         stale = stale + 1 if accepted == 0 else 0
-    return eng.x.copy(), eng.qb(), sweeps
+    return block.x[0].copy(), block.qb(0), sweeps
 
 
 def enumerated_projection_values(x, f, t):

@@ -13,7 +13,7 @@ import pytest
 from qbdesign.criteria import (
     Prior,
     prior_sums_oracle,
-    qb_first_order,
+    qb_coefficients,
     qb_from_word_counts,
     qb_general,
     xi_weights,
@@ -26,7 +26,7 @@ from qbdesign.design import (
     random_design,
 )
 from qbdesign.fixtures import check_fixture, list_fixtures
-from qbdesign.optimizer import OptimizerConfig, QbEngine, multi_restart
+from qbdesign.optimizer import OptimizerConfig, multi_restart, qb_delta
 from qbdesign.projection import projection_report
 from qbdesign.theory import balance_intervals, qb_block_value, verify_block_pattern
 from qbdesign.wordcounts import word_counts, word_counts_from_xtx
@@ -114,7 +114,7 @@ def test_criterion_3_sweep_crossovers(fx):
         prev = None
         for i in range(701):
             pi1 = 0.1 + i * 0.001
-            qs = [qb_first_order(w, pi1) for w in counts]
+            qs = [qb_from_word_counts(w, Prior(pi1), 14) for w in counts]
             arg = qs.index(min(qs))
             if prev is not None and arg != prev:
                 changes.append((pi1, prev, arg))
@@ -223,7 +223,7 @@ def test_criterion_6_interval_table():
 
 def test_criterion_7a_supersaturated_low_prior(fx):
     with criterion(7, "optimizer attainment (a) N=12 m=14 pi1=0.1"):
-        target = qb_first_order(word_counts(fx("supp1.d1").design, 2), 0.1)
+        target = qb_from_word_counts(word_counts(fx("supp1.d1").design, 2), Prior(0.1), 14)
         cfg = OptimizerConfig(
             runs=12, factors=14, prior=Prior(0.1), restarts=200, seed=1
         )
@@ -233,7 +233,7 @@ def test_criterion_7a_supersaturated_low_prior(fx):
 
 def test_criterion_7b_supersaturated_high_prior(fx):
     with criterion(7, "optimizer attainment (b) N=12 m=14 pi1=0.6"):
-        target = qb_first_order(word_counts(fx("supp1.d3").design, 2), 0.6)
+        target = qb_from_word_counts(word_counts(fx("supp1.d3").design, 2), Prior(0.6), 14)
         cfg = OptimizerConfig(
             runs=12, factors=14, prior=Prior(0.6), restarts=200, seed=1
         )
@@ -337,10 +337,9 @@ def test_criterion_9_local_optimality_and_deltas():
                 seed=int(rng.integers(2**32)),
             )
             res = multi_restart(cfg)
-            eng = QbEngine(res.best, prior)
             for i in range(n):
                 for j in range(m):
-                    assert eng.delta(i, j) >= -cfg.epsilon
+                    assert qb_delta(res.best, i, j, prior) >= -cfg.epsilon
 
         checked = 0
         while checked < 10_000:
@@ -349,9 +348,8 @@ def test_criterion_9_local_optimality_and_deltas():
             d = random_design(n, m, seed=int(rng.integers(2**63)))
             order = ModelOrder.SECOND_ORDER if checked % 2 else ModelOrder.FIRST_ORDER
             prior = Prior(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)), order)
-            k_max = min(2 if order is ModelOrder.FIRST_ORDER else 4, m)
+            k_max = len(qb_coefficients(prior, m))
             base = qb_from_word_counts(word_counts(d, k_max), prior, m)
-            eng = QbEngine(d, prior)
             for _ in range(20):
                 i = int(rng.integers(n))
                 j = int(rng.integers(m))
@@ -363,7 +361,7 @@ def test_criterion_9_local_optimality_and_deltas():
                     )
                     - base
                 )
-                assert eng.delta(i, j) == pytest.approx(full, abs=1e-10)
+                assert qb_delta(d, i, j, prior) == pytest.approx(full, abs=1e-10)
                 checked += 1
 
 

@@ -236,6 +236,36 @@ class TestThreadsEnv:
         )
         assert out1 == out2  # worker count never changes the result
 
+    def test_empty_env_means_one_worker(self, capsys, monkeypatch):
+        monkeypatch.setenv("QBDESIGN_THREADS", "")
+        code, _, err = run(
+            capsys,
+            "optimize", "--runs", "6", "--factors", "3", "--pi1", "0.2", "--restarts", "2",
+        )
+        assert code == 0 and err == ""
+
+    def test_bad_env_rejected(self, capsys, monkeypatch):
+        commands = (
+            ("optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3", "--restarts", "3"),
+            ("project", "fixture:had16", "--f", "3"),
+        )
+        for value in ("0", "-2", "abc", "1.5"):
+            monkeypatch.setenv("QBDESIGN_THREADS", value)
+            for argv in commands:
+                code, out, err = run(capsys, *argv)
+                assert code == 1
+                assert out == ""
+                assert err == f"error: QBDESIGN_THREADS must be an integer >= 1, got {value!r}\n"
+
+    def test_flag_overrides_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QBDESIGN_THREADS", "abc")
+        code, _, _ = run(
+            capsys,
+            "optimize", "--runs", "6", "--factors", "3", "--pi1", "0.2",
+            "--restarts", "2", "--threads", "1",
+        )
+        assert code == 0
+
 
 class TestOptimizeBenchmarks:
     def test_supersaturated_low_prior(self, capsys):
@@ -354,6 +384,49 @@ class TestInputErrors:
         for threads in ("0", "-1"):
             err = self.check(capsys, "project", "fixture:had16", "--f", "3", "--threads", threads)
             assert "--threads" in err
+
+    def test_optimize_bad_sizes_and_epsilon(self, capsys):
+        base = ("optimize", "--pi1", "0.3", "--restarts", "3")
+        for flags, word in (
+            (("--runs", "8", "--factors", "0"), "factors"),
+            (("--runs", "1", "--factors", "4"), "runs"),
+            (("--runs", "8", "--factors", "4", "--epsilon", "nan"), "epsilon"),
+            (("--runs", "8", "--factors", "4", "--epsilon", "inf"), "epsilon"),
+            (("--runs", "8", "--factors", "4", "--epsilon=-1e-3"), "epsilon"),
+        ):
+            err = self.check(capsys, *base, *flags)
+            assert word in err
+
+    def test_evaluate_subsets_out_of_range(self, capsys):
+        # supp1.d1 has m = 14 factors
+        for k in ("0", "-1", "15", "20"):
+            err = self.check(
+                capsys, "evaluate", "fixture:supp1.d1", "--pi1", "0.3", "--subsets", k
+            )
+            assert "--subsets must be in 1..14" in err
+
+    def test_evaluate_subsets_at_the_bounds(self, capsys):
+        for k, lines in (("1", 14), ("14", 1)):
+            code, out, _ = run(
+                capsys, "evaluate", "fixture:supp1.d1", "--pi1", "0.3", "--subsets", k
+            )
+            assert code == 0
+            assert len([ln for ln in out.splitlines() if " J=" in ln]) == lines
+
+    def test_theory_bad_pi1(self, capsys):
+        for pi1 in ("0", "1.5", "-0.2"):
+            err = self.check(capsys, "theory", "--runs", "14", "--factors", "12", "--pi1", pi1)
+            assert "pi1" in err
+
+    def test_theory_design_of_wrong_run_size(self, capsys):
+        # had16 has N = 16, not 2 (mod 4); the interval table must not print first
+        self.check(capsys, "theory", "--runs", "14", "--factors", "12", "--design", "fixture:had16")
+
+    def test_theory_missing_design(self, capsys, tmp_path):
+        self.check(
+            capsys, "theory", "--runs", "14", "--factors", "12",
+            "--design", str(tmp_path / "missing.txt"),
+        )
 
     def test_sweep_bad_fixed_pi2(self, capsys):
         err = self.check(

@@ -9,9 +9,9 @@ from qbdesign.criteria import (
     centered_gram,
     es2,
     prior_sums_oracle,
-    qb_first_order,
+    qb_coefficients,
+    qb_from_word_counts,
     qb_general,
-    qb_second_order,
     ue_s2,
     xi_weights,
 )
@@ -79,14 +79,46 @@ class TestPriorSumsOracle:
             prior_sums_oracle(7, Prior(0.5, 0.5, ModelOrder.SECOND_ORDER))
 
 
+class TestQbCoefficients:
+    def test_one_weight_per_word_count_used(self):
+        for m in range(1, 7):
+            assert len(qb_coefficients(Prior(0.3), m)) == min(2, m)
+            second = Prior(0.3, 0.6, ModelOrder.SECOND_ORDER)
+            assert len(qb_coefficients(second, m)) == min(4, m)
+
+    def test_short_vectors_are_prefixes_of_the_full_weights(self):
+        # truncation drops weights; it never changes the ones kept
+        pr = Prior(0.7, 0.4, ModelOrder.SECOND_ORDER)
+        for m in range(1, 4):
+            full = (
+                0.7 + 2 * (m - 1) * 0.7**2 * 0.4,
+                2 * 0.7**2 + 0.7**2 * 0.4 + 2 * (m - 2) * 0.7**3 * 0.4**2,
+                6 * 0.7**3 * 0.4,
+                6 * 0.7**4 * 0.4**2,
+            )
+            assert qb_coefficients(pr, m) == full[:m]
+        assert qb_coefficients(Prior(0.3), 1) == (0.3,)
+
+
 class TestQbFirstOrder:
     def test_d1_arithmetic(self, fx):
         w = word_counts(fx("supp1.d1").design, 2)
-        assert qb_first_order(w, 0.2) == pytest.approx(2 * 0.04 * 8 / 3, abs=1e-15)
+        assert qb_from_word_counts(w, Prior(0.2), 14) == pytest.approx(
+            2 * 0.04 * 8 / 3, abs=1e-15
+        )
 
     def test_zero_prior(self, fx):
         w = word_counts(fx("supp1.d3").design, 2)
-        assert qb_first_order(w, 0.0) == 0.0
+        assert qb_from_word_counts(w, Prior(0.0), 14) == 0.0
+
+    def test_closed_form(self):
+        # bit for bit the textbook expression pi1*b1 + 2*pi1^2*b2
+        rng = np.random.Generator(np.random.Philox(key=43))
+        for d, _ in random_designs(30, seed=43):
+            w = word_counts(d, 2)
+            pi1 = float(rng.uniform(0, 1))
+            expected = pi1 * w.b_float(1) + 2 * pi1 * pi1 * w.b_float(2)
+            assert qb_from_word_counts(w, Prior(pi1), d.factors) == expected
 
     def test_tie_at_one_fifth(self, fx):
         # 10*pi^2 = 2*pi at pi = 1/5: the two supersaturated benchmarks tie
@@ -101,7 +133,8 @@ class TestQbFirstOrder:
         w_lo = WordCounts(runs=12, s_k=(0, 144))
         w_hi = WordCounts(runs=12, s_k=(16, 288))
         for pi in (0.1, 0.4, 0.9):
-            assert qb_first_order(w_lo, pi) < qb_first_order(w_hi, pi)
+            pr = Prior(pi)
+            assert qb_from_word_counts(w_lo, pr, 2) < qb_from_word_counts(w_hi, pr, 2)
 
 
 class TestQbSecondOrder:
@@ -109,8 +142,8 @@ class TestQbSecondOrder:
         for d, _ in random_designs(10, seed=47, m_lo=3, m_hi=6):
             w = word_counts(d, min(4, d.factors))
             pr = Prior(0.6, 0.0, ModelOrder.SECOND_ORDER)
-            assert qb_second_order(w, pr, d.factors) == pytest.approx(
-                qb_first_order(w, 0.6), abs=1e-14
+            assert qb_from_word_counts(w, pr, d.factors) == pytest.approx(
+                qb_from_word_counts(w, Prior(0.6), d.factors), abs=1e-14
             )
 
     def test_benchmark_crossover_in_pi2(self, fx):
@@ -121,13 +154,13 @@ class TestQbSecondOrder:
         crossover = 25 / 168
         for pi2 in (0.16, 0.3, 0.5, 0.8, 1.0):
             pr = Prior(0.8, pi2, ModelOrder.SECOND_ORDER)
-            assert qb_second_order(w2, pr, 4) < qb_second_order(w1, pr, 4)
+            assert qb_from_word_counts(w2, pr, 4) < qb_from_word_counts(w1, pr, 4)
         for pi2 in (0.01, 0.05, 0.1, 0.14):
             pr = Prior(0.8, pi2, ModelOrder.SECOND_ORDER)
-            assert qb_second_order(w2, pr, 4) > qb_second_order(w1, pr, 4)
+            assert qb_from_word_counts(w2, pr, 4) > qb_from_word_counts(w1, pr, 4)
         pr = Prior(0.8, crossover, ModelOrder.SECOND_ORDER)
-        assert qb_second_order(w2, pr, 4) == pytest.approx(
-            qb_second_order(w1, pr, 4), abs=1e-12
+        assert qb_from_word_counts(w2, pr, 4) == pytest.approx(
+            qb_from_word_counts(w1, pr, 4), abs=1e-12
         )
 
     def test_hadamard_projection_q_threshold(self, fx):
@@ -138,21 +171,21 @@ class TestQbSecondOrder:
         cases = [(0.7, 0.5), (0.9, 0.8), (0.6, 0.6), (0.9, 0.2), (1.0, 0.55)]
         for pi1, pi2 in cases:
             pr = Prior(pi1, pi2, ModelOrder.SECOND_ORDER)
-            qa, qb = qb_second_order(wa, pr, 6), qb_second_order(wb, pr, 6)
+            qa, qb = qb_from_word_counts(wa, pr, 6), qb_from_word_counts(wb, pr, 6)
             if pi1 * pi2 < 0.5:
                 assert qa < qb
             else:
                 assert qa > qb
         pr = Prior(1.0, 0.5, ModelOrder.SECOND_ORDER)
-        assert qb_second_order(wa, pr, 6) == pytest.approx(
-            qb_second_order(wb, pr, 6), abs=1e-12
+        assert qb_from_word_counts(wa, pr, 6) == pytest.approx(
+            qb_from_word_counts(wb, pr, 6), abs=1e-12
         )
 
     def test_small_m_missing_counts(self):
         d = full_factorial(2)
         w = word_counts(d, 2)
         pr = Prior(0.9, 0.9, ModelOrder.SECOND_ORDER)
-        assert qb_second_order(w, pr, 2) == 0.0
+        assert qb_from_word_counts(w, pr, 2) == 0.0
 
 
 class TestQbGeneral:
@@ -174,7 +207,7 @@ class TestQbGeneral:
             w = word_counts(d, min(2, m))
             value = qb_general(im, ps)
             assert value >= 0.0
-            assert value == pytest.approx(qb_first_order(w, pi1), abs=1e-12)
+            assert value == pytest.approx(qb_from_word_counts(w, Prior(pi1), m), abs=1e-12)
 
     def test_equals_second_order_closed_form(self, fx):
         d = fx("table3.first").design
@@ -183,7 +216,7 @@ class TestQbGeneral:
         ps = prior_sums_oracle(4, pr)
         w = word_counts(d, 4)
         assert qb_general(im, ps) == pytest.approx(
-            qb_second_order(w, pr, 4), abs=1e-12
+            qb_from_word_counts(w, pr, 4), abs=1e-12
         )
 
     def test_dimension_mismatch(self):
@@ -197,7 +230,10 @@ class TestQbGeneral:
         # comparing S-scaled integer values agrees with the float criterion
         designs = [fx(f"supp1.d{k}").design for k in (1, 2, 3)]
         for pi1 in (0.1, 0.3, 0.45, 0.7):
-            qs = [qb_first_order(word_counts(d, 2), pi1) for d in designs]
+            qs = [
+                qb_from_word_counts(word_counts(d, 2), Prior(pi1), d.factors)
+                for d in designs
+            ]
             pi = Fraction(pi1).limit_denominator(100)
             exact = [
                 pi * w.b(1) * 144 + 2 * pi * pi * w.b(2) * 144

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from qbdesign import optimizer
-from qbdesign.criteria import Prior, qb_first_order, qb_from_word_counts
+from qbdesign.criteria import Prior, qb_coefficients, qb_from_word_counts
 from qbdesign.design import Design, ModelOrder, random_design
 from qbdesign.optimizer import (
     OptimizerConfig,
-    QbEngine,
     coordinate_exchange,
     multi_restart,
     qb_delta,
@@ -16,9 +15,12 @@ from qbdesign.optimizer import (
 from qbdesign.wordcounts import WordCounts, word_counts
 
 from conftest import (
+    block_of_one,
     enumerated_word_counts,
+    flip_one,
     full_factorial,
     random_designs,
+    row_of_one,
     serial_coordinate_exchange,
 )
 
@@ -28,7 +30,7 @@ SECOND = ModelOrder.SECOND_ORDER
 def full_recompute_delta(d, i, j, prior):
     flipped = d.entries.copy()
     flipped[i, j] = -flipped[i, j]
-    k_max = min(2 if prior.order is ModelOrder.FIRST_ORDER else 4, d.factors)
+    k_max = len(qb_coefficients(prior, d.factors))
 
     def qb(x):
         w = WordCounts(runs=d.runs, s_k=enumerated_word_counts(x, k_max))
@@ -41,10 +43,10 @@ class TestQbDelta:
     def test_involution(self):
         d = random_design(8, 5, seed=61)
         prior = Prior(0.4)
-        eng = QbEngine(d, prior)
-        first = eng.delta(2, 3)
-        eng.flip(2, 3)
-        second = eng.delta(2, 3)
+        block = block_of_one(d, prior)
+        first = row_of_one(block, 2)[0][3]
+        flip_one(block, 2, 3)
+        second = row_of_one(block, 2)[0][3]
         assert first + second == 0.0
 
     def test_matches_full_recompute_first_order(self):
@@ -86,14 +88,14 @@ class TestQbDelta:
         rng = np.random.Generator(np.random.Philox(key=73))
         d = random_design(10, 5, seed=77)
         prior = Prior(0.6, 0.3, ModelOrder.SECOND_ORDER)
-        eng = QbEngine(d, prior)
+        block = block_of_one(d, prior)
         for _ in range(50):
             i, j = int(rng.integers(10)), int(rng.integers(5))
-            eng.flip(i, j)
-            fresh = QbEngine(eng.design(), prior)
-            assert eng._s == fresh._s
-            assert np.array_equal(eng._dist, fresh._dist)
-            assert eng.qb() == pytest.approx(fresh.qb(), abs=1e-12)
+            flip_one(block, i, j)
+            fresh = block_of_one(Design(block.x[0]), prior)
+            assert np.array_equal(block.s, fresh.s)
+            assert np.array_equal(block.dist, fresh.dist)
+            assert block.qb(0) == fresh.qb(0)
 
     @pytest.mark.parametrize(
         "n, m, prior",
@@ -104,26 +106,26 @@ class TestQbDelta:
     )
     def test_state_matches_enumeration_after_flips(self, n, m, prior):
         rng = np.random.Generator(np.random.Philox(key=79))
-        eng = QbEngine(random_design(n, m, seed=89), prior)
+        block = block_of_one(random_design(n, m, seed=89), prior)
         for step in range(1, 61):
-            eng.flip(int(rng.integers(n)), int(rng.integers(m)))
+            flip_one(block, int(rng.integers(n)), int(rng.integers(m)))
             if step % 15 == 0:
-                assert tuple(eng._s) == enumerated_word_counts(eng.x, eng.k_max)
+                s_k = enumerated_word_counts(block.x[0], block.k_max)
+                assert block.word_counts(0).s_k == s_k
 
     def test_row_terms_match_enumeration(self):
         rng = np.random.Generator(np.random.Philox(key=97))
         prior = Prior(0.7, 0.4, ModelOrder.SECOND_ORDER)
         for d, _ in random_designs(10, seed=101, n_hi=16, m_lo=4, m_hi=9):
-            eng = QbEngine(d, prior)
             base = enumerated_word_counts(d.entries, 4)
             i = int(rng.integers(d.runs))
-            delta, t = eng.row_deltas(i)
+            delta, t = row_of_one(block_of_one(d, prior), i)
             for j in range(d.factors):
                 flipped = d.entries.copy()
                 flipped[i, j] = -flipped[i, j]
                 after = enumerated_word_counts(flipped, 4)
                 assert [4 * int(v) for v in t[:, j]] == [a - b for a, b in zip(after, base)]
-                assert eng.delta(i, j) == delta[j]
+                assert qb_delta(d, i, j, prior) == delta[j]
 
 
 class TestCoordinateExchange:
@@ -136,25 +138,24 @@ class TestCoordinateExchange:
     def test_trajectory_monotone(self):
         d = random_design(10, 6, seed=83)
         prior = Prior(0.5)
-        eng = QbEngine(d, prior)
-        trace = [eng.qb()]
+        block = block_of_one(d, prior)
+        trace = [block.qb(0)]
         for _ in range(3):
-            for i in range(eng.n):
-                for j in range(eng.m):
-                    if eng.delta(i, j) < -1e-9:
-                        eng.flip(i, j)
-                        trace.append(eng.qb())
+            for i in range(block.n):
+                for j in range(block.m):
+                    if row_of_one(block, i)[0][j] < -1e-9:
+                        flip_one(block, i, j)
+                        trace.append(block.qb(0))
         assert all(b < a - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_result_locally_optimal(self):
         for seed in range(5):
             start = random_design(8, 5, seed=seed)
             best, qb, _ = coordinate_exchange(start, Prior(0.3))
-            eng = QbEngine(best, Prior(0.3))
             for i in range(8):
                 for j in range(5):
-                    assert eng.delta(i, j) >= -1e-9
-            assert qb <= qb_first_order(word_counts(start, 2), 0.3) + 1e-12
+                    assert qb_delta(best, i, j, Prior(0.3)) >= -1e-9
+            assert qb <= qb_from_word_counts(word_counts(start, 2), Prior(0.3), 5) + 1e-12
 
     def test_row_scan_matches_coordinate_scan(self):
         # the row-at-a-time scan makes the same decisions as evaluating one
@@ -163,20 +164,20 @@ class TestCoordinateExchange:
         for seed in range(6):
             prior = priors[seed % 2]
             start = random_design(10 + seed, 5 + seed, seed=seed)
-            eng = QbEngine(start, prior)
+            block = block_of_one(start, prior)
             sweeps = stale = 0
             while stale < 2:
                 sweeps += 1
                 accepted = 0
-                for i in range(eng.n):
-                    for j in range(eng.m):
-                        if eng.delta(i, j) < -1e-9:
-                            eng.flip(i, j)
+                for i in range(block.n):
+                    for j in range(block.m):
+                        if row_of_one(block, i)[0][j] < -1e-9:
+                            flip_one(block, i, j)
                             accepted += 1
                 stale = stale + 1 if accepted == 0 else 0
             best, qb, n_sweeps = coordinate_exchange(start, prior)
-            assert np.array_equal(best.entries, eng.x)
-            assert (qb, n_sweeps) == (eng.qb(), sweeps)
+            assert np.array_equal(best.entries, block.x[0])
+            assert (qb, n_sweeps) == (block.qb(0), sweeps)
 
 
 class TestMultiRestart:
@@ -206,8 +207,26 @@ class TestMultiRestart:
         )
         res = multi_restart(cfg)
         recomputed = qb_from_word_counts(res.word_counts, cfg.prior, cfg.factors)
-        assert res.qb == pytest.approx(recomputed, abs=1e-12)
+        assert res.qb == recomputed
         assert res.qb <= min(st.qb for st in res.restart_log) + 1e-12
+
+    @pytest.mark.parametrize("order", [ModelOrder.FIRST_ORDER, SECOND])
+    def test_qb_is_the_criterion_of_the_result(self, order):
+        # every QB the optimizer reports is qb_from_word_counts of the
+        # design it reports, to the last bit
+        rng = np.random.Generator(np.random.Philox(key=order.value * 1000 + 5))
+        for m in range(1, 11):
+            n = int(rng.integers(max(4, m // 2), 17))
+            prior = Prior(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0, 1)), order)
+            cfg = OptimizerConfig(
+                runs=n, factors=m, prior=prior, restarts=4, seed=int(rng.integers(2**32))
+            )
+            res = multi_restart(cfg)
+            assert res.qb == qb_from_word_counts(res.word_counts, prior, m)
+            assert res.qb == qb_from_word_counts(word_counts(res.best), prior, m)
+            start = random_design(n, m, seed=int(rng.integers(2**32)))
+            best, qb, _ = coordinate_exchange(start, prior)
+            assert qb == qb_from_word_counts(word_counts(best), prior, m)
 
     def test_restart_log_shape(self):
         cfg = OptimizerConfig(runs=6, factors=3, prior=Prior(0.2), restarts=5, seed=4)
@@ -240,7 +259,7 @@ class TestMultiRestart:
             runs=12, factors=14, prior=Prior(0.1), restarts=60, seed=1
         )
         res = multi_restart(cfg)
-        assert res.qb <= qb_first_order(word_counts(res.best, 2), 0.1) + 1e-12
+        assert res.qb <= qb_from_word_counts(word_counts(res.best, 2), Prior(0.1), 14) + 1e-12
         # the E(s2)-optimal word counts are reachable at this budget
         assert res.word_counts.b(1) == 0
         assert res.word_counts.b(2) <= Fraction(8, 3)
@@ -259,6 +278,16 @@ class TestMultiRestart:
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), epsilon=-1.0)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), epsilon=eps)
+        with pytest.raises(ValueError, match="runs"):
+            OptimizerConfig(runs=1, factors=4, prior=Prior(0.5))
+        with pytest.raises(ValueError, match="factors"):
+            OptimizerConfig(runs=8, factors=0, prior=Prior(0.5))
+        # the smallest search there is still runs
+        res = multi_restart(OptimizerConfig(runs=2, factors=1, prior=Prior(0.5), restarts=2))
+        assert res.best.entries.shape == (2, 1)
         with pytest.raises(ValueError):
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), seed=-1)
         with pytest.raises(ValueError):
@@ -394,12 +423,11 @@ class TestSecondOrderBenchmark:
     def test_attains_24_run_benchmark(self, fx):
         # the stored 24-run 7-factor X'X listing for prior (0.8, 0.8) has
         # word counts (0, 0, 2/3, 5/3); the search reaches the same class
-        from qbdesign.criteria import qb_second_order
         from qbdesign.wordcounts import word_counts_from_xtx
 
         prior = Prior(0.8, 0.8, ModelOrder.SECOND_ORDER)
         bench = word_counts_from_xtx(fx("case5.b").expected_xtx, 24, 7)
-        target = qb_second_order(bench, prior, 7)
+        target = qb_from_word_counts(bench, prior, 7)
         res = multi_restart(
             OptimizerConfig(runs=24, factors=7, prior=prior, restarts=60, seed=1)
         )

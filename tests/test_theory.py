@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbdesign.design import Design
-from qbdesign.criteria import qb_first_order
+from qbdesign.criteria import Prior, qb_from_word_counts
 from qbdesign.errors import BadCongruenceError
 from qbdesign.theory import (
     balance_intervals,
@@ -99,7 +99,7 @@ class TestQbBlockValue:
             assert rep.matches
             w = word_counts(d, 2)
             for pi1 in (0.05, 0.2, 0.6):
-                assert qb_first_order(w, pi1) == pytest.approx(
+                assert qb_from_word_counts(w, Prior(pi1), d.factors) == pytest.approx(
                     qb_block_value(d.runs, d.factors, rep.n_level_balanced, pi1),
                     abs=1e-12,
                 )
