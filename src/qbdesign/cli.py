@@ -33,6 +33,11 @@ from .theory import balance_intervals, qb_block_value, verify_block_pattern
 from .wordcounts import subset_diagnostics, word_counts
 
 
+# Largest pi1 x pi2 grid `sweep` evaluates; every point is held in memory
+# before the header is printed.
+MAX_GRID_POINTS = 10**6
+
+
 def _fmt(x: float, table: bool = False) -> str:
     return f"{x:.3f}" if table else f"{x:.6g}"
 
@@ -122,6 +127,8 @@ def cmd_optimize(args) -> int:
             )
 
     res = multi_restart(cfg, threads=threads, on_block=progress if args.progress else None)
+    if args.output:
+        save_design(res.best, args.output)
     print(f"best QB = {_fmt(res.qb)}")
     bs = " ".join(f"b{k}={res.word_counts.b(k)}" for k in range(1, res.word_counts.k_max + 1))
     print(f"word counts: {bs}")
@@ -129,20 +136,22 @@ def cmd_optimize(args) -> int:
     a = res.as_main
     print(f"As(main effects) = {'not estimable' if a is None else _fmt(a)}")
     if args.output:
-        save_design(res.best, args.output)
         print(f"design written to {args.output}")
     else:
         sys.stdout.write("\n".join(" ".join(str(v) for v in row) for row in res.best.entries) + "\n")
     return 0
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """Points lo + i*step up to hi; the count comes from the decimal values
-    as typed, so float error neither adds a point past hi nor drops hi."""
+def _grid_size(lo: float, hi: float, step: float) -> int:
+    """Number of points lo + i*step up to hi; the count comes from the decimal
+    values as typed, so float error neither adds a point past hi nor drops hi."""
     if not (math.isfinite(step) and step > 0) or not 0 <= lo < hi <= 1:
         raise QbDesignError("need 0 <= lo < hi <= 1 and step > 0")
-    n = int((Fraction(repr(hi)) - Fraction(repr(lo))) / Fraction(repr(step)))
-    return [min(lo + i * step, hi) for i in range(n + 1)]
+    return int((Fraction(repr(hi)) - Fraction(repr(lo))) / Fraction(repr(step))) + 1
+
+
+def _grid(lo: float, hi: float, step: float, size: int) -> list[float]:
+    return [min(lo + i * step, hi) for i in range(size)]
 
 
 def cmd_sweep(args) -> int:
@@ -157,14 +166,17 @@ def cmd_sweep(args) -> int:
         names.append(stem)
     order = _order(args.order)
     counts = [word_counts(d) for d in designs]
-    pi1_grid = _grid(args.lo, args.hi, args.step)
+    pi1_size = _grid_size(args.lo, args.hi, args.step)
     two_d = args.pi2_lo is not None
-    if two_d:
-        if order is ModelOrder.FIRST_ORDER:
-            raise QbDesignError("a pi2 grid needs --order 2")
-        pi2_grid = _grid(args.pi2_lo, args.pi2_hi, args.pi2_step)
-    else:
-        pi2_grid = [args.pi2]
+    if two_d and order is ModelOrder.FIRST_ORDER:
+        raise QbDesignError("a pi2 grid needs --order 2")
+    pi2_size = _grid_size(args.pi2_lo, args.pi2_hi, args.pi2_step) if two_d else 1
+    if pi1_size * pi2_size > MAX_GRID_POINTS:
+        raise QbDesignError(
+            f"the pi1 x pi2 grid has more than {MAX_GRID_POINTS} points; use a coarser step"
+        )
+    pi1_grid = _grid(args.lo, args.hi, args.step, pi1_size)
+    pi2_grid = _grid(args.pi2_lo, args.pi2_hi, args.pi2_step, pi2_size) if two_d else [args.pi2]
     # every prior is checked before the header, so bad input prints no CSV
     priors = [[Prior(pi1, pi2, order) for pi2 in pi2_grid] for pi1 in pi1_grid]
     header = (["pi1", "pi2"] if two_d else ["pi1"])
@@ -211,7 +223,15 @@ def cmd_theory(args) -> int:
     # everything that can fail runs before the first line is printed
     bi = balance_intervals(args.runs, args.factors)
     split = bi.split_for(args.pi1) if args.pi1 is not None else None
-    rep = verify_block_pattern(_load(args.design)) if args.design else None
+    rep = None
+    if args.design:
+        d = _load(args.design)
+        if (d.runs, d.factors) != (args.runs, args.factors):
+            raise QbDesignError(
+                f"design is {d.runs}x{d.factors}, but --runs/--factors give"
+                f" {args.runs}x{args.factors}"
+            )
+        rep = verify_block_pattern(d)
     print(f"N={args.runs} m={args.factors}: {bi.k} intervals")
     for lo, hi, nlb, lb in bi.intervals():
         print(f"  pi1 in ({lo}, {hi}]: non-level-balanced={nlb} level-balanced={lb}")
@@ -235,8 +255,9 @@ def cmd_theory(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    ids = [args.id] if args.id else fixture_registry.list_fixtures()
     if args.action == "list":
-        for fid in fixture_registry.list_fixtures():
+        for fid in ids:
             f = fixture_registry.load_fixture(fid)
             parts = [f"N={f.runs}", f"m={f.factors}", f"order={f.order.value}"]
             if f.design is not None:
@@ -249,7 +270,6 @@ def cmd_fixtures(args) -> int:
                 )
             print(f"{fid}: {' '.join(parts)} -- {f.source}")
         return 0
-    ids = [args.id] if args.id else fixture_registry.list_fixtures()
     failures = 0
     for fid in ids:
         f = fixture_registry.load_fixture(fid)

@@ -9,32 +9,29 @@ collapses to a linear function of the generalized word counts:
                       + {2 pi1^2 + pi1^2 pi2 + 2(m-2) pi1^3 pi2^2} b2
                       + 6 pi1^3 pi2 b3 + 6 pi1^4 pi2^2 b4
 
-The general form is kept alongside a brute-force prior-sum oracle that
-enumerates every marginality-respecting submodel, so the closed forms can be
-validated by exhaustive enumeration.
+Every weight above is a sum of the six closed-form prior products xi10..xi42
+(`xi_weights`).  The general form, `qb_general` over the closed-form prior
+sums of `prior_sums`, takes the same products entry by entry; the tests
+validate them against an enumeration of every marginality-respecting
+submodel.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .design import Design, InfoMatrix, ModelOrder, Term, model_terms, term_columns
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import DimensionMismatchError
 from .wordcounts import WordCounts, word_counts
 
 # Reciprocal-condition threshold below which a centered information matrix is
 # declared singular.  Rank deficiency is exact in theory for +-1 designs; the
 # threshold only guards floating-point fuzz.
 RCOND_SINGULAR = 1e-10
-
-# Exhaustive enumeration bounds for the prior-sum oracle.
-ORACLE_MAX_M_FIRST = 12
-ORACLE_MAX_M_SECOND = 6
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,7 @@ class Prior:
             raise ValueError(f"pi2 must be in [0, 1], got {self.pi2}")
 
 
-@dataclass(frozen=True)
-class XiWeights:
+class XiWeights(NamedTuple):
     """Closed-form prior sums for the six aliasing classes of the second-order model."""
 
     xi10: float
@@ -76,80 +72,36 @@ class PriorSums:
     terms: tuple[Term, ...]
     p0: np.ndarray
     pij: np.ndarray
-    total: float  # total model-space probability; must be 1 up to rounding
 
 
-def xi_weights(prior: Prior, m: int) -> XiWeights:
-    """The six closed-form products; independent of m once m >= 2."""
-    if m < 2:
-        raise ValueError("xi weights need at least 2 factors")
+def xi_weights(prior: Prior) -> XiWeights:
+    """The six closed-form products of pi1 and pi2; the one place prior weights are written."""
     p1, p2 = prior.pi1, prior.pi2
-    return XiWeights(
-        xi10=p1,
-        xi20=p1**2,
-        xi21=p1**2 * p2,
-        xi31=p1**3 * p2,
-        xi32=p1**3 * p2**2,
-        xi42=p1**4 * p2**2,
-    )
+    p1_2, p1_3, p2_2 = p1**2, p1**3, p2**2
+    return XiWeights(p1, p1_2, p1_2 * p2, p1_3 * p2, p1_3 * p2_2, p1**4 * p2_2)
 
 
-@functools.lru_cache(maxsize=8)
-def _model_space(m: int, order: ModelOrder):
-    """Membership matrix and size statistics of every marginality-respecting submodel."""
-    terms = model_terms(m, order)[1:]
-    t_index = {t: i for i, t in enumerate(terms)}
-    member_rows = []
-    n_mains = []
-    n_inter = []
-    n_pairs = []
-    for a in range(m + 1):
-        for mains in itertools.combinations(range(m), a):
-            pairs = list(itertools.combinations(mains, 2))
-            base_row = np.zeros(len(terms), dtype=bool)
-            base_row[[t_index[(j,)] for j in mains]] = True
-            if order is ModelOrder.FIRST_ORDER:
-                member_rows.append(base_row)
-                n_mains.append(a)
-                n_inter.append(0)
-                n_pairs.append(0)
-                continue
-            for a2 in range(len(pairs) + 1):
-                for inter in itertools.combinations(pairs, a2):
-                    row = base_row.copy()
-                    row[[t_index[t] for t in inter]] = True
-                    member_rows.append(row)
-                    n_mains.append(a)
-                    n_inter.append(a2)
-                    n_pairs.append(len(pairs))
-    member = np.array(member_rows)
-    return terms, member, np.array(n_mains), np.array(n_inter), np.array(n_pairs)
+def prior_sums(prior: Prior, m: int) -> PriorSums:
+    """Prior sums p_i0 and p_ij of the m-factor maximal model, in closed form.
 
-
-def prior_sums_oracle(m: int, prior: Prior) -> PriorSums:
-    """Brute-force prior sums by enumerating every marginality-respecting submodel.
-
-    A submodel takes any subset of the m main effects plus any subset of the
-    interactions among the chosen factors; its prior probability is
-    pi1^a (1-pi1)^(m-a) pi2^a2 (1-pi2)^(C(a,2)-a2).  Feasible for m <= 12
-    (first order) and m <= 6 (second order).
+    p_i0 is xi10 for a main effect and xi21 for an interaction.  p_ij is xi20
+    for two mains, xi21 or xi31 for a main and an interaction that share or
+    do not share a factor, and xi32 or xi42 for two interactions that share
+    or do not share one.
     """
-    if prior.order is ModelOrder.FIRST_ORDER:
-        if m > ORACLE_MAX_M_FIRST:
-            raise TooLargeError(f"first-order oracle limited to m <= {ORACLE_MAX_M_FIRST}")
-    elif m > ORACLE_MAX_M_SECOND:
-        raise TooLargeError(f"second-order oracle limited to m <= {ORACLE_MAX_M_SECOND}")
-
-    terms, member, n_mains, n_inter, n_pairs = _model_space(m, prior.order)
-    p1, p2 = prior.pi1, prior.pi2
-    prob = p1**n_mains * (1 - p1) ** (m - n_mains)
-    if prior.order is ModelOrder.SECOND_ORDER:
-        prob = prob * p2**n_inter * (1 - p2) ** (n_pairs - n_inter)
-    weighted = member * prob[:, None]
-    p0 = weighted.sum(axis=0)
-    pij = weighted.T @ member
+    terms = model_terms(m, prior.order)[1:]
+    xi10, xi20, xi21, xi31, xi32, xi42 = xi_weights(prior)
+    member = np.zeros((len(terms), m), dtype=np.int64)
+    for i, t in enumerate(terms):
+        member[i, list(t)] = 1
+    size = member.sum(axis=1)
+    shared = (member @ member.T > 0).astype(np.intp)
+    # rows: combined size of the two terms (2, 3, 4); columns: shared factor (no, yes)
+    table = np.array([[xi20, xi20], [xi31, xi21], [xi42, xi32]])
+    pij = table[size[:, None] + size[None, :] - 2, shared]
     np.fill_diagonal(pij, 0.0)
-    return PriorSums(terms=terms, p0=p0, pij=pij, total=float(prob.sum()))
+    p0 = np.where(size == 1, xi10, xi21)
+    return PriorSums(terms=terms, p0=p0, pij=pij)
 
 
 def qb_coefficients(prior: Prior, m: int) -> tuple[float, ...]:
@@ -159,15 +111,15 @@ def qb_coefficients(prior: Prior, m: int) -> tuple[float, ...]:
     order and b_1..b_4 for second order, never more than m (no k-subsets
     exist beyond k = m).  Its length is the package's one k_max rule.
     """
-    p1, p2 = prior.pi1, prior.pi2
+    xi10, xi20, xi21, xi31, xi32, xi42 = xi_weights(prior)
     if prior.order is ModelOrder.FIRST_ORDER:
-        coeff = (p1, 2 * p1**2)
+        coeff = (xi10, 2 * xi20)
     else:
         coeff = (
-            p1 + 2 * (m - 1) * p1**2 * p2,
-            2 * p1**2 + p1**2 * p2 + 2 * (m - 2) * p1**3 * p2**2,
-            6 * p1**3 * p2,
-            6 * p1**4 * p2**2,
+            xi10 + 2 * (m - 1) * xi21,
+            2 * xi20 + xi21 + 2 * (m - 2) * xi32,
+            6 * xi31,
+            6 * xi42,
         )
     return coeff[:m]
 
@@ -178,7 +130,8 @@ def qb_from_word_counts(w: WordCounts, prior: Prior, m: int) -> float:
     The package's one QB evaluator: the optimizer, evaluate and sweep all
     report through it.
     """
-    return sum(c * w.b_float(k) for k, c in enumerate(qb_coefficients(prior, m), start=1))
+    n2 = w.runs * w.runs
+    return sum(c * (w.s(k) / n2) for k, c in enumerate(qb_coefficients(prior, m), start=1))
 
 
 def qb_general(im: InfoMatrix, ps: PriorSums) -> float:

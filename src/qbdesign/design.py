@@ -34,12 +34,6 @@ class ModelOrder(enum.Enum):
     FIRST_ORDER = 1
     SECOND_ORDER = 2
 
-    def n_terms(self, m: int) -> int:
-        """Number of non-intercept terms v for m factors."""
-        if self is ModelOrder.FIRST_ORDER:
-            return m
-        return m + m * (m - 1) // 2
-
 
 def model_terms(m: int, order: ModelOrder) -> tuple[Term, ...]:
     """Canonical term list: intercept, mains 0..m-1, then pairs in lexicographic order."""

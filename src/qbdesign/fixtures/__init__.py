@@ -161,7 +161,3 @@ def check_fixture(f: Fixture) -> list[tuple[str, bool, str]]:
             ok = wc.b(k) == frac
             results.append((f"b{k}", ok, f"{wc.b(k)} vs {frac}"))
     return results
-
-
-def check_all() -> dict[str, list[tuple[str, bool, str]]]:
-    return {fid: check_fixture(load_fixture(fid)) for fid in list_fixtures()}

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -307,10 +308,11 @@ def multi_restart(
     cfg.seed, so results are reproducible and independent of the execution
     schedule.  Restarts run in contiguous blocks of at most
     RESTARTS_PER_BLOCK, and with threads > 1 the blocks are spread over a
-    process pool.  `on_block`, when given, receives each block's restart
-    stats in restart order as soon as that block and every earlier one are
-    done.  QB ties within 1e-9 are broken by the larger main-effects As
-    efficiency (when tiebreak_as is set), then by restart index.
+    process pool of at most os.cpu_count() workers.  `on_block`, when
+    given, receives each block's restart stats in restart order as soon as
+    that block and every earlier one are done.  QB ties within 1e-9 are
+    broken by the larger main-effects As efficiency (when tiebreak_as is
+    set), then by restart index.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -322,7 +324,7 @@ def multi_restart(
         # every command would pay at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(los))) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(los), os.cpu_count() or 1)) as pool:
             raw = _collect(pool.map(_run_block, itertools.repeat(cfg), los, his), on_block)
     else:
         raw = _collect(map(_run_block, itertools.repeat(cfg), los, his), on_block)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .criteria import Prior, xi_weights
 from .design import Design, ModelOrder, information_matrix, model_matrix
 from .errors import BadCongruenceError
 
@@ -96,7 +97,8 @@ def qb_block_value(n_runs: int, m: int, n1: int, pi1):
     if not 0 <= n1 <= m:
         raise ValueError(f"n1 must be in 0..{m}, got {n1}")
     k = m - n1
-    return (4 * pi1 * k + 4 * pi1 * pi1 * (k * k + n1 * n1 - m)) / (n_runs * n_runs)
+    xi = xi_weights(Prior(pi1))
+    return (4 * xi.xi10 * k + 4 * xi.xi20 * (k * k + n1 * n1 - m)) / (n_runs * n_runs)
 
 
 def block_feasible_range(m: int) -> tuple[int, int]:

@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from qbdesign.criteria import RCOND_SINGULAR
-from qbdesign.design import Design
+from qbdesign.criteria import RCOND_SINGULAR, PriorSums
+from qbdesign.design import Design, ModelOrder, model_terms
 from qbdesign.fixtures import load_fixture
 from qbdesign.optimizer import _Block
 
@@ -126,3 +127,58 @@ def enumerated_projection_values(x, f, t):
             else:
                 vals.append(len(idx) / (n * float((1.0 / eig).sum())))
     return vals, no_est
+
+
+@functools.lru_cache(maxsize=8)
+def _model_space(m, order):
+    """Membership matrix and size statistics of every marginality-respecting submodel."""
+    terms = model_terms(m, order)[1:]
+    t_index = {t: i for i, t in enumerate(terms)}
+    member_rows = []
+    n_mains = []
+    n_inter = []
+    n_pairs = []
+    for a in range(m + 1):
+        for mains in itertools.combinations(range(m), a):
+            pairs = list(itertools.combinations(mains, 2))
+            base_row = np.zeros(len(terms), dtype=bool)
+            base_row[[t_index[(j,)] for j in mains]] = True
+            if order is ModelOrder.FIRST_ORDER:
+                member_rows.append(base_row)
+                n_mains.append(a)
+                n_inter.append(0)
+                n_pairs.append(0)
+                continue
+            for a2 in range(len(pairs) + 1):
+                for inter in itertools.combinations(pairs, a2):
+                    row = base_row.copy()
+                    row[[t_index[t] for t in inter]] = True
+                    member_rows.append(row)
+                    n_mains.append(a)
+                    n_inter.append(a2)
+                    n_pairs.append(len(pairs))
+    member = np.array(member_rows)
+    return terms, member, np.array(n_mains), np.array(n_inter), np.array(n_pairs)
+
+
+def prior_sums_oracle(m, prior):
+    """Brute-force prior sums by enumerating every marginality-respecting submodel.
+
+    The reference for the closed-form `prior_sums`.  A submodel takes any
+    subset of the m main effects plus any subset of the interactions among
+    the chosen factors; its prior probability is
+    pi1^a (1-pi1)^(m-a) pi2^a2 (1-pi2)^(C(a,2)-a2).  Returns (the prior
+    sums, the total probability of the model space, which must be 1 up to
+    rounding).  The model space has 2^m members for first order and far
+    more for second order, so keep m <= 12 and m <= 6 respectively.
+    """
+    terms, member, n_mains, n_inter, n_pairs = _model_space(m, prior.order)
+    p1, p2 = prior.pi1, prior.pi2
+    prob = p1**n_mains * (1 - p1) ** (m - n_mains)
+    if prior.order is ModelOrder.SECOND_ORDER:
+        prob = prob * p2**n_inter * (1 - p2) ** (n_pairs - n_inter)
+    weighted = member * prob[:, None]
+    p0 = weighted.sum(axis=0)
+    pij = weighted.T @ member
+    np.fill_diagonal(pij, 0.0)
+    return PriorSums(terms=terms, p0=p0, pij=pij), float(prob.sum())

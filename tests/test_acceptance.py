@@ -12,11 +12,10 @@ import pytest
 
 from qbdesign.criteria import (
     Prior,
-    prior_sums_oracle,
+    prior_sums,
     qb_coefficients,
     qb_from_word_counts,
     qb_general,
-    xi_weights,
 )
 from qbdesign.design import (
     Design,
@@ -30,6 +29,8 @@ from qbdesign.optimizer import OptimizerConfig, multi_restart, qb_delta
 from qbdesign.projection import projection_report
 from qbdesign.theory import balance_intervals, qb_block_value, verify_block_pattern
 from qbdesign.wordcounts import word_counts, word_counts_from_xtx
+
+from conftest import prior_sums_oracle
 
 
 @contextmanager
@@ -139,34 +140,15 @@ def test_criterion_4_xi_weight_oracle():
     with criterion(4, "xi weights vs enumeration oracle"):
         grid = [k / 10 for k in range(11)]
         for m in (3, 4, 5):
-            terms = None
             for pi1 in grid:
                 for pi2 in grid:
                     prior = Prior(pi1, pi2, ModelOrder.SECOND_ORDER)
-                    ps = prior_sums_oracle(m, prior)
-                    assert abs(ps.total - 1.0) <= 1e-12
-                    xw = xi_weights(prior, m)
-                    if terms is None:
-                        terms = ps.terms
-                    exp_p0 = np.array(
-                        [xw.xi10 if len(t) == 1 else xw.xi21 for t in terms]
-                    )
-                    v = len(terms)
-                    exp_pij = np.zeros((v, v))
-                    for a in range(v):
-                        for b in range(v):
-                            if a == b:
-                                continue
-                            ta, tb = terms[a], terms[b]
-                            shared = set(ta) & set(tb)
-                            if len(ta) == 1 and len(tb) == 1:
-                                exp_pij[a, b] = xw.xi20
-                            elif len(ta) == 2 and len(tb) == 2:
-                                exp_pij[a, b] = xw.xi32 if shared else xw.xi42
-                            else:
-                                exp_pij[a, b] = xw.xi21 if shared else xw.xi31
-                    assert np.abs(ps.p0 - exp_p0).max() <= 1e-12
-                    assert np.abs(ps.pij - exp_pij).max() <= 1e-12
+                    oracle, total = prior_sums_oracle(m, prior)
+                    assert abs(total - 1.0) <= 1e-12
+                    ps = prior_sums(prior, m)
+                    assert ps.terms == oracle.terms
+                    assert np.abs(ps.p0 - oracle.p0).max() <= 1e-12
+                    assert np.abs(ps.pij - oracle.pij).max() <= 1e-12
 
 
 def test_criterion_5_general_equals_closed_forms():
@@ -181,13 +163,14 @@ def test_criterion_5_general_equals_closed_forms():
                     float(rng.uniform(0, 1)), float(rng.uniform(0, 1)), order
                 )
                 im = information_matrix(model_matrix(d, order))
-                ps = prior_sums_oracle(m, prior)
+                oracle, _ = prior_sums_oracle(m, prior)
                 closed = qb_from_word_counts(
                     word_counts(d, min(2 if order is ModelOrder.FIRST_ORDER else 4, m)),
                     prior,
                     m,
                 )
-                assert qb_general(im, ps) == pytest.approx(closed, abs=1e-12)
+                assert qb_general(im, oracle) == pytest.approx(closed, abs=1e-12)
+                assert qb_general(im, prior_sums(prior, m)) == pytest.approx(closed, abs=1e-12)
 
 
 def test_criterion_6_interval_table():

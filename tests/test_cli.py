@@ -206,6 +206,12 @@ class TestFixturesCommand:
         assert "supp1.d1: N=12 m=14" in out
         assert "case5.a" in out
 
+    def test_list_single(self, capsys):
+        code, out, _ = run(capsys, "fixtures", "list", "supp1.d1")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 1 and lines[0].startswith("supp1.d1: N=12 m=14")
+
     def test_check_single(self, capsys):
         code, out, _ = run(capsys, "fixtures", "check", "supp1.d3")
         assert code == 0
@@ -427,6 +433,40 @@ class TestInputErrors:
             capsys, "theory", "--runs", "14", "--factors", "12",
             "--design", str(tmp_path / "missing.txt"),
         )
+
+    def test_theory_design_size_mismatch(self, capsys):
+        # supp3.i6 is 14x10: a 14x12 table must not print before the pattern check
+        err = self.check(
+            capsys, "theory", "--runs", "14", "--factors", "12", "--design", "fixture:supp3.i6"
+        )
+        assert "14x10" in err and "14x12" in err
+
+    def test_fixtures_list_unknown_id(self, capsys):
+        err = self.check(capsys, "fixtures", "list", "extra")
+        assert "unknown fixture id 'extra'" in err
+
+    def test_optimize_unwritable_output(self, capsys, tmp_path):
+        # the design is saved before the first result line, so a failed
+        # write leaves no partial report
+        self.check(
+            capsys,
+            "optimize", "--runs", "4", "--factors", "3", "--pi1", "0.3", "--restarts", "2",
+            "-o", str(tmp_path / "missing" / "x.txt"),
+        )
+
+    def test_sweep_grid_too_large(self, capsys):
+        # each grid is rejected from its point count alone, before any
+        # point is built
+        d1, d2 = "fixture:supp1.d1", "fixture:supp1.d2"
+        for flags in (
+            ("--step", "1e-300"),
+            ("--step", "5e-324"),
+            ("--lo", "0", "--hi", "1", "--step", "1e-6"),
+            ("--order", "2", "--pi2-lo", "0.1", "--pi2-step", "1e-300"),
+            ("--order", "2", "--pi2-lo", "0.1", "--pi2-hi", "0.8", "--pi2-step", "0.0001"),
+        ):
+            err = self.check(capsys, "sweep", d1, d2, *flags)
+            assert "more than 1000000 points" in err
 
     def test_sweep_bad_fixed_pi2(self, capsys):
         err = self.check(

@@ -8,7 +8,7 @@ from qbdesign.criteria import (
     as_efficiency,
     centered_gram,
     es2,
-    prior_sums_oracle,
+    prior_sums,
     qb_coefficients,
     qb_from_word_counts,
     qb_general,
@@ -16,33 +16,36 @@ from qbdesign.criteria import (
     xi_weights,
 )
 from qbdesign.design import (
+    Design,
     ModelOrder,
     information_matrix,
     model_matrix,
     random_design,
 )
-from qbdesign.errors import DimensionMismatchError, TooLargeError
+from qbdesign.errors import DimensionMismatchError
 from qbdesign.wordcounts import WordCounts, word_counts
 
-from conftest import full_factorial, random_designs
+from conftest import full_factorial, prior_sums_oracle, random_designs
+
+SECOND = ModelOrder.SECOND_ORDER
 
 
 class TestXiWeights:
     def test_all_one(self):
-        w = xi_weights(Prior(1.0, 1.0, ModelOrder.SECOND_ORDER), 5)
+        w = xi_weights(Prior(1.0, 1.0, ModelOrder.SECOND_ORDER))
         assert all(
             v == 1.0 for v in (w.xi10, w.xi20, w.xi21, w.xi31, w.xi32, w.xi42)
         )
 
     def test_direct_product(self):
-        w = xi_weights(Prior(0.8, 0.8, ModelOrder.SECOND_ORDER), 6)
+        w = xi_weights(Prior(0.8, 0.8, ModelOrder.SECOND_ORDER))
         assert w.xi42 == pytest.approx(0.8**4 * 0.8**2, abs=1e-15)
         assert w.xi42 == pytest.approx(0.262144, abs=1e-12)
 
     def test_matches_oracle_exactly(self):
         pr = Prior(0.5, 0.5, ModelOrder.SECOND_ORDER)
-        ps = prior_sums_oracle(4, pr)
-        w = xi_weights(pr, 4)
+        ps, _ = prior_sums_oracle(4, pr)
+        w = xi_weights(pr)
         ti = {t: i for i, t in enumerate(ps.terms)}
         assert ps.p0[ti[(0,)]] == pytest.approx(w.xi10, abs=1e-12)
         assert ps.pij[ti[(0,)], ti[(1,)]] == pytest.approx(w.xi20, abs=1e-12)
@@ -54,29 +57,50 @@ class TestXiWeights:
 
 
 class TestPriorSumsOracle:
+    """The closed-form prior sums, at values the enumeration oracle confirms."""
+
     def test_first_order_m3(self):
-        ps = prior_sums_oracle(3, Prior(0.5))
+        ps = prior_sums(Prior(0.5), 3)
         assert np.allclose(ps.p0, 0.5, atol=1e-12)
         off = ps.pij[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.25, atol=1e-12)
-        assert ps.total == pytest.approx(1.0, abs=1e-12)
+        oracle, total = prior_sums_oracle(3, Prior(0.5))
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert oracle.terms == ps.terms
+        assert np.abs(oracle.p0 - ps.p0).max() <= 1e-12
+        assert np.abs(oracle.pij - ps.pij).max() <= 1e-12
 
     def test_second_order_disjoint_main_interaction(self):
-        ps = prior_sums_oracle(4, Prior(0.7, 0.3, ModelOrder.SECOND_ORDER))
+        ps = prior_sums(Prior(0.7, 0.3, ModelOrder.SECOND_ORDER), 4)
         ti = {t: i for i, t in enumerate(ps.terms)}
         assert ps.pij[ti[(0,)], ti[(1, 2)]] == pytest.approx(0.7**3 * 0.3, abs=1e-12)
         assert ps.pij[ti[(0,)], ti[(1, 2)]] == pytest.approx(0.1029, abs=1e-12)
 
     def test_zero_prior(self):
-        ps = prior_sums_oracle(5, Prior(0.0, 0.4, ModelOrder.SECOND_ORDER))
+        ps = prior_sums(Prior(0.0, 0.4, ModelOrder.SECOND_ORDER), 5)
         assert not ps.p0.any()
         assert not ps.pij.any()
 
-    def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            prior_sums_oracle(13, Prior(0.5))
-        with pytest.raises(TooLargeError):
-            prior_sums_oracle(7, Prior(0.5, 0.5, ModelOrder.SECOND_ORDER))
+    @pytest.mark.parametrize(
+        "shape, order",
+        [((12, 14), ModelOrder.FIRST_ORDER), ((24, 7), SECOND), ((22, 15), SECOND)],
+        ids=["supp1.d1-first", "24x7-second", "22x15-second"],
+    )
+    def test_past_the_enumeration_limits(self, fx, shape, order):
+        # the enumeration is feasible only up to m = 12 (first order) and
+        # m = 6 (second order); the closed form has no limit
+        if shape == (12, 14):
+            d = fx("supp1.d1").design
+        else:
+            rng = np.random.Generator(np.random.Philox(key=59))
+            d = Design(rng.integers(0, 2, size=shape) * 2 - 1)
+        assert (d.runs, d.factors) == shape
+        prior = Prior(0.45, 0.6, order)
+        im = information_matrix(model_matrix(d, order))
+        w = word_counts(d, len(qb_coefficients(prior, d.factors)))
+        assert qb_general(im, prior_sums(prior, d.factors)) == pytest.approx(
+            qb_from_word_counts(w, prior, d.factors), abs=1e-12
+        )
 
 
 class TestQbCoefficients:
@@ -89,12 +113,14 @@ class TestQbCoefficients:
     def test_short_vectors_are_prefixes_of_the_full_weights(self):
         # truncation drops weights; it never changes the ones kept
         pr = Prior(0.7, 0.4, ModelOrder.SECOND_ORDER)
+        xi10, xi20, xi21 = 0.7, 0.7**2, 0.7**2 * 0.4
+        xi31, xi32, xi42 = 0.7**3 * 0.4, 0.7**3 * 0.4**2, 0.7**4 * 0.4**2
         for m in range(1, 4):
             full = (
-                0.7 + 2 * (m - 1) * 0.7**2 * 0.4,
-                2 * 0.7**2 + 0.7**2 * 0.4 + 2 * (m - 2) * 0.7**3 * 0.4**2,
-                6 * 0.7**3 * 0.4,
-                6 * 0.7**4 * 0.4**2,
+                xi10 + 2 * (m - 1) * xi21,
+                2 * xi20 + xi21 + 2 * (m - 2) * xi32,
+                6 * xi31,
+                6 * xi42,
             )
             assert qb_coefficients(pr, m) == full[:m]
         assert qb_coefficients(Prior(0.3), 1) == (0.3,)
@@ -192,7 +218,7 @@ class TestQbGeneral:
     def test_orthogonal_design_zero(self):
         d = full_factorial(3)
         im = information_matrix(model_matrix(d, ModelOrder.SECOND_ORDER))
-        ps = prior_sums_oracle(3, Prior(0.7, 0.4, ModelOrder.SECOND_ORDER))
+        ps = prior_sums(Prior(0.7, 0.4, ModelOrder.SECOND_ORDER), 3)
         assert qb_general(im, ps) == 0.0
 
     def test_equals_first_order_closed_form(self):
@@ -203,7 +229,7 @@ class TestQbGeneral:
             d = random_design(max(n, 4), m, seed=int(rng.integers(2**32)))
             pi1 = float(rng.uniform(0, 1))
             im = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER))
-            ps = prior_sums_oracle(m, Prior(pi1))
+            ps = prior_sums(Prior(pi1), m)
             w = word_counts(d, min(2, m))
             value = qb_general(im, ps)
             assert value >= 0.0
@@ -213,7 +239,7 @@ class TestQbGeneral:
         d = fx("table3.first").design
         pr = Prior(0.8, 0.8, ModelOrder.SECOND_ORDER)
         im = information_matrix(model_matrix(d, ModelOrder.SECOND_ORDER))
-        ps = prior_sums_oracle(4, pr)
+        ps = prior_sums(pr, 4)
         w = word_counts(d, 4)
         assert qb_general(im, ps) == pytest.approx(
             qb_from_word_counts(w, pr, 4), abs=1e-12
@@ -222,7 +248,7 @@ class TestQbGeneral:
     def test_dimension_mismatch(self):
         d = full_factorial(3)
         im = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER))
-        ps = prior_sums_oracle(4, Prior(0.5))
+        ps = prior_sums(Prior(0.5), 4)
         with pytest.raises(DimensionMismatchError):
             qb_general(im, ps)
 

@@ -377,6 +377,36 @@ class TestLockstep:
         assert tuple(st for b in blocks for st in b) == res.restart_log
         assert all(len(b) <= optimizer.RESTARTS_PER_BLOCK for b in blocks)
 
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        # the pool is a fake that records its size and maps in this process,
+        # so asking for far more threads than cores starts no process
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(optimizer.os, "cpu_count", lambda: cpus)
+        cfg = OptimizerConfig(runs=8, factors=5, prior=Prior(0.35), restarts=6, seed=7)
+        res = multi_restart(cfg, threads=1000)
+        assert sizes == [workers]
+        serial = multi_restart(cfg)
+        assert res.restart_log == serial.restart_log
+        assert np.array_equal(res.best.entries, serial.best.entries)
+
     def test_threads_below_one(self):
         cfg = OptimizerConfig(runs=8, factors=4, prior=Prior(0.3), restarts=3)
         for threads in (0, -1):
