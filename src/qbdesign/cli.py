@@ -9,9 +9,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import fixtures as fixture_registry
 from .criteria import (
     Prior,
+    PriorGrid,
     as_efficiency,
     es2,
     qb_coefficients,
@@ -33,9 +36,10 @@ from .theory import balance_intervals, qb_block_value, verify_block_pattern
 from .wordcounts import subset_diagnostics, word_counts
 
 
-# Largest pi1 x pi2 grid `sweep` evaluates; every point is held in memory
-# before the header is printed.
+# Largest pi1 x pi2 grid `sweep` evaluates.  It bounds the run time only:
+# the grid is evaluated and printed SWEEP_CHUNK_POINTS points at a time.
 MAX_GRID_POINTS = 10**6
+SWEEP_CHUNK_POINTS = 512
 
 
 def _fmt(x: float, table: bool = False) -> str:
@@ -105,6 +109,18 @@ def _threads(args) -> int:
     return int(raw)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before a long run rather than after."""
+    target = Path(path)
+    folder = target.parent
+    if not folder.is_dir():
+        raise QbDesignError(f"cannot write {path}: directory {folder} does not exist")
+    if target.is_dir():
+        raise QbDesignError(f"cannot write {path}: it is a directory")
+    if not os.access(target if target.exists() else folder, os.W_OK):
+        raise QbDesignError(f"cannot write {path}: permission denied")
+
+
 def cmd_optimize(args) -> int:
     threads = _threads(args)
     order = _order(args.order)
@@ -118,6 +134,9 @@ def cmd_optimize(args) -> int:
         epsilon=args.epsilon,
         tiebreak_as=not args.no_tiebreak_as,
     )
+
+    if args.output:
+        _check_writable(args.output)
 
     def progress(stats) -> None:
         for st in stats:
@@ -150,8 +169,21 @@ def _grid_size(lo: float, hi: float, step: float) -> int:
     return int((Fraction(repr(hi)) - Fraction(repr(lo))) / Fraction(repr(step))) + 1
 
 
-def _grid(lo: float, hi: float, step: float, size: int) -> list[float]:
-    return [min(lo + i * step, hi) for i in range(size)]
+def _grid(lo: float, hi: float, step: float, start: int, stop: int) -> np.ndarray:
+    """Points start..stop-1 of the grid, each the float min(lo + i*step, hi)."""
+    return np.minimum(lo + np.arange(start, stop) * step, hi)
+
+
+def _prior_chunks(args, pi1_size: int, pi2_axis, order: ModelOrder):
+    """The sweep grid as PriorGrids of at most SWEEP_CHUNK_POINTS points, in
+    row-major order: whole pi1 rows, or pieces of one row when a row alone
+    is longer than a chunk."""
+    rows = max(1, SWEEP_CHUNK_POINTS // len(pi2_axis))
+    cols = min(len(pi2_axis), SWEEP_CHUNK_POINTS)
+    for r0 in range(0, pi1_size, rows):
+        pi1 = _grid(args.lo, args.hi, args.step, r0, min(r0 + rows, pi1_size))
+        for c0 in range(0, len(pi2_axis), cols):
+            yield PriorGrid(pi1, pi2_axis[c0 : c0 + cols], order)
 
 
 def cmd_sweep(args) -> int:
@@ -175,34 +207,45 @@ def cmd_sweep(args) -> int:
         raise QbDesignError(
             f"the pi1 x pi2 grid has more than {MAX_GRID_POINTS} points; use a coarser step"
         )
-    pi1_grid = _grid(args.lo, args.hi, args.step, pi1_size)
-    pi2_grid = _grid(args.pi2_lo, args.pi2_hi, args.pi2_step, pi2_size) if two_d else [args.pi2]
-    # every prior is checked before the header, so bad input prints no CSV
-    priors = [[Prior(pi1, pi2, order) for pi2 in pi2_grid] for pi1 in pi1_grid]
+    pi2_axis = _grid(args.pi2_lo, args.pi2_hi, args.pi2_step, 0, pi2_size) if two_d else [args.pi2]
+    # every pi1 lies in [lo, hi], so checking lo, hi and the pi2 axis checks
+    # every prior of the grid before the header: bad input prints no CSV
+    PriorGrid([args.lo, args.hi], pi2_axis, order)
     header = (["pi1", "pi2"] if two_d else ["pi1"])
     header += [f"qb:{n}" for n in names] + [f"releff:{n}" for n in names]
     print(",".join(header))
+    # "%.6g" is the same C conversion as f"{v:.6g}", and faster per cell
+    cells_fmt = ",".join(["%.6g"] * (2 * len(designs))) + "\n"
     prev_argmin = None
-    for row_priors in priors:
-        for prior in row_priors:
-            pi1, pi2 = prior.pi1, prior.pi2
-            qbs = [
-                qb_from_word_counts(w, prior, d.factors)
-                for w, d in zip(counts, designs)
-            ]
-            qmin = min(qbs)
-            argmin = qbs.index(qmin)
-            rel = [1.0 if q == qmin else (qmin / q if q > 0 else 1.0) for q in qbs]
-            row = [f"{pi1:.6g}"] + ([f"{pi2:.6g}"] if two_d else [])
-            row += [f"{q:.6g}" for q in qbs] + [f"{r:.6g}" for r in rel]
-            print(",".join(row))
-            if prev_argmin is not None and argmin != prev_argmin:
-                at = f"pi1={pi1:.6g}" + (f" pi2={pi2:.6g}" if two_d else "")
-                print(
-                    f"argmin change at {at}: {names[prev_argmin]} -> {names[argmin]}",
-                    file=sys.stderr,
-                )
-            prev_argmin = argmin
+    for grid in _prior_chunks(args, pi1_size, pi2_axis, order):
+        pi1_txt = [f"{v:.6g}" for v in grid.pi1.tolist()]
+        if two_d:
+            pi2_txt = [f"{v:.6g}" for v in grid.pi2.tolist()]
+            points = [(a, b) for a in pi1_txt for b in pi2_txt]
+        else:
+            points = [(a,) for a in pi1_txt]
+        qbs = np.stack(
+            [qb_from_word_counts(w, grid, d.factors) for w, d in zip(counts, designs)], axis=-1
+        ).reshape(len(points), len(designs))
+        qmin = qbs.min(axis=1, keepdims=True)
+        rel = np.divide(qmin, qbs, out=np.ones_like(qbs), where=qbs != qmin)
+        lines = [
+            ",".join(p) + "," + cells_fmt % tuple(v)
+            for p, v in zip(points, np.hstack([qbs, rel]).tolist())
+        ]
+        # argmin is the first minimal design, as list.index gives it; each
+        # change is reported right after its row
+        argmin = qbs.argmin(axis=1).tolist()
+        before = [argmin[0] if prev_argmin is None else prev_argmin] + argmin[:-1]
+        done = 0
+        for i, (a, b) in enumerate(zip(before, argmin)):
+            if a != b:
+                sys.stdout.write("".join(lines[done : i + 1]))
+                done = i + 1
+                at = f"pi1={points[i][0]}" + (f" pi2={points[i][1]}" if two_d else "")
+                print(f"argmin change at {at}: {names[a]} -> {names[b]}", file=sys.stderr)
+        sys.stdout.write("".join(lines[done:]))
+        prev_argmin = argmin[-1]
     return 0
 
 
@@ -255,10 +298,11 @@ def cmd_theory(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    ids = [args.id] if args.id else fixture_registry.list_fixtures()
+    manifest = fixture_registry.read_manifest()
+    ids = [args.id] if args.id else fixture_registry.list_fixtures(manifest)
     if args.action == "list":
         for fid in ids:
-            f = fixture_registry.load_fixture(fid)
+            f = fixture_registry.load_fixture(fid, manifest)
             parts = [f"N={f.runs}", f"m={f.factors}", f"order={f.order.value}"]
             if f.design is not None:
                 parts.append("design")
@@ -272,7 +316,7 @@ def cmd_fixtures(args) -> int:
         return 0
     failures = 0
     for fid in ids:
-        f = fixture_registry.load_fixture(fid)
+        f = fixture_registry.load_fixture(fid, manifest)
         for name, ok, detail in fixture_registry.check_fixture(f):
             status = "pass" if ok else "FAIL"
             print(f"{fid} {name}: {status} ({detail})")

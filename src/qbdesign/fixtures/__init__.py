@@ -66,46 +66,44 @@ class Fixture:
     cols: tuple[int, ...] | None = None
 
 
-def _data_dir() -> Path:
-    return Path(str(resources.files(__package__))) / "data"
+def read_manifest() -> dict[str, dict]:
+    """The corpus manifest, id -> entry, with every file named as a full path.
 
-
-def _load_matrix(name: str) -> np.ndarray:
-    return np.loadtxt(_data_dir() / name, dtype=np.int64, ndmin=2)
-
-
-def _manifest() -> dict[str, dict]:
+    Commands that load many fixtures read it once and pass it to
+    list_fixtures and load_fixture.
+    """
+    data = Path(str(resources.files(__package__))) / "data"
     entries: dict[str, dict] = {}
-    for line in (_data_dir() / "manifest.txt").read_text().splitlines():
+    for line in (data / "manifest.txt").read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         toks = line.split()
-        entry: dict = {"path": toks[1]}
+        entry: dict = {"path": None if toks[1] == "-" else data / toks[1]}
         for tok in toks[2:]:
             key, _, val = tok.partition("=")
-            entry[key] = val
+            entry[key] = data / val if key == "xtx" else val
         entries[toks[0]] = entry
     return entries
 
 
-def list_fixtures() -> tuple[str, ...]:
-    return tuple(sorted(_manifest()))
+def list_fixtures(manifest: dict[str, dict] | None = None) -> tuple[str, ...]:
+    return tuple(sorted(read_manifest() if manifest is None else manifest))
 
 
-def load_fixture(fixture_id: str) -> Fixture:
-    entry = _manifest().get(fixture_id)
+def load_fixture(fixture_id: str, manifest: dict[str, dict] | None = None) -> Fixture:
+    entry = (read_manifest() if manifest is None else manifest).get(fixture_id)
     if entry is None:
         raise UnknownFixtureError(f"unknown fixture id {fixture_id!r}")
     order = ModelOrder(int(entry.get("order", 1)))
     cols = None
     design = None
-    if entry["path"] != "-":
-        design = parse_design((_data_dir() / entry["path"]).read_text())
+    if entry["path"] is not None:
+        design = parse_design(entry["path"].read_text())
         if "cols" in entry:
             cols = tuple(int(c) for c in entry["cols"].split(","))
             design = Design(design.entries[:, [c - 1 for c in cols]])
-    xtx = _load_matrix(entry["xtx"]) if "xtx" in entry else None
+    xtx = np.loadtxt(entry["xtx"], dtype=np.int64, ndmin=2) if "xtx" in entry else None
     expected_b = {
         k: Fraction(entry[f"b{k}"]) for k in range(1, 5) if f"b{k}" in entry
     }

@@ -23,14 +23,15 @@ K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
 and every k is one small integer matmul over the N x m matrix of sg values
 (the run itself, sg = 0, taken back out), in O(N m k_max).
 
-Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts
-keeps its designs, distances and S_k stacked along a leading restart axis,
-and each restart has its own cursor: the row and column where its scan
-stands, its sweep count, its count of stale sweeps, and whether the current
-sweep has accepted a flip.  One iteration scores the current row of every
-running restart in one call, and each restart takes the first improving
-column at or after its cursor; all the flips taken go in as one update.  A
-restart then moves its cursor exactly as a scan of that restart alone would:
+Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
+and of at most BLOCK_BYTES of distances and designs, keeps its designs,
+distances and S_k stacked along a leading restart axis, and each restart
+has its own cursor: the row and column where its scan stands, its sweep
+count, its count of stale sweeps, and whether the current sweep has
+accepted a flip.  One iteration scores the current row of every running
+restart in one call, and each restart takes the first improving column at
+or after its cursor; all the flips taken go in as one update.  A restart
+then moves its cursor exactly as a scan of that restart alone would:
 past the flipped column, or to the next row when the row has no improving
 column left or the flip was in its last column; after the last row it ends
 the sweep, and it leaves the block after max_stale_sweeps stale sweeps.  No
@@ -52,10 +53,15 @@ import numpy as np
 
 from .criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from .design import Design
+from .errors import TooLargeError
 from .wordcounts import WordCounts, krawtchouk_table, run_distances, word_counts
 
 QB_TIE_TOL = 1e-9
-RESTARTS_PER_BLOCK = 64  # restarts advanced together; bounds the block's memory
+RESTARTS_PER_BLOCK = 64  # restarts advanced together
+# Bytes of one block's int64 (R, N, N) run distances and (R, N, m) designs;
+# the restarts per block are cut to fit, and a search whose one restart does
+# not fit is refused before anything is allocated.
+BLOCK_BYTES = 2**27
 
 
 @dataclass(frozen=True)
@@ -297,6 +303,19 @@ def _collect(blocks, on_block) -> list[tuple[int, float, int, np.ndarray]]:
     return raw
 
 
+def _block_size(cfg: OptimizerConfig, threads: int) -> int:
+    """Restarts per block: at most RESTARTS_PER_BLOCK, at most what fits in
+    BLOCK_BYTES, and no more than an even share of the restarts per worker."""
+    per_restart = np.dtype(np.int64).itemsize * cfg.runs * (cfg.runs + cfg.factors)
+    if per_restart > BLOCK_BYTES:
+        raise TooLargeError(
+            f"one restart of a {cfg.runs}x{cfg.factors} search needs"
+            f" {per_restart / 2**20:,.0f} MiB of run distances, more than the"
+            f" {BLOCK_BYTES // 2**20} MiB a block may use"
+        )
+    return min(RESTARTS_PER_BLOCK, BLOCK_BYTES // per_restart, -(-cfg.restarts // threads))
+
+
 def multi_restart(
     cfg: OptimizerConfig,
     threads: int = 1,
@@ -307,7 +326,9 @@ def multi_restart(
     Restart r draws its start from the Philox stream jumped r times from
     cfg.seed, so results are reproducible and independent of the execution
     schedule.  Restarts run in contiguous blocks of at most
-    RESTARTS_PER_BLOCK, and with threads > 1 the blocks are spread over a
+    RESTARTS_PER_BLOCK, and of at most BLOCK_BYTES of run distances and
+    designs (TooLargeError, before any allocation, when one restart does not
+    fit); with threads > 1 the blocks are spread over a
     process pool of at most os.cpu_count() workers.  `on_block`, when
     given, receives each block's restart stats in restart order as soon as
     that block and every earlier one are done.  QB ties within 1e-9 are
@@ -316,7 +337,7 @@ def multi_restart(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    size = min(RESTARTS_PER_BLOCK, -(-cfg.restarts // threads))
+    size = _block_size(cfg, threads)
     los = range(0, cfg.restarts, size)
     his = [min(lo + size, cfg.restarts) for lo in los]
     if threads > 1 and len(los) > 1:

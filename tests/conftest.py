@@ -1,13 +1,17 @@
 import functools
+import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbdesign.criteria import RCOND_SINGULAR, PriorSums
+from qbdesign import cli
+from qbdesign.criteria import RCOND_SINGULAR, Prior, PriorSums, qb_from_word_counts
 from qbdesign.design import Design, ModelOrder, model_terms
 from qbdesign.fixtures import load_fixture
 from qbdesign.optimizer import _Block
+from qbdesign.wordcounts import word_counts
 
 
 @pytest.fixture(scope="session")
@@ -182,3 +186,50 @@ def prior_sums_oracle(m, prior):
     pij = weighted.T @ member
     np.fill_diagonal(pij, 0.0)
     return PriorSums(terms=terms, p0=p0, pij=pij), float(prob.sum())
+
+
+def pointwise_sweep(argv):
+    """The stdout and stderr of a valid `sweep` argv, one point at a time.
+
+    The reference for the chunked grid sweep: every grid point gets its own
+    Prior and every design its own qb_from_word_counts call, and each row is
+    printed as it is computed.
+    """
+    args = cli.build_parser().parse_args(argv)
+    designs = [cli._load(p) for p in args.designs]
+    names = []
+    for p in args.designs:
+        stem = p[len("fixture:"):] if p.startswith("fixture:") else Path(p).stem
+        while stem in names:
+            stem += "+"
+        names.append(stem)
+    order = ModelOrder.FIRST_ORDER if args.order == 1 else ModelOrder.SECOND_ORDER
+    counts = [word_counts(d) for d in designs]
+    two_d = args.pi2_lo is not None
+
+    def grid(lo, hi, step):
+        return [min(lo + i * step, hi) for i in range(cli._grid_size(lo, hi, step))]
+
+    pi2_grid = grid(args.pi2_lo, args.pi2_hi, args.pi2_step) if two_d else [args.pi2]
+    out, err = io.StringIO(), io.StringIO()
+    header = (["pi1", "pi2"] if two_d else ["pi1"])
+    header += [f"qb:{n}" for n in names] + [f"releff:{n}" for n in names]
+    print(",".join(header), file=out)
+    prev_argmin = None
+    for pi1 in grid(args.lo, args.hi, args.step):
+        for pi2 in pi2_grid:
+            prior = Prior(pi1, pi2, order)
+            qbs = [qb_from_word_counts(w, prior, d.factors) for w, d in zip(counts, designs)]
+            qmin = min(qbs)
+            argmin = qbs.index(qmin)
+            rel = [1.0 if q == qmin else (qmin / q if q > 0 else 1.0) for q in qbs]
+            row = [f"{pi1:.6g}"] + ([f"{pi2:.6g}"] if two_d else [])
+            row += [f"{q:.6g}" for q in qbs] + [f"{r:.6g}" for r in rel]
+            print(",".join(row), file=out)
+            if prev_argmin is not None and argmin != prev_argmin:
+                at = f"pi1={pi1:.6g}" + (f" pi2={pi2:.6g}" if two_d else "")
+                print(
+                    f"argmin change at {at}: {names[prev_argmin]} -> {names[argmin]}", file=err
+                )
+            prev_argmin = argmin
+    return out.getvalue(), err.getvalue()

@@ -1,7 +1,16 @@
+import contextlib
+import io
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from qbdesign import cli, optimizer
 from qbdesign.cli import main
 from qbdesign.design import load_design
+
+from conftest import pointwise_sweep
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "qbdesign" / "fixtures" / "data"
 
@@ -352,6 +361,133 @@ class TestSweep2D:
         assert code == 1 and "order 2" in err
 
 
+TABLE3_TIES = (
+    "sweep", "fixture:table3.first", "fixture:table3.second", "--order", "2",
+    "--lo", "0.1", "--hi", "0.9", "--step", "0.01",
+    "--pi2-lo", "0.0", "--pi2-hi", "1.0", "--pi2-step", "0.05",
+)
+HAD16_TIES = (
+    "sweep", "fixture:had16.proj1", "fixture:had16.proj2", "fixture:had16.proj3", "--order", "2",
+    "--lo", "0.2", "--hi", "1.0", "--step", "0.005",
+    "--pi2-lo", "0.1", "--pi2-hi", "0.9", "--pi2-step", "0.1",
+)
+SUPP1 = ("fixture:supp1.d1", "fixture:supp1.d2")
+ORACLE_SWEEPS = {
+    "supp1-default": ("sweep", *SUPP1, "fixture:supp1.d3"),
+    "table3-ties": TABLE3_TIES,
+    "had16-ties": HAD16_TIES,
+    "first-order-0.007": ("sweep", *SUPP1, "--lo", "0", "--hi", "1", "--step", "0.007"),
+    "first-order-0.0001": ("sweep", *SUPP1, "--lo", "0", "--hi", "1", "--step", "0.0001"),
+    "fixed-pi2": (
+        "sweep", "fixture:case4.d1", "fixture:case4.d3", "fixture:case4.d6", "--order", "2",
+        "--pi2", "0.35", "--lo", "0.05", "--hi", "0.95", "--step", "0.001",
+    ),
+    "59290-points": (
+        "sweep", "fixture:had16.proj1", "fixture:had16.proj2", "fixture:had16.proj4",
+        "--order", "2", "--lo", "0.1", "--hi", "0.6928", "--step", "0.0001",
+        "--pi2-lo", "0.1", "--pi2-hi", "1", "--pi2-step", "0.1",
+    ),
+    "duplicates": (
+        "sweep", *SUPP1, "fixture:supp1.d1", "fixture:supp1.d2",
+        "--lo", "0.1", "--hi", "0.8", "--step", "0.0005",
+    ),
+    "pi1-zero-2d": (
+        "sweep", "fixture:case4.d1", "fixture:case4.d3", "--order", "2",
+        "--lo", "0", "--hi", "0.5", "--step", "0.01",
+        "--pi2-lo", "0", "--pi2-hi", "1", "--pi2-step", "0.25",
+    ),
+}
+
+
+def random_batch(tmp_path):
+    """Random designs of the corpus shapes and 24x30, as files."""
+    rng = np.random.Generator(np.random.Philox(key=1))
+    paths = []
+    for n, m in ((12, 14), (14, 12), (22, 15), (16, 6), (24, 7), (24, 30)):
+        path = tmp_path / f"r{n}x{m}.txt"
+        path.write_text(
+            "\n".join(" ".join(map(str, row)) for row in rng.choice([-1, 1], size=(n, m))) + "\n"
+        )
+        paths.append(str(path))
+    return paths
+
+
+class TestSweepGrid:
+    """The chunked grid sweep prints exactly what one Prior per point prints."""
+
+    def assert_as_oracle(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert (out, err) == pointwise_sweep(list(argv))
+        return out, err
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SWEEPS))
+    def test_equals_pointwise_oracle(self, capsys, name):
+        self.assert_as_oracle(capsys, ORACLE_SWEEPS[name])
+
+    def test_random_batch_2d(self, capsys, tmp_path):
+        self.assert_as_oracle(capsys, (
+            "sweep", *random_batch(tmp_path), "--order", "2",
+            "--lo", "0.1", "--hi", "0.8", "--step", "0.001",
+            "--pi2-lo", "0.1", "--pi2-hi", "0.8", "--pi2-step", "0.1",
+        ))
+
+    @pytest.mark.parametrize("argv, cells", [
+        # exact decimal ties at the 6th digit: the printed value follows the
+        # rounded float, one Prior at a time
+        (TABLE3_TIES, {("0.75", "0.2"): ["0.233438", "0.223021"]}),
+        (HAD16_TIES, {
+            ("0.35", "0.3"): ["0.0243101", "0.0547943", "0.0852784"],
+            ("0.75", "0.2"): ["0.227813", "0.405", "0.582188"],
+            ("0.95", "0.2"): ["0.586444", "0.905388", "1.22433"],
+        }),
+    ])
+    def test_tie_cells(self, capsys, argv, cells):
+        out, _ = self.assert_as_oracle(capsys, argv)
+        rows = {tuple(ln.split(",")[:2]): ln.split(",")[2:] for ln in out.splitlines()[1:]}
+        for point, qbs in cells.items():
+            assert rows[point][: len(qbs)] == qbs
+
+    def test_pi1_zero(self, capsys):
+        # every QB is 0 at pi1 = 0, so every releff takes the 1.0 branch
+        argv = ("sweep", *SUPP1, "fixture:supp1.d3", "--lo", "0", "--hi", "0.02", "--step", "0.01")
+        out, _ = self.assert_as_oracle(capsys, argv)
+        assert out.splitlines()[1] == "0,0,0,0,1,1,1"
+
+    @pytest.mark.parametrize("chunk", [1, 7, 20])
+    @pytest.mark.parametrize("argv", [
+        ("sweep", *SUPP1, "fixture:supp1.d3", "--lo", "0.15", "--hi", "0.55", "--step", "0.001"),
+        HAD16_TIES,
+        # 11 pi2 values: chunks of 1 and 7 split every row, one of 20 holds a row
+        ("sweep", "fixture:case4.d1", "fixture:case4.d3", "fixture:case4.d6", "--order", "2",
+         "--lo", "0.3", "--hi", "0.9", "--step", "0.05",
+         "--pi2-lo", "0", "--pi2-hi", "1", "--pi2-step", "0.1"),
+    ])
+    def test_uneven_chunks(self, capsys, monkeypatch, chunk, argv):
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", chunk)
+        self.assert_as_oracle(capsys, argv)
+
+    def test_memory_flat_in_grid_size(self, monkeypatch):
+        # ten times the points must not hold more memory: no per-point Prior
+        # and no grid-sized list is kept
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 64)
+
+        class Discard(io.TextIOBase):
+            def write(self, s):
+                return len(s)
+
+        peaks = []
+        for step in ("0.001", "0.0001"):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(Discard()), contextlib.redirect_stderr(Discard()):
+                    assert main(["sweep", *SUPP1, "--lo", "0", "--hi", "1", "--step", step]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**17
+
+
 class TestInputErrors:
     """Bad input gets one `error:` line on stderr and no output at all."""
 
@@ -453,6 +589,34 @@ class TestInputErrors:
             "optimize", "--runs", "4", "--factors", "3", "--pi1", "0.3", "--restarts", "2",
             "-o", str(tmp_path / "missing" / "x.txt"),
         )
+
+    def test_optimize_output_checked_before_the_search(self, capsys, monkeypatch, tmp_path):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "multi_restart", no_search)
+        base = ("optimize", "--runs", "4", "--factors", "3", "--pi1", "0.3", "--restarts", "2",
+                "--progress")
+        err = self.check(capsys, *base, "-o", str(tmp_path / "missing" / "x.txt"))
+        assert "does not exist" in err
+        err = self.check(capsys, *base, "-o", str(tmp_path))
+        assert "is a directory" in err
+        # os.access stands in for a read-only directory, which root could still write
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        err = self.check(capsys, *base, "-o", str(tmp_path / "x.txt"))
+        assert "permission denied" in err
+
+    def test_optimize_restart_too_large(self, capsys, monkeypatch):
+        # refused from N and m alone: no start is drawn and no block is built
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was allocated")
+
+        monkeypatch.setattr(optimizer, "_run_block", no_block)
+        err = self.check(
+            capsys, "optimize", "--runs", "200000", "--factors", "3", "--pi1", "0.3",
+            "--restarts", "1", "--progress",
+        )
+        assert "200000x3" in err and "MiB" in err
 
     def test_sweep_grid_too_large(self, capsys):
         # each grid is rejected from its point count alone, before any

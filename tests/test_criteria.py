@@ -5,6 +5,7 @@ import pytest
 
 from qbdesign.criteria import (
     Prior,
+    PriorGrid,
     as_efficiency,
     centered_gram,
     es2,
@@ -124,6 +125,55 @@ class TestQbCoefficients:
             )
             assert qb_coefficients(pr, m) == full[:m]
         assert qb_coefficients(Prior(0.3), 1) == (0.3,)
+
+
+class TestPriorGrid:
+    """Weights on a grid are bit-equal to the scalar weights at every point."""
+
+    PI1 = np.minimum(0.1 + np.arange(701) * 0.001, 0.8)  # the paper's grid
+    PI2 = np.minimum(np.arange(21) * 0.05, 1.0)
+
+    def test_axis_has_points_where_numpy_power_rounds_differently(self):
+        # so the equality below would catch powers taken with np.power
+        python_cubes = np.array([v**3 for v in self.PI1.tolist()])
+        assert (np.power(self.PI1, 3) != python_cubes).any()
+
+    @pytest.mark.parametrize("order", [ModelOrder.FIRST_ORDER, SECOND])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 14])
+    def test_coefficients_bit_equal_to_scalar(self, order, m):
+        pi2 = self.PI2 if order is SECOND else np.array([0.3])
+        grid = qb_coefficients(PriorGrid(self.PI1, pi2, order), m)
+        for i, p1 in enumerate(self.PI1.tolist()):
+            for j, p2 in enumerate(pi2.tolist()):
+                scalar = qb_coefficients(Prior(p1, p2, order), m)
+                assert len(scalar) == len(grid)
+                assert all(
+                    np.broadcast_to(w, (len(self.PI1), len(pi2)))[i, j] == c
+                    for w, c in zip(grid, scalar)
+                )
+
+    def test_qb_bit_equal_to_scalar(self, fx):
+        pi1 = self.PI1[::7]
+        pi2_values = self.PI2.tolist()
+        for fid in ("case4.d1", "had16.proj3", "supp1.d2"):
+            d = fx(fid).design
+            w = word_counts(d)
+            qb = qb_from_word_counts(w, PriorGrid(pi1, self.PI2, SECOND), d.factors)
+            assert qb.shape == (len(pi1), len(self.PI2))
+            expected = [
+                [qb_from_word_counts(w, Prior(p1, p2, SECOND), d.factors) for p2 in pi2_values]
+                for p1 in pi1.tolist()
+            ]
+            assert qb.tolist() == expected
+
+    def test_axes_checked(self):
+        for pi1, pi2, word in (
+            ([0.2, 1.5], [0.1], "pi1"),
+            ([0.2], [0.1, float("nan")], "pi2"),
+            ([0.2], [-0.1], "pi2"),
+        ):
+            with pytest.raises(ValueError, match=f"{word} must be in"):
+                PriorGrid(np.array(pi1), np.array(pi2), SECOND)
 
 
 class TestQbFirstOrder:

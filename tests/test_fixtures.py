@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qbdesign import fixtures
+from qbdesign.cli import main
 from qbdesign.design import ModelOrder, information_matrix, model_matrix
 from qbdesign.errors import UnknownFixtureError
 from qbdesign.fixtures import check_fixture, list_fixtures, load_fixture
@@ -87,3 +89,27 @@ class TestExpectations:
             assert not a[0, 1:7].any()  # balanced mains
             block = a[1:7, 1:7]
             assert not (block - np.diag(np.diag(block))).any()  # orthogonal mains
+
+
+class TestManifestReads:
+    @pytest.mark.parametrize("argv", [["fixtures", "check"], ["fixtures", "list"],
+                                      ["fixtures", "check", "had16.proj2"]])
+    def test_one_read_per_command(self, capsys, monkeypatch, argv):
+        # the command reads and resolves the manifest once, not once per fixture
+        reads, lookups = [], []
+        read, files = fixtures.read_manifest, fixtures.resources.files
+        monkeypatch.setattr(fixtures, "read_manifest", lambda: reads.append(1) or read())
+        monkeypatch.setattr(fixtures.resources, "files", lambda p: lookups.append(p) or files(p))
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert (len(reads), len(lookups)) == (1, 1)
+
+    def test_passed_manifest_gives_the_same_fixture(self):
+        manifest = fixtures.read_manifest()
+        assert list_fixtures(manifest) == list_fixtures()
+        for fid in ("had16.proj3", "case5.a", "supp1.d1"):
+            a, b = load_fixture(fid, manifest), load_fixture(fid)
+            for field in ("runs", "factors", "cols", "expected_b", "source", "order"):
+                assert getattr(a, field) == getattr(b, field)
+            assert (a.design is None) == (b.design is None)
+            assert a.design is None or np.array_equal(a.design.entries, b.design.entries)

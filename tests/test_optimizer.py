@@ -6,6 +6,7 @@ import pytest
 from qbdesign import optimizer
 from qbdesign.criteria import Prior, qb_coefficients, qb_from_word_counts
 from qbdesign.design import Design, ModelOrder, random_design
+from qbdesign.errors import TooLargeError
 from qbdesign.optimizer import (
     OptimizerConfig,
     coordinate_exchange,
@@ -412,6 +413,48 @@ class TestLockstep:
         for threads in (0, -1):
             with pytest.raises(ValueError):
                 multi_restart(cfg, threads=threads)
+
+
+class TestBlockBudget:
+    """Restarts per block come from a byte budget on distances and designs."""
+
+    @staticmethod
+    def cfg(n, m, restarts=100, **kw):
+        return OptimizerConfig(runs=n, factors=m, prior=Prior(0.1), restarts=restarts, **kw)
+
+    def test_benchmark_shapes_get_full_blocks(self):
+        for n, m in ((12, 14), (24, 7)):
+            assert optimizer._block_size(self.cfg(n, m), 1) == 64
+
+    def test_large_designs_get_smaller_blocks(self):
+        per_restart = 8 * 1000 * (1000 + 14)
+        size = optimizer._block_size(self.cfg(1000, 14), 1)
+        assert size == optimizer.BLOCK_BYTES // per_restart
+        assert 0 < size < optimizer.RESTARTS_PER_BLOCK
+
+    def test_one_restart_too_large(self, monkeypatch):
+        # refused by arithmetic on N and m: no start is drawn, no block built
+        def never(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(optimizer, "_start", never)
+        monkeypatch.setattr(optimizer, "_run_block", never)
+        with pytest.raises(TooLargeError, match="200000x3"):
+            multi_restart(self.cfg(200000, 3, restarts=1))
+        # the edge: a budget one byte short of one restart
+        monkeypatch.setattr(optimizer, "BLOCK_BYTES", 8 * 12 * (12 + 14) - 1)
+        with pytest.raises(TooLargeError):
+            multi_restart(self.cfg(12, 14, restarts=1))
+
+    def test_budget_splits_blocks_without_changing_results(self, monkeypatch):
+        cfg = self.cfg(12, 14, restarts=10, seed=2, tiebreak_as=False)
+        reference = multi_restart(cfg)
+        monkeypatch.setattr(optimizer, "BLOCK_BYTES", 3 * 8 * 12 * (12 + 14))
+        blocks = []
+        res = multi_restart(cfg, on_block=blocks.append)
+        assert [len(b) for b in blocks] == [3, 3, 3, 1]
+        assert res.restart_log == reference.restart_log
+        assert np.array_equal(res.best.entries, reference.best.entries)
 
 
 class TestDebugMode:
