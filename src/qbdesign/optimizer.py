@@ -62,6 +62,9 @@ RESTARTS_PER_BLOCK = 64  # restarts advanced together
 # the restarts per block are cut to fit, and a search whose one restart does
 # not fit is refused before anything is allocated.
 BLOCK_BYTES = 2**27
+# Bytes of the int64 temporary of one row slice of the S_k sums when a block
+# is built; the block's own stacks are the only other arrays that size with N^2.
+BUILD_SLICE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,13 @@ class _Block:
         self.n2 = self.n * self.n
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
         self.dist = run_distances(x)
-        self.s = np.stack([kr[self.dist].sum(axis=(1, 2)) for kr in kraw], axis=1)
+        # S_k summed over row slices, so the build holds little more than the budget
+        self.s = np.zeros((len(x), self.k_max), dtype=np.int64)
+        step = max(1, BUILD_SLICE_BYTES // (8 * len(x) * self.n))
+        for lo in range(0, self.n, step):
+            d = self.dist[:, lo : lo + step]
+            for k, kr in enumerate(kraw):
+                self.s[:, k] += kr[d].sum(axis=(1, 2))
         # K(d + 1) - K(d) and K(d - 1) - K(d), 0 where the step leaves 0..m,
         # as U = Dp - Dm and V = Dp + Dm indexed [d, k]
         diff = kraw[:, 1:] - kraw[:, :-1]

@@ -9,13 +9,42 @@ f-factor projections of the second-order model space.
 Scoring is batched.  The centered Grams of a stack of f-subsets are built at
 once, an (S, q, q) array with q = f + C(f,2), from the full mains-plus-pairs
 columns of each subset.  Each model's Gram is the p x p block (p = f + t) of
-its subset's Gram on the f mains and its t pairs; the blocks are gathered
-into (count, p, p) chunks of at most BLOCKS_PER_CALL, and each chunk takes
-one batched eigvalsh call.  The stack and the chunks are bounded, so memory
-does not grow with the number of models.  Each model's eigenvalues and
-efficiency are computed exactly as a one-model-at-a-time loop computes them,
-and the mean is math.fsum over the estimable values, correctly rounded in any
-order, so the report does not depend on how models are grouped into chunks.
+its subset's Gram on the f mains and its t pairs.  Levels t are taken in
+increasing order.  Within a level the choices of pairs are unranked in
+chunks, for one subset or for a group of subsets that share a chunk, and
+the models a chunk leaves go to eigvalsh in windows.  Two steps keep most
+models away from eigvalsh:
+
+- Superset screen.  Dropping one pair from a model leaves a model of level
+  t - 1 whose Gram is a principal submatrix of the model's Gram.  By Cauchy
+  interlacing the model's smallest eigenvalue is at most the submodel's and
+  its largest at least the submodel's, so in exact arithmetic its
+  reciprocal condition is no larger, and a model with a non-estimable
+  one-pair-less submodel is not estimable either.  When level t - 1 of the
+  stack was scored, such a model is counted non-estimable without a call.
+  Each subset keeps one flag per choice of level t - 1, and a model finds
+  its submodels' flags by the combinatorial ranks of its dropped-one
+  choices.  In floating point the eigenvalues only approximate this order:
+  that every screened model is non-estimable under one eigvalsh call per
+  model is checked by the oracle tests on the paper's designs and on random
+  ones, not proved.  With a level missing below t (t_values such as
+  {5: [8]}), level t is scored without the screen.
+- Dedup of identical blocks.  The blocks of a window are gathered and
+  sorted by their bytes.  Each run of byte-identical blocks goes to
+  eigvalsh once, in calls of at most BLOCKS_PER_CALL blocks, and every
+  model takes its run's result.
+
+Memory is bounded by a byte budget, not by the number of models: a chunk's
+pair rows and ranks, and a window's blocks, each take at most WINDOW_BYTES
+(a window holds max(1, WINDOW_BYTES // (8 p^2)) models), and the flags of a
+level at most FLAG_BYTES per stack, down to one subset per stack.
+
+Byte-equal input gives the same LAPACK output however the blocks are
+batched, so each model's eigenvalues and efficiency are the bits a
+one-model-at-a-time loop computes, and the per-model values come out in the
+same (subset, choice) order.  The cell mean is math.fsum over the estimable
+values, correctly rounded in any order.  So the per-model values and the
+report, CSV included, do not depend on the screen, the dedup or the budgets.
 """
 
 from __future__ import annotations
@@ -29,11 +58,19 @@ import numpy as np
 
 from .criteria import as_from_eigenvalues
 from .design import Design, term_columns
+from .errors import TooLargeError
 
-# Models per batched eigvalsh call, and f-subsets per stack of centered Grams.
-# Both only bound memory: a chunk of 256 blocks of 16 x 16 takes 0.5 MB.
+# Bytes of a chunk's pair rows and ranks and of a window's blocks, distinct
+# blocks per batched eigvalsh call, and f-subsets per stack of centered Grams.
+# All three only bound memory: a window of 16 x 16 blocks holds 64 models.
+WINDOW_BYTES = 2**17
 BLOCKS_PER_CALL = 256
 SUBSETS_PER_STACK = 1024
+# Bytes of one level's flags, one per model of a stack; a stack is cut to
+# fit, but never below one subset.
+FLAG_BYTES = 2**20
+# A level may have fewer choices of pairs than this, so that ranks fit int64.
+_CHOICES_CAP = 2**62
 
 
 @dataclass(frozen=True)
@@ -46,8 +83,21 @@ class ProjectionRow:
 
 
 @dataclass(frozen=True)
+class ProjectionCounts:
+    """Work done for one (f, t) cell; screened + scored == models."""
+
+    models: int
+    screened: int  # counted non-estimable by the superset screen
+    scored: int  # models that took an eigvalsh result
+    distinct: int  # distinct blocks sent to eigvalsh
+    no_est: int
+    eigvalsh_calls: int
+
+
+@dataclass(frozen=True)
 class ProjectionReport:
     rows: tuple[ProjectionRow, ...]
+    counts: tuple[ProjectionCounts, ...]  # counts[i] is rows[i]'s; not in the CSV
 
     def cell(self, f: int, t: int) -> ProjectionRow:
         for row in self.rows:
@@ -63,56 +113,140 @@ class ProjectionReport:
         return "\n".join(lines) + "\n"
 
 
-def _block_offsets(f: int, q: int, t: int):
-    """Where each model's Gram lies in its subset's flattened q x q Gram, in chunks.
+def _choice_chunks(f: int, n_pairs: int, t: int, size: int, screen: bool):
+    """Runs of at most `size` choices of t of the P = n_pairs pairs, in lexicographic order.
 
-    A model is the f mains plus one choice of t of the pairs f..q-1, taken in
-    lexicographic order; its p x p block (p = f + t) is read from the flat
-    positions row * q + col.  A chunk has at most BLOCKS_PER_CALL models.
+    Yields (start, rows, ranks) with one column per choice: rows[:, c], shape
+    (f + t, k), holds the Gram rows of choice start + c (the f mains, then
+    its pairs), and ranks[j, c], when `screen` is set, the lexicographic rank
+    among the choices of t - 1 pairs of that choice with its j-th pair
+    dropped.
+
+    Choices are unranked in the combinatorial number system: with
+    x = C(P, t) - rank, the i-th pair is P - w for the smallest w with
+    C(w, t - i) >= x, and x then drops by a_i = C(w - 1, t - i), ending at 1.
+    A choice c_0 < ... < c_{r-1} has rank C(P, r) - 1 - sum_i C(P - 1 - c_i,
+    r - i).  With c_j dropped (r = t - 1) the pairs before j keep their
+    place, giving b_i = C(w - 1, t - 1 - i), and the pairs after it move up
+    one, giving a_i; so the rank is C(P, t - 1) - x + sum_{i<=j} a_i -
+    sum_{i<j} b_i, with x taken before the first step.
     """
-    n_choices = math.comb(q - f, t)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(f, q), t))
-    for start in range(0, n_choices, BLOCKS_PER_CALL):
-        k = min(BLOCKS_PER_CALL, n_choices - start)
-        idx = np.empty((k, f + t), dtype=np.intp)
-        idx[:, :f] = np.arange(f)
-        idx[:, f:] = np.fromiter(combos, np.intp, k * t).reshape(k, t)
-        yield idx[:, :, None] * q + idx[:, None, :]
+    # every x, a_i and b_i is below C(P, t) or C(P, t - 1), so a larger C(w, u)
+    # may be stored as the cap
+    comb = np.array(
+        [[min(math.comb(w, u), _CHOICES_CAP) for w in range(n_pairs + 1)] for u in range(t + 1)]
+    )
+    n_choices = math.comb(n_pairs, t)
+    for start in range(0, n_choices, size):
+        k = min(size, n_choices - start)
+        x = n_choices - np.arange(start, start + k)
+        rows = np.empty((f + t, k), dtype=np.intp)
+        rows[:f] = np.arange(f)[:, None]
+        ranks = np.empty((t, k), dtype=np.int64) if screen else None
+        if screen:
+            acc = math.comb(n_pairs, t - 1) - x
+        for i in range(t):
+            w = np.searchsorted(comb[t - i], x)
+            rows[f + i] = f + n_pairs - w
+            a = comb[t - i].take(w - 1)
+            x -= a
+            if screen:
+                acc += a
+                ranks[i] = acc
+                acc -= comb[t - 1 - i].take(w - 1)
+        yield start, rows, ranks
+
+
+def _score_blocks(gram: np.ndarray, off: np.ndarray, n: int):
+    """As efficiencies of the blocks at flat positions off (L, p, p) of the Gram stack.
+
+    Byte-identical blocks are scored once: the blocks are sorted by their
+    bytes, each run of equal neighbours goes to eigvalsh as its first block,
+    and every block takes its run's result.  Returns (efficiencies, NaN where
+    not estimable; distinct blocks; eigvalsh calls).
+    """
+    blocks = gram.take(off)
+    bits = blocks.reshape(len(off), -1).view(np.uint64)
+    order = bits.view(np.dtype((np.void, blocks[0].nbytes))).ravel().argsort(kind="stable")
+    ordered = bits[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    first = order[starts]  # the earliest of each run of equal blocks
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    eff = np.empty(len(first))
+    for b0 in range(0, len(first), BLOCKS_PER_CALL):
+        u = first[b0 : b0 + BLOCKS_PER_CALL]
+        eff[b0 : b0 + len(u)] = as_from_eigenvalues(np.linalg.eigvalsh(blocks[u]), n)
+    return eff[inverse], len(first), -(-len(first) // BLOCKS_PER_CALL)
 
 
 def _score_subsets(
     x: np.ndarray, f: int, wanted: tuple[int, ...]
-) -> dict[int, tuple[np.ndarray, int]]:
-    """Per t: (efficiencies of the estimable models, no_est).
+) -> dict[int, tuple[np.ndarray, ProjectionCounts]]:
+    """Per t: (efficiencies of the estimable models, the cell's counts).
 
     Models are taken f-subset by f-subset in lexicographic order, and within
     a subset by choice of pairs in lexicographic order.
     """
     n, m = x.shape
     pair_pos = np.array(list(itertools.combinations(range(f), 2)), dtype=np.intp).reshape(-1, 2)
-    q = f + len(pair_pos)
-    vals: dict[int, list[np.ndarray]] = {t: [] for t in wanted}
-    no_est = dict.fromkeys(wanted, 0)
+    n_pairs = len(pair_pos)
+    q = f + n_pairs
+    levels = sorted(set(wanted))
+    vals: dict[int, list[np.ndarray]] = {t: [] for t in levels}
+    counts = {t: dict.fromkeys(ProjectionCounts.__dataclass_fields__, 0) for t in levels}
+    widest = max((math.comb(n_pairs, t) for t in levels), default=1)
+    per_stack = min(SUBSETS_PER_STACK, max(1, FLAG_BYTES // widest))
     subsets = itertools.combinations(range(m), f)
-    while stack := list(itertools.islice(subsets, SUBSETS_PER_STACK)):
+    while stack := list(itertools.islice(subsets, per_stack)):
         fs = np.array(stack, dtype=np.intp)
         cols = term_columns(x, fs, fs[:, pair_pos]).transpose(1, 0, 2)
         cols = cols.astype(float)  # (S, N, q); every +-1 product and sum is exact
         csum = cols.sum(axis=1)
         gram = cols.transpose(0, 2, 1) @ cols - csum[:, :, None] * csum[:, None, :] / n
-        gram = gram.reshape(len(stack), q * q)
-        for t in wanted:
-            # as many whole subsets per call as fit, else one subset per call
-            group = max(1, BLOCKS_PER_CALL // math.comb(q - f, t))
+        flags = {}  # t -> (S, C(P, t)), True where not estimable: the screen of level t + 1
+        for t in levels:
+            p = f + t
+            n_choices = math.comb(n_pairs, t)
+            screen = t - 1 in flags
+            prev = flags.pop(t - 1, None)
+            bad_t = np.empty((len(stack), n_choices), dtype=bool) if t + 1 in wanted else None
+            chunk = max(1, WINDOW_BYTES // (8 * (p + t)))  # choices: their rows and ranks
+            window = max(1, WINDOW_BYTES // (8 * p * p))  # models: their blocks
+            group = max(1, chunk // n_choices)  # subsets that share one chunk
+            cell = counts[t]
             for s0 in range(0, len(stack), group):
-                for offsets in _block_offsets(f, q, t):
-                    blocks = gram[s0 : s0 + group].take(offsets, axis=1)
-                    eig = np.linalg.eigvalsh(blocks.reshape(-1, f + t, f + t))
-                    eff = as_from_eigenvalues(eig, n)
-                    estimable = ~np.isnan(eff)
-                    vals[t].append(eff[estimable])
-                    no_est[t] += len(eff) - int(estimable.sum())
-    return {t: (np.concatenate(vals[t]), no_est[t]) for t in wanted}
+                g = min(group, len(stack) - s0)
+                for c0, rows, ranks in _choice_chunks(f, n_pairs, t, chunk, screen):
+                    k = rows.shape[1]
+                    if screen:
+                        bad = prev[s0 : s0 + g][:, ranks].any(axis=1)
+                    else:
+                        bad = np.zeros((g, k), dtype=bool)
+                    si, ci = np.nonzero(~bad)
+                    cell["models"] += g * k
+                    cell["screened"] += g * k - len(si)
+                    cell["scored"] += len(si)
+                    for w0 in range(0, len(si), window):
+                        ws, wc = si[w0 : w0 + window], ci[w0 : w0 + window]
+                        r = rows[:, wc].T
+                        off = (s0 + ws)[:, None, None] * (q * q) + r[:, :, None] * q
+                        eff, distinct, calls = _score_blocks(gram, off + r[:, None, :], n)
+                        cell["distinct"] += distinct
+                        cell["eigvalsh_calls"] += calls
+                        singular = np.isnan(eff)
+                        bad[ws, wc] = singular
+                        vals[t].append(eff[~singular])
+                    cell["no_est"] += int(bad.sum())
+                    if bad_t is not None:
+                        bad_t[s0 : s0 + g, c0 : c0 + k] = bad
+            if bad_t is not None:
+                flags[t] = bad_t
+    return {
+        t: (np.concatenate(vals[t]) if vals[t] else np.empty(0), ProjectionCounts(**counts[t]))
+        for t in levels
+    }
 
 
 def projection_report(
@@ -133,24 +267,32 @@ def projection_report(
         if f > m:
             raise ValueError(f"projection size {f} exceeds {m} factors")
     rows = []
+    counts = []
     for f in f_sorted:
         max_t = f * (f - 1) // 2
         wanted = tuple(t_values[f]) if t_values and f in t_values else tuple(
             range(1, max_t + 1)
         )
         wanted = tuple(t for t in wanted if 0 <= t <= max_t)
+        for t in wanted:
+            if math.comb(max_t, t) >= _CHOICES_CAP:
+                raise TooLargeError(
+                    f"{f}-factor projections with t = {t} have C({max_t}, {t}) models"
+                    " per factor subset, too many to score"
+                )
         scores = _score_subsets(d.entries, f, wanted)
         for t in wanted:
-            vals, no_est = scores[t]
+            vals, cell = scores[t]
             n_models = math.comb(m, f) * math.comb(max_t, t)
-            assert len(vals) + no_est == n_models
+            assert cell.models == n_models == len(vals) + cell.no_est
             rows.append(
                 ProjectionRow(
                     f=f,
                     t=t,
                     n_models=n_models,
-                    no_est=no_est,
+                    no_est=cell.no_est,
                     mean_as=math.fsum(vals) / n_models,
                 )
             )
-    return ProjectionReport(rows=tuple(rows))
+            counts.append(cell)
+    return ProjectionReport(rows=tuple(rows), counts=tuple(counts))

@@ -108,8 +108,12 @@ def run_distances(x: np.ndarray) -> np.ndarray:
     """N x N Hamming distances between the runs (rows) of a +-1 matrix.
 
     A stack of matrices, shape (..., N, m), gives a stack of distance matrices.
+    (m - x x') / 2 is computed in place, so no second N x N array is held.
     """
-    return (x.shape[-1] - x @ np.swapaxes(x, -1, -2)) // 2
+    d = x @ np.swapaxes(x, -1, -2)
+    np.subtract(x.shape[-1], d, out=d)
+    d //= 2
+    return d
 
 
 def word_counts(d: Design, k_max: int | None = None) -> WordCounts:

@@ -105,18 +105,16 @@ def serial_coordinate_exchange(start, prior, max_stale_sweeps=2, epsilon=1e-9):
     return block.x[0].copy(), block.qb(0), sweeps
 
 
-def enumerated_projection_values(x, f, t):
-    """Per-model As efficiencies of the (f, t) projection models, one eigvalsh each.
+def enumerated_projection_models(x, f, t):
+    """Every (f, t) projection model with its eigenvalues, one eigvalsh each.
 
-    The reference for the batched projection scorer: models are taken subset
-    by subset and choice by choice in lexicographic order.  Returns (the
-    efficiencies of the estimable models in that order, the number of
-    non-estimable models).
+    The reference for the batched projection scorer: yields (the f-subset,
+    the positions of the chosen pairs among its C(f,2) pairs, the ascending
+    eigenvalues of the model's centered Gram), subset by subset and choice
+    by choice in lexicographic order.
     """
     x = np.asarray(x)
     n = x.shape[0]
-    vals = []
-    no_est = 0
     for fs in itertools.combinations(range(x.shape[1]), f):
         pairs = list(itertools.combinations(fs, 2))
         cols = [x[:, j] for j in fs] + [x[:, a] * x[:, b] for a, b in pairs]
@@ -125,11 +123,28 @@ def enumerated_projection_values(x, f, t):
         gram = dm.T @ dm - np.outer(csum, csum) / n
         for choice in itertools.combinations(range(len(pairs)), t):
             idx = list(range(f)) + [f + c for c in choice]
-            eig = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
-            if eig[-1] <= 0 or eig[0] / eig[-1] < RCOND_SINGULAR:
-                no_est += 1
-            else:
-                vals.append(len(idx) / (n * float((1.0 / eig).sum())))
+            yield fs, choice, np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
+
+
+def singular_eigenvalues(eig):
+    """Whether a model with these ascending eigenvalues is not estimable."""
+    return eig[-1] <= 0 or eig[0] / eig[-1] < RCOND_SINGULAR
+
+
+def enumerated_projection_values(x, f, t):
+    """Per-model As efficiencies of the (f, t) projection models, one eigvalsh each.
+
+    Returns (the efficiencies of the estimable models in the order of
+    `enumerated_projection_models`, the number of non-estimable models).
+    """
+    n = np.asarray(x).shape[0]
+    vals = []
+    no_est = 0
+    for _, _, eig in enumerated_projection_models(x, f, t):
+        if singular_eigenvalues(eig):
+            no_est += 1
+        else:
+            vals.append(len(eig) / (n * float((1.0 / eig).sum())))
     return vals, no_est
 
 

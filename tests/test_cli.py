@@ -169,6 +169,15 @@ class TestProject:
         assert lines[1] == "3,1,60,0,1.000"
         assert lines[2] == "3,2,60,0,1.000"
 
+    def test_huge_t_max_is_clamped(self, capsys):
+        # f = 3 has C(3, 2) = 3 pairs; a range to t_max is never built
+        code, want, err = run(capsys, "project", "fixture:had16", "--f", "3", "--t-max", "3")
+        assert code == 0 and err == ""
+        for t_max in ("9999999999", "99999999999999999999"):
+            assert run(capsys, "project", "fixture:had16", "--f", "3", "--t-max", t_max) == (
+                0, want, ""
+            )
+
     def test_threads_no_effect(self, capsys):
         outs = [
             run(capsys, "project", "fixture:case4.d6", "--f", "4", "--threads", n)

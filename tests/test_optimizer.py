@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -445,6 +446,22 @@ class TestBlockBudget:
         monkeypatch.setattr(optimizer, "BLOCK_BYTES", 8 * 12 * (12 + 14) - 1)
         with pytest.raises(TooLargeError):
             multi_restart(self.cfg(12, 14, restarts=1))
+
+    @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
+    def test_build_stays_within_budget(self, prior):
+        # a one-restart block's distances and design are its budget; building
+        # them, and the S_k sums over them, may add little on top
+        n, m = 1500, 3
+        x = random_design(n, m, 4).entries[None].copy()
+        budget = 8 * n * (n + m)
+        tracemalloc.start()
+        try:
+            block = optimizer._Block(x, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * budget
+        assert block.word_counts(0) == word_counts(Design(x[0]), block.k_max)
 
     def test_budget_splits_blocks_without_changing_results(self, monkeypatch):
         cfg = self.cfg(12, 14, restarts=10, seed=2, tiebreak_as=False)

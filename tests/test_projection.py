@@ -1,13 +1,23 @@
+import io
 import math
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from qbdesign import projection
+from qbdesign.cli import main
 from qbdesign.design import random_design
-from qbdesign.projection import _score_subsets, projection_report
+from qbdesign.errors import TooLargeError
+from qbdesign.projection import ProjectionCounts, _score_subsets, projection_report
 
-from conftest import enumerated_projection_values, full_factorial
+from conftest import (
+    enumerated_projection_models,
+    enumerated_projection_values,
+    full_factorial,
+    singular_eigenvalues,
+)
 
 
 class TestProjectionReport:
@@ -58,6 +68,15 @@ class TestProjectionReport:
         with pytest.raises(ValueError):
             projection_report(fx("case4.d1").design, [7])
 
+    def test_too_many_models_rejected_before_scoring(self, monkeypatch):
+        # C(78, 40) > 2**62 choices of pairs per 13-factor subset
+        d = random_design(16, 13, 1)
+        rep = projection_report(d, [13], {13: [0, 1, 77, 78]})
+        assert [r.n_models for r in rep.rows] == [1, 78, 78, 1]
+        monkeypatch.setattr(projection, "_score_subsets", None)
+        with pytest.raises(TooLargeError, match="t = 40"):
+            projection_report(d, [13], {13: [1, 40]})
+
     def test_csv_shape(self, fx):
         rep = projection_report(fx("case4.d1").design, [3])
         lines = rep.to_csv().strip().splitlines()
@@ -71,7 +90,8 @@ def assert_matches_enumeration(x, f, t_values=None):
     scores = _score_subsets(np.asarray(x), f, wanted)
     no_est = 0
     for t in wanted:
-        vals, n_bad = scores[t]
+        vals, counts = scores[t]
+        n_bad = counts.no_est
         want_vals, want_bad = enumerated_projection_values(x, f, t)
         assert vals.tolist() == want_vals, (f, t)
         assert n_bad == want_bad, (f, t)
@@ -107,3 +127,157 @@ class TestBatchedScoring:
         assert_matches_enumeration(fx("had16").design.entries, 3)
         assert_matches_enumeration(fx("case4.d6").design.entries, 4)
         assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
+
+    @pytest.mark.parametrize("window_bytes,blocks_per_call", [(1, 1), (7 * 8 * 5 * 5, 7)])
+    def test_window_and_call_boundaries(self, fx, monkeypatch, window_bytes, blocks_per_call):
+        # windows of one model and one choice, and windows of 7 models of
+        # 5 x 5 (other sizes for other p), with stacks of 11 subsets
+        argv = ["project", "fixture:case4.d6", "--f", "3", "4", "5"]
+        want = cli_stdout(argv)
+        monkeypatch.setattr(projection, "WINDOW_BYTES", window_bytes)
+        monkeypatch.setattr(projection, "BLOCKS_PER_CALL", blocks_per_call)
+        monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 11)
+        assert cli_stdout(argv) == want
+        assert_matches_enumeration(fx("had16").design.entries, 3)
+        assert_matches_enumeration(fx("case4.d6").design.entries, 4)
+        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
+
+    def test_one_subset_per_stack(self, monkeypatch):
+        # flags of a wide level cut a stack down to one subset
+        monkeypatch.setattr(projection, "FLAG_BYTES", 1)
+        assert_matches_enumeration(random_design(12, 8, 3).entries, 4)
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def screened_by_oracle(x, f):
+    """Models of size f with a non-estimable one-pair-less submodel, under the oracle.
+
+    Asserts that each of them is non-estimable itself, as interlacing says
+    it is in exact arithmetic; returns their number per t.
+    """
+    singular = {}
+    screened = {}
+    for t in range(f * (f - 1) // 2 + 1):
+        screened[t] = 0
+        for fs, choice, eig in enumerated_projection_models(x, f, t):
+            bad = singular_eigenvalues(eig)
+            if any(singular[fs, choice[:j] + choice[j + 1 :]] for j in range(t)):
+                assert bad, (fs, choice)
+                screened[t] += 1
+            singular[fs, choice] = bad
+    return screened
+
+
+class TestSupersetScreen:
+    """The screen skips only models the one-eigvalsh-per-model oracle calls non-estimable."""
+
+    CORPUS = [("case4.d1", f) for f in (3, 4, 5, 6)] + [
+        ("case4.d3", f) for f in (3, 4, 5, 6)
+    ] + [("case4.d6", f) for f in (3, 4, 5, 6)] + [("had16", 3)]
+
+    @pytest.mark.parametrize("fid,f", CORPUS)
+    def test_paper_designs(self, fx, fid, f):
+        self.check(fx(fid).design.entries, f)
+
+    @pytest.mark.parametrize("runs,factors,seed", [(12, 8, 1), (20, 10, 2)])
+    @pytest.mark.parametrize("f", [3, 4])
+    def test_random_designs(self, runs, factors, seed, f):
+        self.check(random_design(runs, factors, seed).entries, f)
+
+    @staticmethod
+    def check(x, f):
+        want = screened_by_oracle(x, f)
+        scores = _score_subsets(x, f, tuple(want))
+        assert {t: counts.screened for t, (_, counts) in scores.items()} == want
+
+    def test_off_without_the_level_below(self, fx):
+        scores = _score_subsets(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
+        assert [scores[t][1].screened for t in (0, 2, 5)] == [0, 0, 0]
+        assert scores[6][1].screened > 0
+        rep = projection_report(fx("case4.d1").design, [5], {5: [8]})
+        assert rep.counts[0].screened == 0 and rep.counts[0].no_est == 270
+
+
+class TestCounts:
+    def test_every_model_screened_or_scored(self, fx):
+        for fid, f in TestSupersetScreen.CORPUS:
+            rep = projection_report(fx(fid).design, [f])
+            assert len(rep.counts) == len(rep.rows)
+            for row, c in zip(rep.rows, rep.counts):
+                assert c.models == row.n_models == c.screened + c.scored
+                assert c.no_est == row.no_est >= c.screened
+                assert c.distinct <= c.scored
+                assert -(-c.distinct // projection.BLOCKS_PER_CALL) <= c.eigvalsh_calls
+
+    # per t = 1..10: (t, models, screened, scored, distinct, no_est, eigvalsh_calls)
+    PINNED = {
+        "case4.d1": [
+            (1, 15, 0, 15, 1, 0, 1),
+            (2, 105, 0, 105, 2, 9, 1),
+            (3, 455, 115, 340, 2, 115, 2),
+            (4, 1365, 645, 720, 5, 645, 5),
+            (5, 3003, 2091, 912, 9, 2091, 9),
+            (6, 5005, 4365, 640, 7, 4365, 7),
+            (7, 6435, 6243, 192, 8, 6243, 8),
+            (8, 6435, 6435, 0, 0, 6435, 0),
+            (9, 5005, 5005, 0, 0, 5005, 0),
+            (10, 3003, 3003, 0, 0, 3003, 0),
+        ],
+        "case4.d6": [
+            (1, 15, 0, 15, 7, 0, 1),
+            (2, 105, 0, 105, 41, 0, 1),
+            (3, 455, 0, 455, 235, 10, 3),
+            (4, 1365, 114, 1251, 805, 115, 9),
+            (5, 3003, 603, 2400, 1760, 603, 19),
+            (6, 5005, 1873, 3132, 2488, 1873, 30),
+            (7, 6435, 3775, 2660, 2221, 3775, 31),
+            (8, 6435, 5115, 1320, 1148, 5115, 21),
+            (9, 5005, 4717, 288, 252, 4717, 7),
+            (10, 3003, 3003, 0, 0, 3003, 0),
+        ],
+    }
+
+    @pytest.mark.parametrize("fid", sorted(PINNED))
+    def test_pinned_counts(self, fx, fid):
+        rep = projection_report(fx(fid).design, [6], {6: range(1, 11)})
+        got = [(row.t, *(getattr(c, k) for k in ProjectionCounts.__dataclass_fields__))
+               for row, c in zip(rep.rows, rep.counts)]
+        assert got == self.PINNED[fid]
+
+    def test_counts_not_in_csv(self, fx):
+        rep = projection_report(fx("case4.d1").design, [3])
+        assert rep.to_csv().splitlines()[0] == "f,t,n_models,no_est,mean_as"
+
+
+class TestWork:
+    def test_few_matrices_reach_eigvalsh(self, fx, monkeypatch):
+        real = np.linalg.eigvalsh
+        matrices = []
+
+        def counting(a):
+            matrices.append(len(a) if a.ndim == 3 else 1)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rep = projection_report(fx("case4.d1").design, [6])
+        assert sum(r.n_models for r in rep.rows) == 32767
+        assert sum(matrices) < 1000
+        assert sum(matrices) == sum(c.distinct for c in rep.counts)
+        assert len(matrices) == sum(c.eigvalsh_calls for c in rep.counts)
+
+    def test_memory_bounded(self, fx):
+        d = fx("case4.d6").design
+        projection_report(d, [6])
+        tracemalloc.start()
+        try:
+            projection_report(d, [6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
