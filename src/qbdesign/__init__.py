@@ -18,13 +18,11 @@ from .design import (
     BalanceProfile,
     Design,
     InfoMatrix,
-    ModelMatrix,
     ModelOrder,
     balance_profile,
     format_design,
     information_matrix,
     load_design,
-    model_matrix,
     parse_design,
     random_design,
     save_design,
@@ -54,7 +52,6 @@ __all__ = [
     "Design",
     "Es2Result",
     "InfoMatrix",
-    "ModelMatrix",
     "ModelOrder",
     "OptResult",
     "OptimizerConfig",
@@ -75,7 +72,6 @@ __all__ = [
     "information_matrix",
     "j_characteristic",
     "load_design",
-    "model_matrix",
     "multi_restart",
     "parse_design",
     "prior_sums",

@@ -256,8 +256,7 @@ def cmd_project(args) -> int:
     d = _load(args.design)
     t_values = None
     if args.t_max is not None:
-        # a size-f projection has C(f, 2) pairs, so no larger t exists
-        t_values = {f: range(1, min(args.t_max, f * (f - 1) // 2) + 1) for f in args.f}
+        t_values = {f: range(1, args.t_max + 1) for f in args.f}
     rep = projection_report(d, args.f, t_values)
     sys.stdout.write(rep.to_csv())
     return 0

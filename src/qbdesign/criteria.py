@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import Design, InfoMatrix, ModelOrder, Term, model_terms, term_columns
+from .design import Design, InfoMatrix, ModelOrder, Term, model_gram, model_terms, schur_center
 from .errors import DimensionMismatchError
 from .wordcounts import WordCounts, word_counts
 
@@ -236,22 +236,26 @@ def ue_s2(d: Design) -> Fraction:
 def centered_gram(d: Design, terms: tuple[Term, ...] | list[Term]) -> np.ndarray:
     """D'Q0 D for the model columns given by `terms` (0-based factor tuples).
 
-    Terms are main effects (j,) and two-factor interactions (a, b), in any order.
+    Terms are main effects (j,) and two-factor interactions (a, b), in any
+    order.  It is the Schur complement of N in the Gram of the intercept and
+    these columns (design.schur_center).  Every entry of that Gram is an
+    exact integer dot product of +-1 columns, so the bytes are those of
+    centering the columns first, whatever the order of the sums.
     """
     if any(len(t) not in (1, 2) for t in terms):
         raise ValueError("terms must be main effects or two-factor interactions")
     mains = [t for t in terms if len(t) == 1]
     pairs = [t for t in terms if len(t) == 2]
-    cols = term_columns(
-        d.entries,
+    g = model_gram(
+        d.entries.astype(float),
         np.array(mains, dtype=np.intp).reshape(-1),
         np.array(pairs, dtype=np.intp).reshape(-1, 2),
     )
-    # term_columns puts mains first; put the columns back in the order of `terms`
-    position = {t: i for i, t in enumerate(mains + pairs)}
-    dm = cols[:, [position[t] for t in terms]].astype(float)
-    csum = dm.sum(axis=0)
-    return dm.T @ dm - np.outer(csum, csum) / d.runs
+    # model_gram puts the intercept first, then mains, then pairs; put the
+    # rows and columns back in the order of `terms`
+    position = {t: i for i, t in enumerate(mains + pairs, start=1)}
+    idx = np.array([0] + [position[t] for t in terms])
+    return schur_center(g.take(idx, axis=0).take(idx, axis=1), d.runs)
 
 
 def as_efficiency(d: Design, terms: tuple[Term, ...] | list[Term] | None = None) -> float | None:

@@ -1,10 +1,14 @@
-"""Two-level designs: representation, parsing, and model-matrix expansion.
+"""Two-level designs: representation, parsing, and the model Gram X'X.
 
-A design is an N x m matrix with entries in {-1, +1}.  Model matrices add an
-intercept column and, for the second-order maximal model, one column per
-two-factor interaction in lexicographic order (1,2), (1,3), ..., (m-1,m).
-All Gram-matrix arithmetic is exact (64-bit integers), which at desk scale
-(N, m up to a few tens) is nowhere near overflow.
+A design is an N x m matrix with entries in {-1, +1}.  Model columns are an
+intercept column of ones, the main-effect columns, and, for the
+second-order maximal model, one column per two-factor interaction in
+lexicographic order (1,2), (1,3), ..., (m-1,m).  `model_gram` is the one
+builder of those columns and their Gram C'C, for one design or for a stack
+of factor subsets; `information_matrix` is X'X of a design's maximal model,
+and `schur_center` the one centering formula.  All Gram arithmetic on +-1
+columns is exact: 64-bit integers for X'X, and integers well below 2^53 in
+floats, which at desk scale (N, m up to a few tens) is nowhere near overflow.
 """
 
 from __future__ import annotations
@@ -79,17 +83,8 @@ class Design:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelMatrix:
-    """Expanded N x (v+1) model matrix with its ordered term list."""
-
-    terms: tuple[Term, ...]
-    entries: np.ndarray
-    order: ModelOrder
-
-
-@dataclass(frozen=True, eq=False)
 class InfoMatrix:
-    """Exact integer X'X for a model matrix, (v+1) x (v+1)."""
+    """Exact integer X'X of a maximal model, (v+1) x (v+1), rows in `terms` order."""
 
     a: np.ndarray
     runs: int
@@ -166,30 +161,36 @@ def save_design(d: Design, path: str | Path) -> None:
     Path(path).write_text(format_design(d))
 
 
-def term_columns(x: np.ndarray, mains: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Main-effect columns x[:, j] followed by pair products x[:, a] * x[:, b].
+def model_gram(x: np.ndarray, mains: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Gram C'C of the model columns: intercept, x[:, j] per main, x[:, a] * x[:, b] per pair.
 
     `mains` holds factor indices, shape (..., a), and `pairs` factor-index
     pairs, shape (..., b, 2), with the same leading shape.  The result has
-    shape (N, ..., a + b): plain indices give an N x (a + b) model matrix, and
-    a stack of S factor subsets gives an (N, S, a + b) stack of them.
+    shape (..., 1 + a + b, 1 + a + b) and the dtype of x, rows and columns in
+    the order intercept, mains, pairs: plain indices give one design's Gram,
+    and a stack of S factor subsets an (S, 1 + a + b, 1 + a + b) stack.
     """
-    return np.concatenate([x[:, mains], x[:, pairs[..., 0]] * x[:, pairs[..., 1]]], axis=-1)
+    rows = x.T  # C' is built row by row: one row of N entries per term
+    ones = np.ones(mains.shape[:-1] + (1, len(x)), dtype=x.dtype)
+    c = np.concatenate([ones, rows[mains], rows[pairs[..., 0]] * rows[pairs[..., 1]]], axis=-2)
+    return c @ np.swapaxes(c, -1, -2)
 
 
-def model_matrix(d: Design, order: ModelOrder) -> ModelMatrix:
-    """Expand a design to its model matrix for the chosen maximal model."""
+def schur_center(g: np.ndarray, runs: int) -> np.ndarray:
+    """Centered Gram D'Q0 D from a Gram whose first row and column are the intercept's.
+
+    It is the Schur complement of g[0, 0] = N: the product of two column
+    sums, divided by N, comes off each entry.  Works on a stack (..., q, q).
+    """
+    return g[..., 1:, 1:] - g[..., 1:, :1] * g[..., :1, 1:] / runs
+
+
+def information_matrix(d: Design, order: ModelOrder) -> InfoMatrix:
+    """X'X of the design's maximal model in exact integer arithmetic, in model_terms order."""
     terms = model_terms(d.factors, order)
-    pairs = np.array([t for t in terms if len(t) == 2], dtype=np.intp).reshape(-1, 2)
-    cols = term_columns(d.entries, np.arange(d.factors), pairs)
-    ones = np.ones((d.runs, 1), dtype=np.int64)
-    return ModelMatrix(terms=terms, entries=np.hstack([ones, cols]), order=order)
-
-
-def information_matrix(mm: ModelMatrix) -> InfoMatrix:
-    """X'X in exact integer arithmetic."""
-    x = mm.entries
-    return InfoMatrix(a=x.T @ x, runs=x.shape[0], terms=mm.terms)
+    pairs = np.array(terms[1 + d.factors :], dtype=np.intp).reshape(-1, 2)
+    a = model_gram(d.entries, np.arange(d.factors), pairs)
+    return InfoMatrix(a=a, runs=d.runs, terms=terms)
 
 
 def random_design(n_runs: int, n_factors: int, seed: int) -> Design:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..design import Design, ModelOrder, information_matrix, model_matrix, parse_design
+from ..design import Design, ModelOrder, information_matrix, parse_design
 from ..errors import UnknownFixtureError
 from ..wordcounts import word_counts, word_counts_from_xtx
 
@@ -128,7 +128,7 @@ def check_fixture(f: Fixture) -> list[tuple[str, bool, str]]:
     """Verify every expectation of a fixture; returns (check, ok, detail) rows."""
     results: list[tuple[str, bool, str]] = []
     if f.design is not None and f.expected_xtx is not None:
-        got = information_matrix(model_matrix(f.design, f.order)).a
+        got = information_matrix(f.design, f.order).a
         ok = got.shape == f.expected_xtx.shape and np.array_equal(got, f.expected_xtx)
         results.append(("xtx-reproduction", ok, f"{got.shape[0]}x{got.shape[1]}"))
     if f.expected_xtx is not None:

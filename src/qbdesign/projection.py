@@ -7,8 +7,9 @@ non-estimable.  Under effect marginality these models are exactly the
 f-factor projections of the second-order model space.
 
 Scoring is batched.  The centered Grams of a stack of f-subsets are built at
-once, an (S, q, q) array with q = f + C(f,2), from the full mains-plus-pairs
-columns of each subset.  Each model's Gram is the p x p block (p = f + t) of
+once, an (S, q, q) array with q = f + C(f,2): design.model_gram forms each
+subset's intercept, mains and pairs and their Gram, and design.schur_center
+centers it.  Each model's Gram is the p x p block (p = f + t) of
 its subset's Gram on the f mains and its t pairs.  Levels t are taken in
 increasing order.  Within a level the choices of pairs are unranked in
 chunks, for one subset or for a group of subsets that share a chunk, and
@@ -31,8 +32,8 @@ models away from eigvalsh:
   {5: [8]}), level t is scored without the screen.
 - Dedup of identical blocks.  The blocks of a window are gathered and
   sorted by their bytes.  Each run of byte-identical blocks goes to
-  eigvalsh once, in calls of at most BLOCKS_PER_CALL blocks, and every
-  model takes its run's result.
+  eigvalsh once, in one call per window, and every model takes its run's
+  result.
 
 Memory is bounded by a byte budget, not by the number of models: a chunk's
 pair rows and ranks, and a window's blocks, each take at most WINDOW_BYTES
@@ -57,14 +58,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .criteria import as_from_eigenvalues
-from .design import Design, term_columns
+from .design import Design, model_gram, schur_center
 from .errors import TooLargeError
 
-# Bytes of a chunk's pair rows and ranks and of a window's blocks, distinct
-# blocks per batched eigvalsh call, and f-subsets per stack of centered Grams.
-# All three only bound memory: a window of 16 x 16 blocks holds 64 models.
+# Bytes of a chunk's pair rows and ranks and of a window's blocks, and
+# f-subsets per stack of centered Grams.  Both only bound memory: a window of
+# 16 x 16 blocks holds 64 models, and its distinct blocks take one eigvalsh
+# call.
 WINDOW_BYTES = 2**17
-BLOCKS_PER_CALL = 256
 SUBSETS_PER_STACK = 1024
 # Bytes of one level's flags, one per model of a stack; a stack is cut to
 # fit, but never below one subset.
@@ -163,7 +164,7 @@ def _score_blocks(gram: np.ndarray, off: np.ndarray, n: int):
     Byte-identical blocks are scored once: the blocks are sorted by their
     bytes, each run of equal neighbours goes to eigvalsh as its first block,
     and every block takes its run's result.  Returns (efficiencies, NaN where
-    not estimable; distinct blocks; eigvalsh calls).
+    not estimable; distinct blocks), from one eigvalsh call.
     """
     blocks = gram.take(off)
     bits = blocks.reshape(len(off), -1).view(np.uint64)
@@ -174,11 +175,8 @@ def _score_blocks(gram: np.ndarray, off: np.ndarray, n: int):
     first = order[starts]  # the earliest of each run of equal blocks
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
-    eff = np.empty(len(first))
-    for b0 in range(0, len(first), BLOCKS_PER_CALL):
-        u = first[b0 : b0 + BLOCKS_PER_CALL]
-        eff[b0 : b0 + len(u)] = as_from_eigenvalues(np.linalg.eigvalsh(blocks[u]), n)
-    return eff[inverse], len(first), -(-len(first) // BLOCKS_PER_CALL)
+    eff = as_from_eigenvalues(np.linalg.eigvalsh(blocks[first]), n)
+    return eff[inverse], len(first)
 
 
 def _score_subsets(
@@ -198,13 +196,11 @@ def _score_subsets(
     counts = {t: dict.fromkeys(ProjectionCounts.__dataclass_fields__, 0) for t in levels}
     widest = max((math.comb(n_pairs, t) for t in levels), default=1)
     per_stack = min(SUBSETS_PER_STACK, max(1, FLAG_BYTES // widest))
+    xf = x.astype(float)  # every +-1 product and sum is exact
     subsets = itertools.combinations(range(m), f)
     while stack := list(itertools.islice(subsets, per_stack)):
         fs = np.array(stack, dtype=np.intp)
-        cols = term_columns(x, fs, fs[:, pair_pos]).transpose(1, 0, 2)
-        cols = cols.astype(float)  # (S, N, q); every +-1 product and sum is exact
-        csum = cols.sum(axis=1)
-        gram = cols.transpose(0, 2, 1) @ cols - csum[:, :, None] * csum[:, None, :] / n
+        gram = schur_center(model_gram(xf, fs, fs[:, pair_pos]), n)  # (S, q, q)
         flags = {}  # t -> (S, C(P, t)), True where not estimable: the screen of level t + 1
         for t in levels:
             p = f + t
@@ -232,9 +228,9 @@ def _score_subsets(
                         ws, wc = si[w0 : w0 + window], ci[w0 : w0 + window]
                         r = rows[:, wc].T
                         off = (s0 + ws)[:, None, None] * (q * q) + r[:, :, None] * q
-                        eff, distinct, calls = _score_blocks(gram, off + r[:, None, :], n)
+                        eff, distinct = _score_blocks(gram, off + r[:, None, :], n)
                         cell["distinct"] += distinct
-                        cell["eigvalsh_calls"] += calls
+                        cell["eigvalsh_calls"] += 1
                         singular = np.isnan(eff)
                         bad[ws, wc] = singular
                         vals[t].append(eff[~singular])
@@ -257,7 +253,9 @@ def projection_report(
     """Mean As and non-estimable counts per (f, t) cell.
 
     t_values optionally restricts the interaction counts per f; the default
-    is t = 1..C(f,2).
+    is t = 1..C(f,2).  Only t in 0..C(f,2) are scored, each once and in
+    increasing order; a t_values[f] is only asked whether it holds each of
+    them, so a range of any length costs nothing.
     """
     m = d.factors
     f_sorted = sorted(set(f_values))
@@ -270,10 +268,10 @@ def projection_report(
     counts = []
     for f in f_sorted:
         max_t = f * (f - 1) // 2
-        wanted = tuple(t_values[f]) if t_values and f in t_values else tuple(
-            range(1, max_t + 1)
-        )
-        wanted = tuple(t for t in wanted if 0 <= t <= max_t)
+        if t_values and f in t_values:
+            wanted = tuple(t for t in range(max_t + 1) if t in t_values[f])
+        else:
+            wanted = tuple(range(1, max_t + 1))
         for t in wanted:
             if math.comb(max_t, t) >= _CHOICES_CAP:
                 raise TooLargeError(

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .criteria import Prior, xi_weights
-from .design import Design, ModelOrder, information_matrix, model_matrix
+from .design import Design, ModelOrder, information_matrix
 from .errors import BadCongruenceError
 
 
@@ -116,7 +116,7 @@ def verify_block_pattern(d: Design) -> PatternReport:
     consistent sign may appear inside a group; observed signs are reported.
     """
     _require_n_mod_4(d.runs)
-    a = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER)).a
+    a = information_matrix(d, ModelOrder.FIRST_ORDER).a
     return _pattern_from_info(a)
 
 

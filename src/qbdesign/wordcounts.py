@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .design import Design
+from .design import Design, ModelOrder, model_terms
 from .errors import BadSubsetError, TooLargeError
 
 
@@ -134,66 +134,40 @@ def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
 
 
 def word_counts_from_xtx(a: np.ndarray, n_runs: int, m: int) -> WordCounts:
-    """Recover word counts from a model-matrix Gram matrix.
+    """Recover word counts from the X'X of a first- or second-order maximal model.
 
-    First-order matrices ((m+1) square) yield b_1, b_2.  Second-order
-    matrices additionally expose every J value of subsets up to size 4
-    through main-by-interaction and interaction-by-interaction entries;
-    repeated occurrences of the same subset must agree, which doubles as a
-    transcription consistency check on tabulated matrices.
+    Rows and columns are in model_terms order, and the order is read from the
+    size.  Terms are products of their factors' columns, and x_j^2 = 1, so
+    entry (i, j) is the J-characteristic of the symmetric difference of the
+    two terms' factor sets.  Each upper-triangle entry is read that way.
+    First order shows every subset of up to 2 factors once, second order
+    every subset of up to 4 factors, most of them several times; repeated
+    occurrences of the same subset must agree, which doubles as a
+    transcription consistency check on tabulated matrices.  As for
+    word_counts, no k_max exceeds m.
     """
     a = np.asarray(a)
     dim = a.shape[0]
     if a.shape != (dim, dim) or not np.array_equal(a, a.T):
         raise ValueError("information matrix must be square and symmetric")
-    first_order = dim == m + 1
-    if not first_order and dim != 1 + m + m * (m - 1) // 2:
+    if dim == m + 1:
+        terms = model_terms(m, ModelOrder.FIRST_ORDER)
+    elif dim == 1 + m + m * (m - 1) // 2:
+        terms = model_terms(m, ModelOrder.SECOND_ORDER)
+    else:
         raise ValueError(f"matrix size {dim} fits neither model order for m={m}")
-    if first_order:
-        s1 = int((a[0, 1:] ** 2).sum())
-        iu = np.triu_indices(m, 1)
-        s2 = int((a[1:, 1:][iu] ** 2).sum())
-        return WordCounts(runs=n_runs, s_k=(s1, s2))
-
-    pairs = list(itertools.combinations(range(m), 2))
-    index: dict[tuple[int, ...], int] = {(): 0}
-    index.update({(j,): 1 + j for j in range(m)})
-    index.update({p: 1 + m + k for k, p in enumerate(pairs)})
-    j_val: dict[tuple[int, ...], int] = {}
-
-    def record(subset: tuple[int, ...], value: int) -> None:
-        if subset in j_val and j_val[subset] != value:
-            raise ValueError(
-                f"inconsistent J for subset {subset}: {j_val[subset]} vs {value}"
-            )
-        j_val[subset] = value
-
-    for j in range(m):
-        record((j,), int(a[0, 1 + j]))
-    for p in pairs:
-        record(p, int(a[0, index[p]]))
-    for i, j in pairs:
-        record((i, j), int(a[1 + i, 1 + j]))
-    for i in range(m):
-        for p in pairs:
-            v = int(a[1 + i, index[p]])
-            if i in p:
-                other = p[0] if p[1] == i else p[1]
-                record((other,), v)
-            else:
-                record(tuple(sorted((i,) + p)), v)
-    for p, q in itertools.combinations(pairs, 2):
-        v = int(a[index[p], index[q]])
-        if set(p) & set(q):
-            record(tuple(sorted(set(p) ^ set(q))), v)
-        else:
-            record(tuple(sorted(p + q)), v)
-
-    s_k = []
-    for k in range(1, min(4, m) + 1):
-        s_k.append(
-            sum(j_val[s] ** 2 for s in itertools.combinations(range(m), k))
-        )
+    bits = [sum(1 << j for j in t) for t in terms]  # each term's factor set
+    rows = a.astype(np.int64, copy=False).tolist()
+    j_val: dict[int, int] = {}  # symmetric difference, as bits -> its J
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            subset, value = bits[i] ^ bits[j], rows[i][j]
+            if j_val.setdefault(subset, value) != value:
+                named = tuple(f for f in range(m) if subset >> f & 1)
+                raise ValueError(f"inconsistent J for subset {named}: {j_val[subset]} vs {value}")
+    s_k = [0] * max((s.bit_count() for s in j_val), default=0)
+    for subset, value in j_val.items():
+        s_k[subset.bit_count() - 1] += value * value
     return WordCounts(runs=n_runs, s_k=tuple(s_k))
 
 

@@ -21,7 +21,6 @@ from qbdesign.design import (
     Design,
     ModelOrder,
     information_matrix,
-    model_matrix,
     random_design,
 )
 from qbdesign.fixtures import check_fixture, list_fixtures
@@ -89,7 +88,7 @@ def test_criterion_2_xtx_reproduction(fx):
             if f.expected_xtx is None:
                 continue
             if f.design is not None:
-                got = information_matrix(model_matrix(f.design, f.order)).a
+                got = information_matrix(f.design, f.order).a
                 assert np.array_equal(got, f.expected_xtx), fid
                 reproduced += 1
             else:
@@ -162,7 +161,7 @@ def test_criterion_5_general_equals_closed_forms():
                 prior = Prior(
                     float(rng.uniform(0, 1)), float(rng.uniform(0, 1)), order
                 )
-                im = information_matrix(model_matrix(d, order))
+                im = information_matrix(d, order)
                 oracle, _ = prior_sums_oracle(m, prior)
                 closed = qb_from_word_counts(
                     word_counts(d, min(2 if order is ModelOrder.FIRST_ORDER else 4, m)),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,6 @@ from qbdesign.design import (
     Design,
     ModelOrder,
     information_matrix,
-    model_matrix,
     random_design,
 )
 from qbdesign.errors import DimensionMismatchError
@@ -97,7 +97,7 @@ class TestPriorSumsOracle:
             d = Design(rng.integers(0, 2, size=shape) * 2 - 1)
         assert (d.runs, d.factors) == shape
         prior = Prior(0.45, 0.6, order)
-        im = information_matrix(model_matrix(d, order))
+        im = information_matrix(d, order)
         w = word_counts(d, len(qb_coefficients(prior, d.factors)))
         assert qb_general(im, prior_sums(prior, d.factors)) == pytest.approx(
             qb_from_word_counts(w, prior, d.factors), abs=1e-12
@@ -267,7 +267,7 @@ class TestQbSecondOrder:
 class TestQbGeneral:
     def test_orthogonal_design_zero(self):
         d = full_factorial(3)
-        im = information_matrix(model_matrix(d, ModelOrder.SECOND_ORDER))
+        im = information_matrix(d, ModelOrder.SECOND_ORDER)
         ps = prior_sums(Prior(0.7, 0.4, ModelOrder.SECOND_ORDER), 3)
         assert qb_general(im, ps) == 0.0
 
@@ -278,7 +278,7 @@ class TestQbGeneral:
             m = int(rng.integers(2, 6))
             d = random_design(max(n, 4), m, seed=int(rng.integers(2**32)))
             pi1 = float(rng.uniform(0, 1))
-            im = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER))
+            im = information_matrix(d, ModelOrder.FIRST_ORDER)
             ps = prior_sums(Prior(pi1), m)
             w = word_counts(d, min(2, m))
             value = qb_general(im, ps)
@@ -288,7 +288,7 @@ class TestQbGeneral:
     def test_equals_second_order_closed_form(self, fx):
         d = fx("table3.first").design
         pr = Prior(0.8, 0.8, ModelOrder.SECOND_ORDER)
-        im = information_matrix(model_matrix(d, ModelOrder.SECOND_ORDER))
+        im = information_matrix(d, ModelOrder.SECOND_ORDER)
         ps = prior_sums(pr, 4)
         w = word_counts(d, 4)
         assert qb_general(im, ps) == pytest.approx(
@@ -297,7 +297,7 @@ class TestQbGeneral:
 
     def test_dimension_mismatch(self):
         d = full_factorial(3)
-        im = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER))
+        im = information_matrix(d, ModelOrder.FIRST_ORDER)
         ps = prior_sums(Prior(0.5), 4)
         with pytest.raises(DimensionMismatchError):
             qb_general(im, ps)
@@ -365,6 +365,20 @@ class TestAsEfficiency:
         assert np.array_equal(centered_gram(d, terms), want)
         with pytest.raises(ValueError):
             centered_gram(d, [(0,), (0, 1, 2)])
+
+    def test_centered_gram_random_terms(self):
+        # the Schur complement of N gives the bytes of centering the columns first
+        for d, rng in random_designs(200, seed=59, m_lo=1):
+            m = d.factors
+            pool = [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2))
+            pick = rng.permutation(len(pool))[: int(rng.integers(1, len(pool) + 1))]
+            terms = [pool[i] for i in pick]
+            x = d.entries.astype(float)
+            dm = np.column_stack([x[:, list(t)].prod(axis=1) for t in terms])
+            csum = dm.sum(axis=0)
+            got = centered_gram(d, terms)
+            want = dm.T @ dm - np.outer(csum, csum) / d.runs
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_saturated_benchmarks(self, fx):
         # published table values carry an (m-1)/m normalization relative to

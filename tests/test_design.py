@@ -7,10 +7,10 @@ from qbdesign.design import (
     balance_profile,
     format_design,
     information_matrix,
-    model_matrix,
+    model_gram,
+    model_terms,
     parse_design,
     random_design,
-    term_columns,
 )
 from qbdesign.errors import (
     EmptyDesignError,
@@ -69,57 +69,68 @@ class TestParse:
             assert format_design(again) == text
 
 
+def products_xtx(x, terms):
+    """X'X built from np.prod of each term's columns; the intercept's product is 1."""
+    cols = np.column_stack([x[:, list(t)].prod(axis=1) for t in terms])
+    return cols.T @ cols
+
+
 class TestModelMatrix:
+    """X'X of the model columns against a Gram of column products built here."""
+
     def test_full_factorial_second_order_orthogonal(self):
-        d = full_factorial(3)
-        mm = model_matrix(d, ModelOrder.SECOND_ORDER)
-        assert mm.entries.shape == (8, 7)
-        g = mm.entries.T @ mm.entries
-        assert np.array_equal(g, 8 * np.eye(7, dtype=np.int64))
+        for m in (1, 2, 3, 4):
+            d = full_factorial(m)
+            for order in ModelOrder:
+                a = information_matrix(d, order).a
+                assert np.array_equal(a, d.runs * np.eye(len(a), dtype=np.int64))
+        assert information_matrix(full_factorial(3), ModelOrder.SECOND_ORDER).a.shape == (7, 7)
 
     def test_single_factor_first_order(self):
-        d = Design(np.array([[1], [-1]]))
-        mm = model_matrix(d, ModelOrder.FIRST_ORDER)
-        assert mm.entries.shape == (2, 2)
-        assert mm.terms == ((), (0,))
+        d = Design(np.array([[1], [-1], [1]]))
+        for order in ModelOrder:
+            im = information_matrix(d, order)
+            assert im.terms == ((), (0,))
+            assert np.array_equal(im.a, [[3, 1], [1, 3]])
 
     def test_interaction_columns_are_products(self):
-        for d, _ in random_designs(10, seed=5):
-            mm = model_matrix(d, ModelOrder.SECOND_ORDER)
-            for col, term in zip(mm.entries.T, mm.terms):
-                if len(term) == 2:
-                    i, j = term
-                    assert np.array_equal(col, d.entries[:, i] * d.entries[:, j])
+        for d, _ in random_designs(40, seed=5, m_lo=1):
+            for order in ModelOrder:
+                im = information_matrix(d, order)
+                assert im.terms == model_terms(d.factors, order)
+                assert im.a.dtype == np.int64 and im.runs == d.runs
+                assert np.array_equal(im.a, products_xtx(d.entries, im.terms))
 
-    def test_term_columns_stacked(self):
-        # a stack of subsets gives each subset's own model matrix
+    def test_model_gram_stacked(self):
+        # a stack of subsets gives each subset's own X'X, in the dtype of x
         x = random_design(10, 6, 4).entries
         fs = np.array([[0, 2, 5], [1, 3, 4]])
         pairs = fs[:, [[0, 1], [0, 2], [1, 2]]]
-        stacked = term_columns(x, fs, pairs)
-        assert stacked.shape == (10, 2, 6) and stacked.dtype == np.int64
+        stacked = model_gram(x, fs, pairs)
+        assert stacked.shape == (2, 7, 7) and stacked.dtype == np.int64
         for s, (a, b, c) in enumerate(fs):
-            want = np.column_stack([x[:, a], x[:, b], x[:, c], x[:, a] * x[:, b],
-                                    x[:, a] * x[:, c], x[:, b] * x[:, c]])
-            assert np.array_equal(stacked[:, s], want)
-            assert np.array_equal(term_columns(x, fs[s], pairs[s]), want)
+            want = products_xtx(x, [(), (a,), (b,), (c,), (a, b), (a, c), (b, c)])
+            assert np.array_equal(stacked[s], want)
+            assert np.array_equal(model_gram(x, fs[s], pairs[s]), want)
+        as_float = model_gram(x.astype(float), fs, pairs)
+        assert as_float.dtype == np.float64 and np.array_equal(as_float, stacked)
 
     def test_table3_first_xtx(self, fx):
         f = fx("table3.first")
-        im = information_matrix(model_matrix(f.design, ModelOrder.SECOND_ORDER))
+        im = information_matrix(f.design, ModelOrder.SECOND_ORDER)
         assert np.array_equal(im.a, f.expected_xtx)
 
 
 class TestInformationMatrix:
     def test_intercept_row_is_column_sums(self):
         for d, _ in random_designs(10, seed=7):
-            im = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER))
+            im = information_matrix(d, ModelOrder.FIRST_ORDER)
             assert np.array_equal(im.a[0, 1:], d.column_sums())
 
     def test_symmetric_diagonal_n(self):
         for d, _ in random_designs(25, seed=11):
             for order in ModelOrder:
-                im = information_matrix(model_matrix(d, order))
+                im = information_matrix(d, order)
                 assert np.array_equal(im.a, im.a.T)
                 assert (np.diag(im.a) == d.runs).all()
 
@@ -128,8 +139,8 @@ class TestInformationMatrix:
         for d, _ in random_designs(10, seed=13):
             perm = rng.permutation(d.runs)
             d2 = Design(d.entries[perm])
-            a1 = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER)).a
-            a2 = information_matrix(model_matrix(d2, ModelOrder.FIRST_ORDER)).a
+            a1 = information_matrix(d, ModelOrder.FIRST_ORDER).a
+            a2 = information_matrix(d2, ModelOrder.FIRST_ORDER).a
             assert np.array_equal(a1, a2)
 
     def test_column_permutation_consistent(self):
@@ -137,8 +148,8 @@ class TestInformationMatrix:
         for d, _ in random_designs(10, seed=17):
             perm = rng.permutation(d.factors)
             d2 = Design(d.entries[:, perm])
-            a1 = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER)).a
-            a2 = information_matrix(model_matrix(d2, ModelOrder.FIRST_ORDER)).a
+            a1 = information_matrix(d, ModelOrder.FIRST_ORDER).a
+            a2 = information_matrix(d2, ModelOrder.FIRST_ORDER).a
             full = np.concatenate(([0], perm + 1))
             assert np.array_equal(a2, a1[np.ix_(full, full)])
 

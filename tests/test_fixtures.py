@@ -5,7 +5,7 @@ import pytest
 
 from qbdesign import fixtures
 from qbdesign.cli import main
-from qbdesign.design import ModelOrder, information_matrix, model_matrix
+from qbdesign.design import ModelOrder, information_matrix
 from qbdesign.errors import UnknownFixtureError
 from qbdesign.fixtures import check_fixture, list_fixtures, load_fixture
 
@@ -67,7 +67,7 @@ class TestExpectations:
             f = load_fixture(fid)
             if f.design is None or f.expected_xtx is None:
                 continue
-            im = information_matrix(model_matrix(f.design, f.order))
+            im = information_matrix(f.design, f.order)
             assert np.array_equal(im.a, f.expected_xtx), fid
             reproduced += 1
         assert reproduced == 26

@@ -36,6 +36,14 @@ class TestProjectionReport:
         assert cell.no_est == 270
         assert cell.mean_as == 0.0
 
+    def test_huge_t_range_is_never_iterated(self, fx):
+        d = fx("had16").design
+        want = projection_report(d, [3], {3: range(1, 4)})
+        assert projection_report(d, [3], {3: range(1, 10**20)}) == want
+        # rows come out in increasing t, each t once
+        rep = projection_report(d, [3], {3: [3, 1, 3, 7]})
+        assert [row.t for row in rep.rows] == [1, 3]
+
     def test_algorithm_design_cell(self, fx):
         rep = projection_report(fx("case4.d6").design, [4], {4: [6]})
         cell = rep.cell(4, 6)
@@ -122,20 +130,18 @@ class TestBatchedScoring:
     def test_chunk_and_stack_boundaries(self, fx, monkeypatch):
         # chunks that split the choices of one subset, and stacks that split
         # the subsets, at sizes that divide nothing evenly
-        monkeypatch.setattr(projection, "BLOCKS_PER_CALL", 7)
         monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 11)
         assert_matches_enumeration(fx("had16").design.entries, 3)
         assert_matches_enumeration(fx("case4.d6").design.entries, 4)
         assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
 
-    @pytest.mark.parametrize("window_bytes,blocks_per_call", [(1, 1), (7 * 8 * 5 * 5, 7)])
-    def test_window_and_call_boundaries(self, fx, monkeypatch, window_bytes, blocks_per_call):
+    @pytest.mark.parametrize("window_bytes", [1, 7 * 8 * 5 * 5])
+    def test_window_boundaries(self, fx, monkeypatch, window_bytes):
         # windows of one model and one choice, and windows of 7 models of
         # 5 x 5 (other sizes for other p), with stacks of 11 subsets
         argv = ["project", "fixture:case4.d6", "--f", "3", "4", "5"]
         want = cli_stdout(argv)
         monkeypatch.setattr(projection, "WINDOW_BYTES", window_bytes)
-        monkeypatch.setattr(projection, "BLOCKS_PER_CALL", blocks_per_call)
         monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 11)
         assert cli_stdout(argv) == want
         assert_matches_enumeration(fx("had16").design.entries, 3)
@@ -213,7 +219,7 @@ class TestCounts:
                 assert c.models == row.n_models == c.screened + c.scored
                 assert c.no_est == row.no_est >= c.screened
                 assert c.distinct <= c.scored
-                assert -(-c.distinct // projection.BLOCKS_PER_CALL) <= c.eigvalsh_calls
+                assert (c.distinct > 0) <= c.eigvalsh_calls <= c.distinct
 
     # per t = 1..10: (t, models, screened, scored, distinct, no_est, eigvalsh_calls)
     PINNED = {

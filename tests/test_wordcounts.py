@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbdesign.design import Design, ModelOrder, information_matrix, model_matrix
+from qbdesign.design import Design, ModelOrder, information_matrix
 from qbdesign.errors import BadSubsetError, TooLargeError
 from qbdesign.wordcounts import (
     j_characteristic,
@@ -146,7 +146,7 @@ class TestInvariances:
     def test_b2_matches_info_matrix(self):
         for d, _ in random_designs(30, seed=37):
             w = word_counts(d, min(2, d.factors))
-            a = information_matrix(model_matrix(d, ModelOrder.FIRST_ORDER)).a
+            a = information_matrix(d, ModelOrder.FIRST_ORDER).a
             iu = np.triu_indices(d.factors, 1)
             assert w.s(2) == int((a[1:, 1:][iu] ** 2).sum())
 
@@ -164,7 +164,7 @@ class TestXtxExtraction:
 
     def test_second_order_roundtrip(self):
         for d, _ in random_designs(10, seed=43, m_lo=4, m_hi=6):
-            a = information_matrix(model_matrix(d, ModelOrder.SECOND_ORDER)).a
+            a = information_matrix(d, ModelOrder.SECOND_ORDER).a
             w1 = word_counts_from_xtx(a, d.runs, d.factors)
             w2 = word_counts(d, 4)
             assert w1.s_k == w2.s_k
@@ -175,6 +175,33 @@ class TestXtxExtraction:
         a[8, 1] += 2
         with pytest.raises(ValueError):
             word_counts_from_xtx(a, 16, 6)
+
+
+    def test_matches_word_counts_both_orders(self):
+        for d, _ in random_designs(200, seed=47, m_lo=1):
+            for order, k_max in ((ModelOrder.FIRST_ORDER, 2), (ModelOrder.SECOND_ORDER, 4)):
+                a = information_matrix(d, order).a
+                w = word_counts_from_xtx(a, d.runs, d.factors)
+                assert w == word_counts(d, min(k_max, d.factors))
+
+    def test_single_factor_listing(self):
+        # a 2 x 2 listing has one factor: k_max = m = 1, and b_2 is 0
+        w = word_counts_from_xtx(np.array([[3, 1], [1, 3]]), 3, 1)
+        assert w.s_k == (1,)
+        assert (w.k_max, w.b(1), w.b(2)) == (1, Fraction(1, 9), 0)
+
+    @pytest.mark.parametrize("fid", ["case4.d1", "case5.a"])
+    def test_every_single_entry_perturbation_rejected(self, fx, fid):
+        f = fx(fid)
+        base = np.array(f.expected_xtx)
+        word_counts_from_xtx(base, f.runs, f.factors)
+        for i, j in zip(*np.triu_indices(len(base), 1)):
+            for delta in (2, -2):
+                a = base.copy()
+                a[i, j] += delta
+                a[j, i] += delta
+                with pytest.raises(ValueError, match=r"inconsistent J for subset \(\d"):
+                    word_counts_from_xtx(a, f.runs, f.factors)
 
 
 class TestDiagnostics:
