@@ -3,7 +3,6 @@
 from .criteria import (
     Es2Result,
     Prior,
-    PriorGrid,
     PriorSums,
     XiWeights,
     as_efficiency,
@@ -57,7 +56,6 @@ __all__ = [
     "OptimizerConfig",
     "PatternReport",
     "Prior",
-    "PriorGrid",
     "PriorSums",
     "ProjectionReport",
     "ProjectionRow",

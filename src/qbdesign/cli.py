@@ -14,7 +14,6 @@ import numpy as np
 from . import fixtures as fixture_registry
 from .criteria import (
     Prior,
-    PriorGrid,
     as_efficiency,
     es2,
     qb_coefficients,
@@ -141,7 +140,7 @@ def cmd_optimize(args) -> int:
     def progress(stats) -> None:
         for st in stats:
             print(
-                f"restart={st.seed} seed={cfg.seed} qb={_fmt(st.qb)} sweeps={st.sweeps}",
+                f"restart={st.restart} seed={cfg.seed} qb={_fmt(st.qb)} sweeps={st.sweeps}",
                 file=sys.stderr,
             )
 
@@ -174,16 +173,16 @@ def _grid(lo: float, hi: float, step: float, start: int, stop: int) -> np.ndarra
     return np.minimum(lo + np.arange(start, stop) * step, hi)
 
 
-def _prior_chunks(args, pi1_size: int, pi2_axis, order: ModelOrder):
-    """The sweep grid as PriorGrids of at most SWEEP_CHUNK_POINTS points, in
-    row-major order: whole pi1 rows, or pieces of one row when a row alone
-    is longer than a chunk."""
+def _prior_chunks(args, pi1_size: int, pi2_axis: np.ndarray, order: ModelOrder):
+    """The sweep grid as priors of a pi1 column by a pi2 row of at most
+    SWEEP_CHUNK_POINTS points, in row-major order: whole pi1 rows, or pieces
+    of one row when a row alone is longer than a chunk."""
     rows = max(1, SWEEP_CHUNK_POINTS // len(pi2_axis))
     cols = min(len(pi2_axis), SWEEP_CHUNK_POINTS)
     for r0 in range(0, pi1_size, rows):
         pi1 = _grid(args.lo, args.hi, args.step, r0, min(r0 + rows, pi1_size))
         for c0 in range(0, len(pi2_axis), cols):
-            yield PriorGrid(pi1, pi2_axis[c0 : c0 + cols], order)
+            yield Prior(pi1[:, None], pi2_axis[None, c0 : c0 + cols], order)
 
 
 def cmd_sweep(args) -> int:
@@ -207,10 +206,13 @@ def cmd_sweep(args) -> int:
         raise QbDesignError(
             f"the pi1 x pi2 grid has more than {MAX_GRID_POINTS} points; use a coarser step"
         )
-    pi2_axis = _grid(args.pi2_lo, args.pi2_hi, args.pi2_step, 0, pi2_size) if two_d else [args.pi2]
+    if two_d:
+        pi2_axis = _grid(args.pi2_lo, args.pi2_hi, args.pi2_step, 0, pi2_size)
+    else:
+        pi2_axis = np.array([args.pi2])
     # every pi1 lies in [lo, hi], so checking lo, hi and the pi2 axis checks
     # every prior of the grid before the header: bad input prints no CSV
-    PriorGrid([args.lo, args.hi], pi2_axis, order)
+    Prior(np.array([[args.lo], [args.hi]]), pi2_axis[None, :], order)
     header = (["pi1", "pi2"] if two_d else ["pi1"])
     header += [f"qb:{n}" for n in names] + [f"releff:{n}" for n in names]
     print(",".join(header))
@@ -218,9 +220,9 @@ def cmd_sweep(args) -> int:
     cells_fmt = ",".join(["%.6g"] * (2 * len(designs))) + "\n"
     prev_argmin = None
     for grid in _prior_chunks(args, pi1_size, pi2_axis, order):
-        pi1_txt = [f"{v:.6g}" for v in grid.pi1.tolist()]
+        pi1_txt = [f"{v:.6g}" for v in grid.pi1[:, 0].tolist()]
         if two_d:
-            pi2_txt = [f"{v:.6g}" for v in grid.pi2.tolist()]
+            pi2_txt = [f"{v:.6g}" for v in grid.pi2[0].tolist()]
             points = [(a, b) for a in pi1_txt for b in pi2_txt]
         else:
             points = [(a,) for a in pi1_txt]

@@ -15,14 +15,16 @@ sums of `prior_sums`, takes the same products entry by entry; the tests
 validate them against an enumeration of every marginality-respecting
 submodel.
 
-The powers pi1^2..pi1^4 and pi2^2 are taken in one place, `_pi1_powers` and
-`_pi2_powers`, with Python's float `**` on one axis value at a time, also
-for a whole `PriorGrid`: numpy's `power` rounds some of them differently
-(about 5% of values at exponents 3 and 4), and a sweep must print what a
-single `Prior` at that point gives.  Everything after the powers is `*` and
-`+` by ints and floats in one fixed order, so `qb_coefficients` and
-`qb_from_word_counts` give bit for bit the same value on a grid of
-(P1, 1) x (1, P2) arrays as on each of its points.
+pi1 and pi2 may be numbers or numpy arrays that broadcast against each
+other: a Prior of a (P1, 1) pi1 column and a (1, P2) pi2 row is the whole
+pi1 x pi2 grid, and its weights and QB come out as (P1, P2) arrays.  The
+powers pi1^2..pi1^4 and pi2^2 are taken with Python's `**` on one value at a
+time, for an array as for a number: numpy's `power` rounds some of them
+differently (about 5% of values at exponents 3 and 4), and products such as
+p*p*p round differently again, so a grid must give what a Prior at each of
+its points gives.  Everything after the powers is `*` and `+` by ints and
+floats in one fixed order, so `qb_coefficients` and `qb_from_word_counts`
+are bit for bit the same on a grid as on each of its points.
 """
 
 from __future__ import annotations
@@ -51,49 +53,30 @@ class Prior:
     pi1: prior probability that a main effect is in the best model.
     pi2: conditional probability that an interaction is in the best model
          given both parent main effects are (ignored for first order).
+
+    Each of pi1 and pi2 is a number (a Fraction is kept exact) or a numpy
+    array; arrays broadcast against each other, and every weight and QB
+    taken from the prior has their broadcast shape.
     """
 
-    pi1: float
-    pi2: float = 0.0
-    order: ModelOrder = ModelOrder.FIRST_ORDER
-
-    def __post_init__(self):
-        if not 0.0 <= self.pi1 <= 1.0:
-            raise ValueError(f"pi1 must be in [0, 1], got {self.pi1}")
-        if not 0.0 <= self.pi2 <= 1.0:
-            raise ValueError(f"pi2 must be in [0, 1], got {self.pi2}")
-
-
-@dataclass(frozen=True)
-class PriorGrid:
-    """The priors on every point of the grid pi1 x pi2, for one model order.
-
-    pi1 and pi2 are 1-D arrays of axis values; the weights of xi_weights,
-    qb_coefficients and qb_from_word_counts come out as arrays of shape
-    (len(pi1), len(pi2)), or (len(pi1), 1) where pi2 plays no part.
-    """
-
-    pi1: np.ndarray
-    pi2: np.ndarray
+    pi1: float | np.ndarray
+    pi2: float | np.ndarray = 0.0
     order: ModelOrder = ModelOrder.FIRST_ORDER
 
     def __post_init__(self):
         for name in ("pi1", "pi2"):
-            axis = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            object.__setattr__(self, name, axis)
-            bad = ~((0.0 <= axis) & (axis <= 1.0))
+            value = np.asarray(getattr(self, name))
+            bad = ~((0 <= value) & (value <= 1))
             if bad.any():
-                raise ValueError(f"{name} must be in [0, 1], got {axis[bad.argmax()].item()}")
+                raise ValueError(f"{name} must be in [0, 1], got {value[bad][0]}")
 
     @cached_property
-    def powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """pi1..pi1^4 as a (4, P1, 1) stack and pi2, pi2^2 as a (2, 1, P2) stack.
-
-        Taken once per axis value, with the scalar code a Prior uses.
-        """
-        pi1_pow = np.reshape([_pi1_powers(v) for v in self.pi1.tolist()], (-1, 4)).T
-        pi2_pow = np.reshape([_pi2_powers(v) for v in self.pi2.tolist()], (-1, 2)).T
-        return pi1_pow[:, :, None], pi2_pow[:, None, :]
+    def _xi(self) -> XiWeights:
+        """The six products of xi_weights, the one place prior weights are
+        written; taken once per prior, so a grid pays for its powers once."""
+        p1, p1_2, p1_3, p1_4 = _powers(self.pi1, 4)
+        p2, p2_2 = _powers(self.pi2, 2)
+        return XiWeights(p1, p1_2, p1_2 * p2, p1_3 * p2, p1_3 * p2_2, p1_4 * p2_2)
 
 
 class XiWeights(NamedTuple):
@@ -116,31 +99,27 @@ class PriorSums:
     pij: np.ndarray
 
 
-def _pi1_powers(p1: float) -> tuple[float, float, float, float]:
-    return p1, p1**2, p1**3, p1**4
+def _powers(x, top: int) -> list:
+    """x, x**2, ..., x**top by Python's ** on each value of x: Python numbers
+    for a number (a Fraction stays exact), arrays of its shape for an array."""
+    a = np.asarray(x)
+    values = a.reshape(-1).tolist()
+    pw = [[v**e for v in values] for e in range(1, top + 1)]
+    return [p[0] if a.ndim == 0 else np.reshape(p, a.shape) for p in pw]
 
 
-def _pi2_powers(p2: float) -> tuple[float, float]:
-    return p2, p2**2
+def xi_weights(prior: Prior) -> XiWeights:
+    """The six closed-form products xi10..xi42 of pi1 and pi2.
 
-
-def xi_weights(prior: Prior | PriorGrid) -> XiWeights:
-    """The six closed-form products of pi1 and pi2; the one place prior weights are written.
-
-    For a PriorGrid each product is an array over the grid: the powers are
-    taken per axis value, as for a Prior, and each product is one broadcast
-    multiply of a (P1, 1) pi1 factor by a (1, P2) pi2 factor.
+    For an array prior each product is an array of the broadcast shape.
     """
-    if isinstance(prior, PriorGrid):
-        (p1, p1_2, p1_3, p1_4), (p2, p2_2) = prior.powers
-    else:
-        p1, p1_2, p1_3, p1_4 = _pi1_powers(prior.pi1)
-        p2, p2_2 = _pi2_powers(prior.pi2)
-    return XiWeights(p1, p1_2, p1_2 * p2, p1_3 * p2, p1_3 * p2_2, p1_4 * p2_2)
+    return prior._xi
 
 
 def prior_sums(prior: Prior, m: int) -> PriorSums:
     """Prior sums p_i0 and p_ij of the m-factor maximal model, in closed form.
+
+    pi1 and pi2 must be numbers here, not arrays.
 
     p_i0 is xi10 for a main effect and xi21 for an interaction.  p_ij is xi20
     for two mains, xi21 or xi31 for a main and an interaction that share or
@@ -162,13 +141,13 @@ def prior_sums(prior: Prior, m: int) -> PriorSums:
     return PriorSums(terms=terms, p0=p0, pij=pij)
 
 
-def qb_coefficients(prior: Prior | PriorGrid, m: int) -> tuple[float | np.ndarray, ...]:
+def qb_coefficients(prior: Prior, m: int) -> tuple[float | np.ndarray, ...]:
     """Word-count weights (w_1, ..., w_kmax) such that QB = sum_k w_k b_k.
 
     One weight per word count the maximal model uses: b_1, b_2 for first
     order and b_1..b_4 for second order, never more than m (no k-subsets
     exist beyond k = m).  Its length is the package's one k_max rule.  For
-    a PriorGrid each weight is an array over the grid.
+    an array prior each weight is an array.
     """
     xi10, xi20, xi21, xi31, xi32, xi42 = xi_weights(prior)
     if prior.order is ModelOrder.FIRST_ORDER:
@@ -183,11 +162,11 @@ def qb_coefficients(prior: Prior | PriorGrid, m: int) -> tuple[float | np.ndarra
     return coeff[:m]
 
 
-def qb_from_word_counts(w: WordCounts, prior: Prior | PriorGrid, m: int) -> float | np.ndarray:
+def qb_from_word_counts(w: WordCounts, prior: Prior, m: int) -> float | np.ndarray:
     """QB = sum_k w_k b_k over the weights of qb_coefficients(prior, m).
 
     The package's one QB evaluator: the optimizer, evaluate and sweep all
-    report through it.  A PriorGrid gives an array of QB over the grid.
+    report through it.  An array prior gives an array of QB.
     """
     n2 = w.runs * w.runs
     return sum(c * (w.s(k) / n2) for k, c in enumerate(qb_coefficients(prior, m), start=1))

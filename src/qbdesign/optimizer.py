@@ -54,7 +54,7 @@ import numpy as np
 from .criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from .design import Design
 from .errors import TooLargeError
-from .wordcounts import WordCounts, krawtchouk_table, run_distances, word_counts
+from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table, run_distances, word_counts
 
 QB_TIE_TOL = 1e-9
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
@@ -62,9 +62,6 @@ RESTARTS_PER_BLOCK = 64  # restarts advanced together
 # the restarts per block are cut to fit, and a search whose one restart does
 # not fit is refused before anything is allocated.
 BLOCK_BYTES = 2**27
-# Bytes of the int64 temporary of one row slice of the S_k sums when a block
-# is built; the block's own stacks are the only other arrays that size with N^2.
-BUILD_SLICE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RestartStat:
-    seed: int
+    restart: int
     qb: float
     sweeps: int
 
@@ -129,13 +126,7 @@ class _Block:
         self.n2 = self.n * self.n
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
         self.dist = run_distances(x)
-        # S_k summed over row slices, so the build holds little more than the budget
-        self.s = np.zeros((len(x), self.k_max), dtype=np.int64)
-        step = max(1, BUILD_SLICE_BYTES // (8 * len(x) * self.n))
-        for lo in range(0, self.n, step):
-            d = self.dist[:, lo : lo + step]
-            for k, kr in enumerate(kraw):
-                self.s[:, k] += kr[d].sum(axis=(1, 2))
+        self.s = krawtchouk_sums(self.dist, kraw)
         # K(d + 1) - K(d) and K(d - 1) - K(d), 0 where the step leaves 0..m,
         # as U = Dp - Dm and V = Dp + Dm indexed [d, k]
         diff = kraw[:, 1:] - kraw[:, :-1]
@@ -296,20 +287,25 @@ def _start(cfg: OptimizerConfig, r: int) -> np.ndarray:
     return rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1
 
 
-def _run_block(cfg: OptimizerConfig, lo: int, hi: int) -> list[tuple[int, float, int, np.ndarray]]:
-    """Restarts lo..hi-1 through the lockstep kernel, as (r, qb, sweeps, entries)."""
+def _run_block(
+    cfg: OptimizerConfig, lo: int, hi: int
+) -> tuple[tuple[RestartStat, ...], list[np.ndarray]]:
+    """Restarts lo..hi-1 through the lockstep kernel: their stats and final designs."""
     x = np.stack([_start(cfg, r) for r in range(lo, hi)])
     res = _exchange(x, cfg.prior, cfg.max_stale_sweeps, cfg.epsilon)
-    return [(r, qb, sweeps, entries) for r, (entries, qb, sweeps) in zip(range(lo, hi), res)]
+    stats = tuple(RestartStat(r, qb, sw) for r, (_, qb, sw) in zip(range(lo, hi), res))
+    return stats, [entries for entries, _, _ in res]
 
 
-def _collect(blocks, on_block) -> list[tuple[int, float, int, np.ndarray]]:
-    raw = []
-    for block in blocks:
-        raw += block
+def _collect(blocks, on_block) -> tuple[tuple[RestartStat, ...], list[np.ndarray]]:
+    """Every block's stats and designs, in restart order; on_block sees each block."""
+    log, designs = [], []
+    for stats, entries in blocks:
+        log += stats
+        designs += entries
         if on_block is not None:
-            on_block(tuple(RestartStat(seed=r, qb=qb, sweeps=sw) for r, qb, sw, _ in block))
-    return raw
+            on_block(stats)
+    return tuple(log), designs
 
 
 def _block_size(cfg: OptimizerConfig, threads: int) -> int:
@@ -355,25 +351,23 @@ def multi_restart(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(threads, len(los), os.cpu_count() or 1)) as pool:
-            raw = _collect(pool.map(_run_block, itertools.repeat(cfg), los, his), on_block)
+            blocks = pool.map(_run_block, itertools.repeat(cfg), los, his)
+            log, designs = _collect(blocks, on_block)
     else:
-        raw = _collect(map(_run_block, itertools.repeat(cfg), los, his), on_block)
+        log, designs = _collect(map(_run_block, itertools.repeat(cfg), los, his), on_block)
 
-    log = tuple(RestartStat(seed=r, qb=qb, sweeps=sw) for r, qb, sw, _ in raw)
     qb_min = min(st.qb for st in log)
-    eligible = [t for t in raw if t[1] <= qb_min + QB_TIE_TOL]
+    eligible = [st for st in log if st.qb <= qb_min + QB_TIE_TOL]
     best_as: float | None = None
     if cfg.tiebreak_as:
-        scored = []
-        for r, qb, sw, entries in eligible:
-            a = as_efficiency(Design(entries))
-            scored.append((-(a if a is not None else -np.inf), r, qb, entries, a))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        _, r, qb, entries, best_as = scored[0]
+        # the largest As wins, a non-estimable fit last; min keeps the first
+        # of equals, the lowest restart index
+        scored = [(st, as_efficiency(Design(designs[st.restart]))) for st in eligible]
+        winner, best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
     else:
-        r, qb, _, entries = eligible[0]
+        winner = eligible[0]
 
-    best = Design(entries)
+    best = Design(designs[winner.restart])
     wc = word_counts(best, len(qb_coefficients(cfg.prior, cfg.factors)))
     n_lb = int((best.column_sums() == 0).sum())
     return OptResult(

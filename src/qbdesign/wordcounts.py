@@ -34,6 +34,10 @@ import numpy as np
 from .design import Design, ModelOrder, model_terms
 from .errors import BadSubsetError, TooLargeError
 
+# Bytes of the int64 temporary of one row slice of the S_k sums; the
+# distances summed over are the only other array that sizes with N^2.
+SUM_SLICE_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class WordCounts:
@@ -116,6 +120,23 @@ def run_distances(x: np.ndarray) -> np.ndarray:
     return d
 
 
+def krawtchouk_sums(dist: np.ndarray, kraw: np.ndarray) -> np.ndarray:
+    """S = sum over r, r' of kraw[k, dist[..., r, r']], for every row k of kraw.
+
+    dist is a stack (..., N, N) of run distances; the result is int64 of
+    shape (..., len(kraw)).  The sums run over slices of rows, so no
+    temporary beside dist exceeds SUM_SLICE_BYTES (one row at the least).
+    """
+    lead = dist.shape[:-2]
+    s = np.zeros(lead + (len(kraw),), dtype=np.int64)
+    step = max(1, SUM_SLICE_BYTES // (8 * math.prod(lead) * dist.shape[-1]))
+    for lo in range(0, dist.shape[-2], step):
+        d = dist[..., lo : lo + step, :]
+        for k, kr in enumerate(kraw):
+            s[..., k] += kr[d].sum(axis=(-2, -1))
+    return s
+
+
 def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
     """S_k and b_k for k = 1..k_max from the run distances (see module docstring).
 
@@ -127,10 +148,8 @@ def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
         k_max = min(4, m)
     if not 1 <= k_max <= m:
         raise BadSubsetError(f"k_max must be in 1..{m}, got {k_max}")
-    table = krawtchouk_table(m, k_max, d.runs)
-    dist = run_distances(d.entries)
-    s_k = tuple(int(table[k, dist].sum()) for k in range(1, k_max + 1))
-    return WordCounts(runs=d.runs, s_k=s_k)
+    s_k = krawtchouk_sums(run_distances(d.entries), krawtchouk_table(m, k_max, d.runs)[1:])
+    return WordCounts(runs=d.runs, s_k=tuple(s_k.tolist()))
 
 
 def word_counts_from_xtx(a: np.ndarray, n_runs: int, m: int) -> WordCounts:

@@ -6,7 +6,6 @@ import pytest
 
 from qbdesign.criteria import (
     Prior,
-    PriorGrid,
     as_efficiency,
     centered_gram,
     es2,
@@ -128,7 +127,8 @@ class TestQbCoefficients:
 
 
 class TestPriorGrid:
-    """Weights on a grid are bit-equal to the scalar weights at every point."""
+    """A prior of a pi1 column by a pi2 row gives, at every grid point, the
+    bits a scalar prior at that point gives."""
 
     PI1 = np.minimum(0.1 + np.arange(701) * 0.001, 0.8)  # the paper's grid
     PI2 = np.minimum(np.arange(21) * 0.05, 1.0)
@@ -142,7 +142,7 @@ class TestPriorGrid:
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 14])
     def test_coefficients_bit_equal_to_scalar(self, order, m):
         pi2 = self.PI2 if order is SECOND else np.array([0.3])
-        grid = qb_coefficients(PriorGrid(self.PI1, pi2, order), m)
+        grid = qb_coefficients(Prior(self.PI1[:, None], pi2[None, :], order), m)
         for i, p1 in enumerate(self.PI1.tolist()):
             for j, p2 in enumerate(pi2.tolist()):
                 scalar = qb_coefficients(Prior(p1, p2, order), m)
@@ -158,7 +158,7 @@ class TestPriorGrid:
         for fid in ("case4.d1", "had16.proj3", "supp1.d2"):
             d = fx(fid).design
             w = word_counts(d)
-            qb = qb_from_word_counts(w, PriorGrid(pi1, self.PI2, SECOND), d.factors)
+            qb = qb_from_word_counts(w, Prior(pi1[:, None], self.PI2[None, :], SECOND), d.factors)
             assert qb.shape == (len(pi1), len(self.PI2))
             expected = [
                 [qb_from_word_counts(w, Prior(p1, p2, SECOND), d.factors) for p2 in pi2_values]
@@ -173,7 +173,27 @@ class TestPriorGrid:
             ([0.2], [-0.1], "pi2"),
         ):
             with pytest.raises(ValueError, match=f"{word} must be in"):
-                PriorGrid(np.array(pi1), np.array(pi2), SECOND)
+                Prior(np.array(pi1)[:, None], np.array(pi2)[None, :], SECOND)
+
+    def test_first_bad_value_named(self):
+        with pytest.raises(ValueError, match=r"^pi1 must be in \[0, 1\], got 1\.5$"):
+            Prior(np.array([[0.2, 1.5], [-3.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"^pi2 must be in \[0, 1\], got nan$"):
+            Prior(0.5, np.array([0.1, float("nan"), 7.0]), SECOND)
+        # a number is named as it was given
+        with pytest.raises(ValueError, match=r"^pi1 must be in \[0, 1\], got 3/2$"):
+            Prior(Fraction(3, 2))
+
+    def test_scalar_priors_compare_by_value(self):
+        assert Prior(0.3) == Prior(0.3)
+        assert Prior(0.3, 0.5, SECOND) != Prior(0.3, 0.6, SECOND)
+
+    def test_numpy_scalar_gives_python_powers(self):
+        # an np.float64, as numpy code hands it over, weighs like the float
+        for v in self.PI1.tolist():
+            assert xi_weights(Prior(np.float64(v), np.float64(v), SECOND)) == xi_weights(
+                Prior(v, v, SECOND)
+            )
 
 
 class TestQbFirstOrder:

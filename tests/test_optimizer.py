@@ -234,7 +234,7 @@ class TestMultiRestart:
         cfg = OptimizerConfig(runs=6, factors=3, prior=Prior(0.2), restarts=5, seed=4)
         res = multi_restart(cfg)
         assert len(res.restart_log) == 5
-        assert [st.seed for st in res.restart_log] == list(range(5))
+        assert [st.restart for st in res.restart_log] == list(range(5))
         assert all(st.sweeps >= 2 for st in res.restart_log)
 
     def test_tiebreak_prefers_larger_as(self):
@@ -375,7 +375,7 @@ class TestLockstep:
         cfg = OptimizerConfig(runs=8, factors=5, prior=Prior(0.35), restarts=150, seed=7)
         blocks = []
         res = multi_restart(cfg, threads=threads, on_block=blocks.append)
-        assert [st.seed for b in blocks for st in b] == list(range(150))
+        assert [st.restart for b in blocks for st in b] == list(range(150))
         assert tuple(st for b in blocks for st in b) == res.restart_log
         assert all(len(b) <= optimizer.RESTARTS_PER_BLOCK for b in blocks)
 

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qbdesign.design import Design, ModelOrder, information_matrix
+from qbdesign import wordcounts
+from qbdesign.design import Design, ModelOrder, information_matrix, random_design
 from qbdesign.errors import BadSubsetError, TooLargeError
 from qbdesign.wordcounts import (
     j_characteristic,
+    krawtchouk_sums,
     krawtchouk_table,
     run_distances,
     subset_diagnostics,
@@ -113,6 +116,32 @@ class TestKrawtchoukKernel:
             x = d.entries
             expected = (x[:, None, :] != x[None, :, :]).sum(axis=2)
             assert np.array_equal(run_distances(x), expected)
+
+    def test_sums_over_slices_equal_one_sum(self, monkeypatch):
+        # one row per slice, on one matrix and on a stack, against the
+        # unsliced table lookup
+        rng = np.random.Generator(np.random.Philox(key=59))
+        x = rng.integers(0, 2, size=(3, 13, 9)) * 2 - 1
+        dist = run_distances(x)
+        kraw = krawtchouk_table(9, 4, 13)[1:]
+        whole = np.array([[kr[d].sum() for kr in kraw] for d in dist])
+        monkeypatch.setattr(wordcounts, "SUM_SLICE_BYTES", 8)
+        assert np.array_equal(krawtchouk_sums(dist, kraw), whole)
+        assert np.array_equal(krawtchouk_sums(dist[1], kraw), whole[1])
+
+    def test_memory_stays_near_the_distances(self):
+        # beside the N x N distances the sums hold one row slice, not a
+        # second N x N table
+        n = 1500
+        d = random_design(n, 6, seed=61)
+        tracemalloc.start()
+        try:
+            w = word_counts(d, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n * n
+        assert w.s(1) == int(d.entries.sum(axis=0) @ d.entries.sum(axis=0))
 
     def test_int64_bound(self):
         # max |K_32(d; 64)| = C(64, 32) ~ 1.8e18: 2 runs fit in int64, 3 do not
