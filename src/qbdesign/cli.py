@@ -129,8 +129,6 @@ def cmd_optimize(args) -> int:
         prior=Prior(args.pi1, args.pi2, order),
         restarts=args.restarts,
         seed=args.seed,
-        max_stale_sweeps=args.stale_sweeps,
-        epsilon=args.epsilon,
         tiebreak_as=not args.no_tiebreak_as,
     )
 
@@ -160,11 +158,15 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _grid_size(lo: float, hi: float, step: float) -> int:
+def _grid_size(lo: float, hi: float, step: float, flag: str = "--") -> int:
     """Number of points lo + i*step up to hi; the count comes from the decimal
-    values as typed, so float error neither adds a point past hi nor drops hi."""
+    values as typed, so float error neither adds a point past hi nor drops hi.
+    An error names the axis's flags, {flag}lo, {flag}hi and {flag}step."""
     if not (math.isfinite(step) and step > 0) or not 0 <= lo < hi <= 1:
-        raise QbDesignError("need 0 <= lo < hi <= 1 and step > 0")
+        raise QbDesignError(
+            f"need 0 <= {flag}lo < {flag}hi <= 1 and {flag}step > 0,"
+            f" got {flag}lo {lo}, {flag}hi {hi}, {flag}step {step}"
+        )
     return int((Fraction(repr(hi)) - Fraction(repr(lo))) / Fraction(repr(step))) + 1
 
 
@@ -201,7 +203,7 @@ def cmd_sweep(args) -> int:
     two_d = args.pi2_lo is not None
     if two_d and order is ModelOrder.FIRST_ORDER:
         raise QbDesignError("a pi2 grid needs --order 2")
-    pi2_size = _grid_size(args.pi2_lo, args.pi2_hi, args.pi2_step) if two_d else 1
+    pi2_size = _grid_size(args.pi2_lo, args.pi2_hi, args.pi2_step, "--pi2-") if two_d else 1
     if pi1_size * pi2_size > MAX_GRID_POINTS:
         raise QbDesignError(
             f"the pi1 x pi2 grid has more than {MAX_GRID_POINTS} points; use a coarser step"
@@ -353,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi2", type=float, default=0.0)
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--stale-sweeps", type=int, default=2)
     p.add_argument("--no-tiebreak-as", action="store_true")
     p.add_argument("--output", "-o")
     p.add_argument("--threads", type=int, help="worker processes (default: QBDESIGN_THREADS or 1)")

@@ -27,14 +27,15 @@ Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
 and of at most BLOCK_BYTES of distances and designs, keeps its designs,
 distances and S_k stacked along a leading restart axis, and each restart
 has its own cursor: the row and column where its scan stands, its sweep
-count, its count of stale sweeps, and whether the current sweep has
-accepted a flip.  One iteration scores the current row of every running
-restart in one call, and each restart takes the first improving column at
-or after its cursor; all the flips taken go in as one update.  A restart
-then moves its cursor exactly as a scan of that restart alone would:
-past the flipped column, or to the next row when the row has no improving
-column left or the flip was in its last column; after the last row it ends
-the sweep, and it leaves the block after max_stale_sweeps stale sweeps.  No
+count, and whether the current sweep has accepted a flip.  One iteration
+scores the current row of every running restart in one call, and each
+restart takes the first improving column at or after its cursor; all the
+flips taken go in as one update.  A restart then moves its cursor exactly as
+a scan of that restart alone would: past the flipped column, or to the next
+row when the row has no improving column left or the flip was in its last
+column; after the last row it ends the sweep, and it leaves the block at the
+end of the first sweep that accepts nothing.  Its sweep count is the number
+of sweeps scanned, that last one included.  No
 quantity ever mixes restarts, and every decision rests on integer t_k and on
 the same float expression per restart.  So each restart follows the
 trajectory it would follow alone, and the results do not depend on the
@@ -44,7 +45,6 @@ block size or on the number of worker processes.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -57,6 +57,7 @@ from .errors import TooLargeError
 from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table, run_distances, word_counts
 
 QB_TIE_TOL = 1e-9
+IMPROVE_TOL = 1e-9  # a flip is taken when it lowers QB by more than this
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
 # Bytes of one block's int64 (R, N, N) run distances and (R, N, m) designs;
 # the restarts per block are cut to fit, and a search whose one restart does
@@ -73,8 +74,6 @@ class OptimizerConfig:
     prior: Prior
     restarts: int = 100
     seed: int = 0
-    max_stale_sweeps: int = 2
-    epsilon: float = 1e-9
     tiebreak_as: bool = True
 
     def __post_init__(self):
@@ -84,10 +83,6 @@ class OptimizerConfig:
             raise ValueError(f"factors must be >= 1, got {self.factors}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.max_stale_sweeps < 1:
-            raise ValueError("max_stale_sweeps must be >= 1")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
@@ -205,11 +200,7 @@ def _check_state(block: _Block, r: int, prior: Prior) -> None:
 
 
 def _exchange(
-    x: np.ndarray,
-    prior: Prior,
-    max_stale_sweeps: int,
-    epsilon: float,
-    debug: bool = False,
+    x: np.ndarray, prior: Prior, debug: bool = False
 ) -> list[tuple[np.ndarray, float, int]]:
     """Coordinate exchange from each start in the (R, N, m) stack x, in lockstep.
 
@@ -222,14 +213,13 @@ def _exchange(
     ids = np.arange(len(x))
     pos = np.zeros(len(x), dtype=np.intp)  # row * m + column of each cursor
     sweeps = np.ones(len(x), dtype=np.int64)
-    stale = np.zeros(len(x), dtype=np.int64)
     accepted = np.zeros(len(x), dtype=bool)  # in the current sweep
     out: list[tuple[np.ndarray, float, int]] = [None] * len(x)
     cols = np.arange(m)
     while len(ids):
         row, col = np.divmod(pos, m)
         delta, t = block.row_deltas(row)
-        improving = (delta < -epsilon) & (cols >= col[:, None])
+        improving = (delta < -IMPROVE_TOL) & (cols >= col[:, None])
         hit = improving.any(axis=1)
         j = improving.argmax(axis=1)
         at = np.flatnonzero(hit)
@@ -246,39 +236,33 @@ def _exchange(
         swept = pos == n * m
         if not swept.any():
             continue
+        # a sweep that accepts nothing leaves the design a local optimum
+        done = swept & ~accepted
         pos[swept] = 0
-        stale[swept] = np.where(accepted[swept], 0, stale[swept] + 1)
+        sweeps += swept & accepted
         accepted[swept] = False
-        done = stale >= max_stale_sweeps
-        sweeps += swept & ~done
         if done.any():
             for r in np.flatnonzero(done):
                 out[ids[r]] = (block.x[r].copy(), block.qb(r), int(sweeps[r]))
             keep = ~done
-            ids, pos, sweeps, stale, accepted = (a[keep] for a in (ids, pos, sweeps, stale, accepted))
+            ids, pos, sweeps, accepted = (a[keep] for a in (ids, pos, sweeps, accepted))
             block.keep(keep)
     return out
 
 
 def coordinate_exchange(
-    start: Design,
-    prior: Prior,
-    max_stale_sweeps: int = 2,
-    epsilon: float = 1e-9,
-    debug: bool = False,
+    start: Design, prior: Prior, debug: bool = False
 ) -> tuple[Design, float, int]:
     """Greedy first-improvement coordinate exchange from a given start.
 
     Sweeps all N*m coordinates row-major, accepting a flip iff it decreases
-    QB by more than epsilon; stops after `max_stale_sweeps` consecutive
-    sweeps without an accepted flip.  Returns (design, qb, sweeps).  With
-    debug=True the incremental state is checked against a from-scratch
-    recomputation after every accepted flip.  This is the lockstep kernel
-    run on a block of one.
+    QB by more than IMPROVE_TOL, and stops at the end of the first sweep
+    that accepts nothing.  Returns (design, qb, sweeps), sweeps counting
+    that last sweep.  With debug=True the incremental state is checked
+    against a from-scratch recomputation after every accepted flip.  This is
+    the lockstep kernel run on a block of one.
     """
-    [(entries, qb, sweeps)] = _exchange(
-        start.entries[None].copy(), prior, max_stale_sweeps, epsilon, debug
-    )
+    [(entries, qb, sweeps)] = _exchange(start.entries[None].copy(), prior, debug)
     return Design(entries), qb, sweeps
 
 
@@ -292,7 +276,7 @@ def _run_block(
 ) -> tuple[tuple[RestartStat, ...], list[np.ndarray]]:
     """Restarts lo..hi-1 through the lockstep kernel: their stats and final designs."""
     x = np.stack([_start(cfg, r) for r in range(lo, hi)])
-    res = _exchange(x, cfg.prior, cfg.max_stale_sweeps, cfg.epsilon)
+    res = _exchange(x, cfg.prior)
     stats = tuple(RestartStat(r, qb, sw) for r, (_, qb, sw) in zip(range(lo, hi), res))
     return stats, [entries for entries, _, _ in res]
 

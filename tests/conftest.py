@@ -77,32 +77,48 @@ def flip_one(block, i, j, t=None):
     block.flip(np.array([0]), np.array([i]), np.array([j]), t[None, :, j])
 
 
-def serial_coordinate_exchange(start, prior, max_stale_sweeps=2, epsilon=1e-9):
+def serial_coordinate_exchange(start, prior):
     """One restart of first-improvement coordinate exchange, row by row.
 
     The reference for the lockstep kernel: it scans rows in order, flips the
     first improving entry at or after the cursor and re-scores the rest of
-    the row, until `max_stale_sweeps` sweeps in a row accept nothing.
-    Returns (entries, qb, sweeps).
+    the row, until a sweep accepts nothing.  Returns (entries, qb, sweeps),
+    sweeps counting that last sweep.
     """
     block = block_of_one(start, prior)
-    sweeps = stale = 0
-    while stale < max_stale_sweeps:
+    sweeps = 0
+    while True:
         sweeps += 1
         accepted = 0
         for i in range(block.n):
             j = 0
             while j < block.m:
                 delta, t = row_of_one(block, i)
-                hits = np.flatnonzero(delta[j:] < -epsilon)
+                hits = np.flatnonzero(delta[j:] < -1e-9)
                 if not hits.size:
                     break
                 j += int(hits[0])
                 flip_one(block, i, j, t)
                 accepted += 1
                 j += 1
-        stale = stale + 1 if accepted == 0 else 0
-    return block.x[0].copy(), block.qb(0), sweeps
+        if not accepted:
+            return block.x[0].copy(), block.qb(0), sweeps
+
+
+def restart_starts(cfg):
+    """The random start of every restart of an OptimizerConfig, drawn as
+    multi_restart documents."""
+    return [
+        np.random.Generator(np.random.Philox(key=cfg.seed).jumped(r)).integers(
+            0, 2, size=(cfg.runs, cfg.factors)
+        ) * 2 - 1
+        for r in range(cfg.restarts)
+    ]
+
+
+def oracle_restarts(cfg):
+    """(entries, qb, sweeps) of every restart of cfg, by the serial oracle."""
+    return [serial_coordinate_exchange(Design(x), cfg.prior) for x in restart_starts(cfg)]
 
 
 def enumerated_projection_models(x, f, t):

@@ -24,7 +24,7 @@ from qbdesign.design import (
     random_design,
 )
 from qbdesign.fixtures import check_fixture, list_fixtures
-from qbdesign.optimizer import OptimizerConfig, multi_restart, qb_delta
+from qbdesign.optimizer import IMPROVE_TOL, OptimizerConfig, multi_restart, qb_delta
 from qbdesign.projection import projection_report
 from qbdesign.theory import balance_intervals, qb_block_value, verify_block_pattern
 from qbdesign.wordcounts import word_counts, word_counts_from_xtx
@@ -321,7 +321,7 @@ def test_criterion_9_local_optimality_and_deltas():
             res = multi_restart(cfg)
             for i in range(n):
                 for j in range(m):
-                    assert qb_delta(res.best, i, j, prior) >= -cfg.epsilon
+                    assert qb_delta(res.best, i, j, prior) >= -IMPROVE_TOL
 
         checked = 0
         while checked < 10_000:

@@ -8,9 +8,10 @@ import pytest
 
 from qbdesign import cli, optimizer
 from qbdesign.cli import main
-from qbdesign.design import load_design
+from qbdesign.criteria import Prior
+from qbdesign.design import ModelOrder, load_design
 
-from conftest import pointwise_sweep
+from conftest import oracle_restarts, pointwise_sweep
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "qbdesign" / "fixtures" / "data"
 
@@ -87,6 +88,32 @@ class TestOptimize:
         lines = [ln for ln in err.splitlines() if ln.startswith("restart=")]
         assert len(lines) == 3
         assert "qb=" in lines[0] and "sweeps=" in lines[0]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            optimizer.OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=10, seed=2),
+            optimizer.OptimizerConfig(
+                runs=24, factors=7, prior=Prior(0.8, 0.5, ModelOrder.SECOND_ORDER),
+                restarts=8, seed=5,
+            ),
+        ],
+    )
+    def test_progress_log_matches_oracle(self, capsys, cfg, threads):
+        order = "2" if cfg.prior.order is ModelOrder.SECOND_ORDER else "1"
+        code, _, err = run(
+            capsys,
+            "optimize", "--runs", str(cfg.runs), "--factors", str(cfg.factors),
+            "--order", order, "--pi1", str(cfg.prior.pi1), "--pi2", str(cfg.prior.pi2),
+            "--restarts", str(cfg.restarts), "--seed", str(cfg.seed),
+            "--progress", "--threads", threads,
+        )
+        assert code == 0
+        assert err.splitlines() == [
+            f"restart={r} seed={cfg.seed} qb={cli._fmt(qb)} sweeps={sweeps}"
+            for r, (_, qb, sweeps) in enumerate(oracle_restarts(cfg))
+        ]
 
     def test_progress_log_in_restart_order(self, capsys):
         args = (
@@ -541,12 +568,16 @@ class TestInputErrors:
         for flags, word in (
             (("--runs", "8", "--factors", "0"), "factors"),
             (("--runs", "1", "--factors", "4"), "runs"),
-            (("--runs", "8", "--factors", "4", "--epsilon", "nan"), "epsilon"),
-            (("--runs", "8", "--factors", "4", "--epsilon", "inf"), "epsilon"),
-            (("--runs", "8", "--factors", "4", "--epsilon=-1e-3"), "epsilon"),
         ):
             err = self.check(capsys, *base, *flags)
             assert word in err
+        # the search stops at its first sweep that accepts nothing; neither
+        # its improvement threshold nor a stale-sweep count is an option
+        for flags in (("--epsilon", "0"), ("--stale-sweeps", "2")):
+            with pytest.raises(SystemExit) as exc:
+                main([*base, "--runs", "8", "--factors", "4", *flags])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_evaluate_subsets_out_of_range(self, capsys):
         # supp1.d1 has m = 14 factors
@@ -640,6 +671,26 @@ class TestInputErrors:
         ):
             err = self.check(capsys, "sweep", d1, d2, *flags)
             assert "more than 1000000 points" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--lo", "0.5", "--hi", "0.2"),
+             "need 0 <= --lo < --hi <= 1 and --step > 0, got --lo 0.5, --hi 0.2, --step 0.001"),
+            (("--step", "0"),
+             "need 0 <= --lo < --hi <= 1 and --step > 0, got --lo 0.1, --hi 0.8, --step 0.0"),
+            # --pi2-lo above the default --pi2-hi
+            (("--order", "2", "--pi2-lo", "0.9"),
+             "need 0 <= --pi2-lo < --pi2-hi <= 1 and --pi2-step > 0,"
+             " got --pi2-lo 0.9, --pi2-hi 0.8, --pi2-step 0.1"),
+            (("--order", "2", "--pi2-lo", "0", "--pi2-hi", "1.5"),
+             "need 0 <= --pi2-lo < --pi2-hi <= 1 and --pi2-step > 0,"
+             " got --pi2-lo 0.0, --pi2-hi 1.5, --pi2-step 0.1"),
+        ],
+    )
+    def test_sweep_bad_axis_names_its_flags(self, capsys, flags, message):
+        err = self.check(capsys, "sweep", "fixture:had16", "fixture:case4.d1", *flags)
+        assert err == f"error: {message}\n"
 
     def test_sweep_bad_fixed_pi2(self, capsys):
         err = self.check(

@@ -21,9 +21,10 @@ from conftest import (
     enumerated_word_counts,
     flip_one,
     full_factorial,
+    oracle_restarts,
     random_designs,
+    restart_starts,
     row_of_one,
-    serial_coordinate_exchange,
 )
 
 SECOND = ModelOrder.SECOND_ORDER
@@ -167,16 +168,16 @@ class TestCoordinateExchange:
             prior = priors[seed % 2]
             start = random_design(10 + seed, 5 + seed, seed=seed)
             block = block_of_one(start, prior)
-            sweeps = stale = 0
-            while stale < 2:
+            sweeps = 0
+            accepted = True
+            while accepted:
                 sweeps += 1
-                accepted = 0
+                accepted = False
                 for i in range(block.n):
                     for j in range(block.m):
                         if row_of_one(block, i)[0][j] < -1e-9:
                             flip_one(block, i, j)
-                            accepted += 1
-                stale = stale + 1 if accepted == 0 else 0
+                            accepted = True
             best, qb, n_sweeps = coordinate_exchange(start, prior)
             assert np.array_equal(best.entries, block.x[0])
             assert (qb, n_sweeps) == (block.qb(0), sweeps)
@@ -235,7 +236,7 @@ class TestMultiRestart:
         res = multi_restart(cfg)
         assert len(res.restart_log) == 5
         assert [st.restart for st in res.restart_log] == list(range(5))
-        assert all(st.sweeps >= 2 for st in res.restart_log)
+        assert [st.sweeps for st in res.restart_log] == [sw for _, _, sw in oracle_restarts(cfg)]
 
     def test_tiebreak_prefers_larger_as(self):
         # N=10, m=9 has many QB-ties; the As tiebreak must never pick a
@@ -278,11 +279,11 @@ class TestMultiRestart:
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), epsilon=-1.0)
-        for eps in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="epsilon"):
-                OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), epsilon=eps)
+        # the search stops by one rule: no improvement threshold or stale-sweep count to set
+        with pytest.raises(TypeError, match="epsilon"):
+            OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), epsilon=1e-9)
+        with pytest.raises(TypeError, match="max_stale_sweeps"):
+            OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), max_stale_sweeps=2)
         with pytest.raises(ValueError, match="runs"):
             OptimizerConfig(runs=1, factors=4, prior=Prior(0.5))
         with pytest.raises(ValueError, match="factors"):
@@ -294,23 +295,6 @@ class TestMultiRestart:
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), seed=-1)
         with pytest.raises(ValueError):
             OptimizerConfig(runs=8, factors=4, prior=Prior(0.5), seed=2**128)
-
-
-def restart_starts(cfg):
-    """The random start of every restart, drawn as multi_restart documents."""
-    return [
-        np.random.Generator(np.random.Philox(key=cfg.seed).jumped(r)).integers(
-            0, 2, size=(cfg.runs, cfg.factors)
-        ) * 2 - 1
-        for r in range(cfg.restarts)
-    ]
-
-
-def oracle_restarts(cfg):
-    return [
-        serial_coordinate_exchange(Design(x), cfg.prior, cfg.max_stale_sweeps, cfg.epsilon)
-        for x in restart_starts(cfg)
-    ]
 
 
 def assert_matches_oracle(res, expected):
@@ -346,15 +330,13 @@ class TestLockstep:
             runs=n, factors=m, prior=prior, restarts=9, seed=13, tiebreak_as=False
         )
         expected = oracle_restarts(cfg)
-        got = optimizer._exchange(
-            np.stack(restart_starts(cfg)), prior, cfg.max_stale_sweeps, cfg.epsilon
-        )
+        got = optimizer._exchange(np.stack(restart_starts(cfg)), prior)
         for (x0, qb0, sw0), (x, qb, sw) in zip(expected, got, strict=True):
             assert np.array_equal(x, x0)
             assert (qb, sw) == (qb0, sw0)
         assert_matches_oracle(multi_restart(cfg), expected)
 
-    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    @pytest.mark.parametrize("per_block", [1, 3, 7, 64])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blocks_and_workers(self, monkeypatch, per_block, threads):
         monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
@@ -494,8 +476,8 @@ class TestDebugMode:
         prior = Prior(0.7, 0.4, SECOND)
         cfg = OptimizerConfig(runs=10, factors=5, prior=prior, restarts=6, seed=19)
         starts = np.stack(restart_starts(cfg))
-        debugged = optimizer._exchange(starts.copy(), prior, 2, 1e-9, debug=True)
-        plain = optimizer._exchange(starts.copy(), prior, 2, 1e-9)
+        debugged = optimizer._exchange(starts.copy(), prior, debug=True)
+        plain = optimizer._exchange(starts.copy(), prior)
         assert len(checks) > len(starts)
         for (x, qb, sw), (x0, qb0, sw0) in zip(debugged, plain, strict=True):
             assert np.array_equal(x, x0)
