@@ -1,10 +1,11 @@
 """Coordinate-exchange construction of QB-optimal designs.
 
 A random start is improved by scanning coordinates in row-major order and
-flipping the sign of any entry whose flip strictly improves QB; the scan
-repeats until a full sweep accepts nothing.  Restarts from independent random
-starts guard against local optima, with the As efficiency of the full
-main-effects fit as an optional tie-breaker among equal-QB results.
+flipping the sign of any entry whose flip strictly improves QB, sweep after
+sweep, until N*m coordinates in a row are rejected: the design is then a
+local optimum.  Restarts from independent random starts guard against
+local optima, with the As efficiency of the full main-effects fit as an
+optional tie-breaker among equal-QB results.
 
 The criterion is maintained incrementally and exactly through the
 distance form of the word counts (see `wordcounts`):
@@ -26,16 +27,15 @@ and every k is one small integer matmul over the N x m matrix of sg values
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
 and of at most BLOCK_BYTES of distances and designs, keeps its designs,
 distances and S_k stacked along a leading restart axis, and each restart
-has its own cursor: the row and column where its scan stands, its sweep
-count, and whether the current sweep has accepted a flip.  One iteration
-scores the current row of every running restart in one call, and each
-restart takes the first improving column at or after its cursor; all the
-flips taken go in as one update.  A restart then moves its cursor exactly as
-a scan of that restart alone would: past the flipped column, or to the next
-row when the row has no improving column left or the flip was in its last
-column; after the last row it ends the sweep, and it leaves the block at the
-end of the first sweep that accepts nothing.  Its sweep count is the number
-of sweeps scanned, that last one included.  No
+has one cursor: pos, the coordinates it has scanned over all sweeps, and
+last, pos just past its last flip.  One iteration scores the current row
+of every running restart in one call, and each restart takes the first
+improving column at or after its cursor; all the flips taken go in as one
+update.  A restart then moves its cursor exactly as a scan of that restart
+alone would: past the flipped column, or to the next row when the row has
+no improving column left or the flip was in its last column.  It leaves
+the block at the certificate pos - last >= N*m, inside the sweep after its
+last flip, and its sweep count is the sweeps begun, that one included.  No
 quantity ever mixes restarts, and every decision rests on integer t_k and on
 the same float expression per restart.  So each restart follows the
 trajectory it would follow alone, and the results do not depend on the
@@ -82,7 +82,7 @@ class OptimizerConfig:
         if self.factors < 1:
             raise ValueError(f"factors must be >= 1, got {self.factors}")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
@@ -205,19 +205,19 @@ def _exchange(
     """Coordinate exchange from each start in the (R, N, m) stack x, in lockstep.
 
     Every iteration scores the current row of each running restart and
-    takes, per restart, the first improving column at or after its cursor.
-    Returns (entries, qb, sweeps) per start, in input order.
+    takes, per restart, the first improving column at or after its cursor;
+    a restart is done once pos - last >= N*m.  Returns (entries, qb, sweeps)
+    per start, in input order, with sweeps = ceil(pos / (N*m)).
     """
     block = _Block(x, prior)
     n, m = block.n, block.m
     ids = np.arange(len(x))
-    pos = np.zeros(len(x), dtype=np.intp)  # row * m + column of each cursor
-    sweeps = np.ones(len(x), dtype=np.int64)
-    accepted = np.zeros(len(x), dtype=bool)  # in the current sweep
+    pos = np.zeros(len(x), dtype=np.intp)  # coordinates scanned, row-major, over all sweeps
+    last = np.zeros(len(x), dtype=np.intp)  # pos just past the last flip taken
     out: list[tuple[np.ndarray, float, int]] = [None] * len(x)
     cols = np.arange(m)
     while len(ids):
-        row, col = np.divmod(pos, m)
+        row, col = pos // m % n, pos % m
         delta, t = block.row_deltas(row)
         improving = (delta < -IMPROVE_TOL) & (cols >= col[:, None])
         hit = improving.any(axis=1)
@@ -229,23 +229,17 @@ def _exchange(
             if debug:
                 for r in at:
                     _check_state(block, r, prior)
-        accepted |= hit
         # on past the flip, or to the next row; a flip in the last column
         # ends the row without a re-evaluation
         pos += np.where(hit, j + 1, m) - col
-        swept = pos == n * m
-        if not swept.any():
-            continue
-        # a sweep that accepts nothing leaves the design a local optimum
-        done = swept & ~accepted
-        pos[swept] = 0
-        sweeps += swept & accepted
-        accepted[swept] = False
+        last[at] = pos[at]
+        # N*m rejections in a row, all against one state: a local optimum
+        done = pos - last >= n * m
         if done.any():
             for r in np.flatnonzero(done):
-                out[ids[r]] = (block.x[r].copy(), block.qb(r), int(sweeps[r]))
+                out[ids[r]] = (block.x[r].copy(), block.qb(r), -(-int(pos[r]) // (n * m)))
             keep = ~done
-            ids, pos, sweeps, accepted = (a[keep] for a in (ids, pos, sweeps, accepted))
+            ids, pos, last = ids[keep], pos[keep], last[keep]
             block.keep(keep)
     return out
 
@@ -255,10 +249,11 @@ def coordinate_exchange(
 ) -> tuple[Design, float, int]:
     """Greedy first-improvement coordinate exchange from a given start.
 
-    Sweeps all N*m coordinates row-major, accepting a flip iff it decreases
-    QB by more than IMPROVE_TOL, and stops at the end of the first sweep
-    that accepts nothing.  Returns (design, qb, sweeps), sweeps counting
-    that last sweep.  With debug=True the incremental state is checked
+    Sweeps the N*m coordinates row-major, accepting a flip iff it decreases
+    QB by more than IMPROVE_TOL, and stops once N*m coordinates in a row
+    have been rejected.  Returns (design, qb, sweeps), sweeps counting the
+    sweeps begun: the same count as scanning on to the end of the first
+    sweep that accepts nothing.  With debug=True the incremental state is checked
     against a from-scratch recomputation after every accepted flip.  This is
     the lockstep kernel run on a block of one.
     """
@@ -281,15 +276,22 @@ def _run_block(
     return stats, [entries for entries, _, _ in res]
 
 
-def _collect(blocks, on_block) -> tuple[tuple[RestartStat, ...], list[np.ndarray]]:
-    """Every block's stats and designs, in restart order; on_block sees each block."""
-    log, designs = [], []
+def _collect(blocks, on_block) -> tuple[tuple[RestartStat, ...], dict[RestartStat, np.ndarray]]:
+    """Every block's stats, in restart order, and the final designs of the
+    restarts within QB_TIE_TOL of the best QB; on_block sees each block.
+
+    The tie set is pruned to the running minimum after each block; a tie of
+    the final minimum is a tie of every running minimum, so none is dropped.
+    """
+    log, tied = [], {}
     for stats, entries in blocks:
         log += stats
-        designs += entries
+        tied.update(zip(stats, entries))
+        qb_min = min(st.qb for st in tied)
+        tied = {st: x for st, x in tied.items() if st.qb <= qb_min + QB_TIE_TOL}
         if on_block is not None:
             on_block(stats)
-    return tuple(log), designs
+    return tuple(log), tied
 
 
 def _block_size(cfg: OptimizerConfig, threads: int) -> int:
@@ -317,12 +319,12 @@ def multi_restart(
     schedule.  Restarts run in contiguous blocks of at most
     RESTARTS_PER_BLOCK, and of at most BLOCK_BYTES of run distances and
     designs (TooLargeError, before any allocation, when one restart does not
-    fit); with threads > 1 the blocks are spread over a
-    process pool of at most os.cpu_count() workers.  `on_block`, when
-    given, receives each block's restart stats in restart order as soon as
-    that block and every earlier one are done.  QB ties within 1e-9 are
-    broken by the larger main-effects As efficiency (when tiebreak_as is
-    set), then by restart index.
+    fit); with threads > 1 the blocks are spread over a process pool of at
+    most os.cpu_count() workers.  `on_block`, when given, receives each
+    block's restart stats in restart order as soon as that block and every
+    earlier one are done.  Only the final designs within QB_TIE_TOL of the
+    best QB are kept; among them the larger main-effects As efficiency wins
+    (when tiebreak_as is set), then the lower restart index.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -336,22 +338,19 @@ def multi_restart(
 
         with ProcessPoolExecutor(max_workers=min(threads, len(los), os.cpu_count() or 1)) as pool:
             blocks = pool.map(_run_block, itertools.repeat(cfg), los, his)
-            log, designs = _collect(blocks, on_block)
+            log, tied = _collect(blocks, on_block)
     else:
-        log, designs = _collect(map(_run_block, itertools.repeat(cfg), los, his), on_block)
+        log, tied = _collect(map(_run_block, itertools.repeat(cfg), los, his), on_block)
 
-    qb_min = min(st.qb for st in log)
-    eligible = [st for st in log if st.qb <= qb_min + QB_TIE_TOL]
+    tied_designs = [Design(x) for x in tied.values()]  # in restart order
     best_as: float | None = None
     if cfg.tiebreak_as:
         # the largest As wins, a non-estimable fit last; min keeps the first
         # of equals, the lowest restart index
-        scored = [(st, as_efficiency(Design(designs[st.restart]))) for st in eligible]
-        winner, best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
+        scored = [(d, as_efficiency(d)) for d in tied_designs]
+        best, best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
     else:
-        winner = eligible[0]
-
-    best = Design(designs[winner.restart])
+        best = tied_designs[0]
     wc = word_counts(best, len(qb_coefficients(cfg.prior, cfg.factors)))
     n_lb = int((best.column_sums() == 0).sum())
     return OptResult(

@@ -558,6 +558,14 @@ class TestInputErrors:
             )
             assert "--threads" in err
 
+    def test_optimize_restarts_below_one(self, capsys):
+        for restarts in ("0", "-3"):
+            err = self.check(
+                capsys, "optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3",
+                "--restarts", restarts,
+            )
+            assert err == f"error: restarts must be >= 1, got {restarts}\n"
+
     def test_project_threads_below_one(self, capsys):
         for threads in ("0", "-1"):
             err = self.check(capsys, "project", "fixture:had16", "--f", "3", "--threads", threads)

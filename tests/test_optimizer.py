@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from fractions import Fraction
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from qbdesign import optimizer
-from qbdesign.criteria import Prior, qb_coefficients, qb_from_word_counts
+from qbdesign.criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from qbdesign.design import Design, ModelOrder, random_design
 from qbdesign.errors import TooLargeError
 from qbdesign.optimizer import (
+    QB_TIE_TOL,
     OptimizerConfig,
     coordinate_exchange,
     multi_restart,
@@ -25,6 +27,7 @@ from conftest import (
     random_designs,
     restart_starts,
     row_of_one,
+    serial_coordinate_exchange,
 )
 
 SECOND = ModelOrder.SECOND_ORDER
@@ -137,6 +140,8 @@ class TestCoordinateExchange:
         best, qb, sweeps = coordinate_exchange(d, Prior(0.4))
         assert np.array_equal(best.entries, d.entries)
         assert qb == 0.0
+        # a start that is already a local optimum is certified in one sweep
+        assert sweeps == 1
 
     def test_trajectory_monotone(self):
         d = random_design(10, 6, seed=83)
@@ -231,6 +236,21 @@ class TestMultiRestart:
             best, qb, _ = coordinate_exchange(start, prior)
             assert qb == qb_from_word_counts(word_counts(best), prior, m)
 
+    def test_memory_does_not_grow_with_designs(self):
+        # only the designs tied on QB are kept, so ten times the restarts
+        # add little beyond the restart log
+        def peak(restarts):
+            cfg = OptimizerConfig(runs=24, factors=7, prior=Prior(0.1), restarts=restarts, seed=1)
+            tracemalloc.start()
+            try:
+                multi_restart(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # caches and imports out of the way
+        assert peak(640) < 1.5 * peak(64)
+
     def test_restart_log_shape(self):
         cfg = OptimizerConfig(runs=6, factors=3, prior=Prior(0.2), restarts=5, seed=4)
         res = multi_restart(cfg)
@@ -304,27 +324,73 @@ def assert_matches_oracle(res, expected):
     assert np.array_equal(res.best.entries, first)
 
 
+# Shapes of the lockstep tests: the benchmark's, the smallest there are, and
+# pi1 = 0 and 1, where every flip or none may tie
+LOCKSTEP_SHAPES = [
+    (12, 14, Prior(0.1)),
+    (24, 7, Prior(0.8, 0.5, SECOND)),
+    (16, 6, Prior(0.6, 0.4, SECOND)),
+    (20, 19, Prior(0.5, 0.5, SECOND)),
+    (2, 1, Prior(0.4)),
+    (2, 1, Prior(0.7, 0.3, SECOND)),
+    (3, 1, Prior(0.5, 0.5, SECOND)),
+    (4, 2, Prior(0.9, 0.2, SECOND)),
+    (6, 3, Prior(0.3, 0.9, SECOND)),
+    (8, 5, Prior(0.0)),
+    (8, 5, Prior(1.0)),
+    (10, 4, Prior(1.0, 1.0, SECOND)),
+    (10, 4, Prior(0.0, 0.5, SECOND)),
+]
+
+# Searches whose QB ties span blocks: in the 12x6 one the best QB first
+# appears at restart 70, after the first block of 64, and in the 10x9 one
+# the largest As among the ties is in the last block
+AS_TIE_CFGS = (
+    OptimizerConfig(runs=12, factors=6, prior=Prior(0.6, 0.4, SECOND), restarts=150, seed=33),
+    OptimizerConfig(runs=10, factors=9, prior=Prior(0.3), restarts=150, seed=4),
+)
+
+
+@functools.cache
+def as_tiebreak_oracle(cfg):
+    """The winner of cfg by brute force over oracle_restarts(cfg): QB within
+    QB_TIE_TOL of the least, then the largest As, then the lowest restart.
+
+    Returns (the tied restarts, the winner, its entries, its qb, its As).
+    """
+    runs = oracle_restarts(cfg)
+    qb_min = min(qb for _, qb, _ in runs)
+    tied = [r for r, (_, qb, _) in enumerate(runs) if qb <= qb_min + QB_TIE_TOL]
+    eff = {r: as_efficiency(Design(runs[r][0])) for r in tied}
+    winner = max(tied, key=lambda r: (-np.inf if eff[r] is None else eff[r], -r))
+    return tied, winner, runs[winner][0], runs[winner][1], eff[winner]
+
+
+def certified_rows(events, n, m):
+    """Row scorings a serial scan needs to reject N*m coordinates in a row
+    after its last flip, from its trajectory: events lists each row scoring
+    as ("row", i, None) and each flip as ("flip", i, j), in order.
+
+    Returns (the scorings up to the end of the row where the certificate
+    completes, the sweep that row is in, 1-based).
+    """
+    row_at, flip_at = [], []  # row-major index over all sweeps
+    for kind, i, j in events:
+        if kind == "row":
+            prev = row_at[-1] if row_at else -1
+            # the same row again after a flip, or the next row, wrapping round
+            row_at.append(prev if prev % n == i else prev + (i - prev) % n)
+        else:
+            flip_at.append(row_at[-1] * m + j)
+    last = flip_at[-1] + 1 if flip_at else 0
+    stop = -(-(last + n * m) // m) - 1  # the row whose end reaches last + N*m
+    return sum(r <= stop for r in row_at), stop // n + 1
+
+
 class TestLockstep:
     """The lockstep kernel against one-restart-at-a-time serial scans."""
 
-    @pytest.mark.parametrize(
-        "n, m, prior",
-        [
-            (12, 14, Prior(0.1)),
-            (24, 7, Prior(0.8, 0.5, SECOND)),
-            (16, 6, Prior(0.6, 0.4, SECOND)),
-            (20, 19, Prior(0.5, 0.5, SECOND)),
-            (2, 1, Prior(0.4)),
-            (2, 1, Prior(0.7, 0.3, SECOND)),
-            (3, 1, Prior(0.5, 0.5, SECOND)),
-            (4, 2, Prior(0.9, 0.2, SECOND)),
-            (6, 3, Prior(0.3, 0.9, SECOND)),
-            (8, 5, Prior(0.0)),
-            (8, 5, Prior(1.0)),
-            (10, 4, Prior(1.0, 1.0, SECOND)),
-            (10, 4, Prior(0.0, 0.5, SECOND)),
-        ],
-    )
+    @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES)
     def test_matches_serial_oracle(self, n, m, prior):
         cfg = OptimizerConfig(
             runs=n, factors=m, prior=prior, restarts=9, seed=13, tiebreak_as=False
@@ -351,6 +417,21 @@ class TestLockstep:
             assert_matches_oracle(res, oracle_restarts(cfg))
             assert all(0 < len(b) <= per_block for b in blocks)
             assert tuple(st for b in blocks for st in b) == res.restart_log
+
+    @pytest.mark.parametrize("per_block", [1, 3, 64])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_as_tiebreak_across_blocks(self, monkeypatch, per_block, threads):
+        # the cases the two searches stand for
+        assert as_tiebreak_oracle(AS_TIE_CFGS[0])[0][0] >= 64
+        tied, winner = as_tiebreak_oracle(AS_TIE_CFGS[1])[:2]
+        assert tied[0] < 64 <= 128 <= winner
+        monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
+        for cfg in AS_TIE_CFGS:
+            tied, winner, entries, qb, eff = as_tiebreak_oracle(cfg)
+            assert tied[-1] // 64 > tied[0] // 64
+            res = multi_restart(cfg, threads=threads)
+            assert np.array_equal(res.best.entries, entries)
+            assert (res.qb, res.as_main) == (qb, eff)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_callback_sees_every_restart_in_order(self, threads):
@@ -396,6 +477,39 @@ class TestLockstep:
         for threads in (0, -1):
             with pytest.raises(ValueError):
                 multi_restart(cfg, threads=threads)
+
+
+class TestCertifiedStop:
+    """A restart stops once N*m coordinates in a row have been rejected."""
+
+    def test_rows_scored_end_at_the_certificate(self, monkeypatch):
+        events = []
+        row_deltas, flip = optimizer._Block.row_deltas, optimizer._Block.flip
+
+        def scored(block, rows):
+            events.append(("row", int(rows[0]), None))
+            return row_deltas(block, rows)
+
+        def flipped(block, at, rows, cols, t):
+            events.append(("flip", int(rows[0]), int(cols[0])))
+            flip(block, at, rows, cols, t)
+
+        monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
+        monkeypatch.setattr(optimizer._Block, "flip", flipped)
+        tails = 0
+        for n, m, prior in LOCKSTEP_SHAPES:
+            cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
+            for x in restart_starts(cfg):
+                events.clear()
+                _, _, sweeps = serial_coordinate_exchange(Design(x), prior)
+                rows, certified_sweeps = certified_rows(events, n, m)
+                full_scan = sum(kind == "row" for kind, _, _ in events)
+                events.clear()
+                assert coordinate_exchange(Design(x), prior)[2] == sweeps == certified_sweeps
+                assert sum(kind == "row" for kind, _, _ in events) == rows
+                tails += rows < full_scan
+        # most restarts certify before the end of their last sweep
+        assert tails > len(LOCKSTEP_SHAPES)
 
 
 class TestBlockBudget:
