@@ -20,26 +20,26 @@ sg_r = x_ij * x_rj = +-1 (0 for r = i).  So
 with t_k an integer, and S_k stays exact along the whole search.  With the
 difference tables U = Dp - Dm and V = Dp + Dm, where Dp(d) = K_k(d + 1) -
 K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
-2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d), so t_k for all m flips of a row
+2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d).  So t_k for all m flips of a row
 and every k is one small integer matmul over the N x m matrix of sg values
-(the run itself, sg = 0, taken back out), in O(N m k_max).
+(the run itself, sg = 0, taken back out), in O(N m k_max).  The distances
+d_ir = (m - x_i . x_r) / 2 come from the design, so the designs and S_k are
+the whole state; the N x N distances are summed once, to build it.
 
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
-and of at most BLOCK_BYTES of distances and designs, keeps its designs,
-distances and S_k stacked along a leading restart axis, and each restart
-has one cursor: pos, the coordinates it has scanned over all sweeps, and
-last, pos just past its last flip.  One iteration scores the current row
-of every running restart in one call, and each restart takes the first
-improving column at or after its cursor; all the flips taken go in as one
-update.  A restart then moves its cursor exactly as a scan of that restart
-alone would: past the flipped column, or to the next row when the row has
-no improving column left or the flip was in its last column.  It leaves
-the block at the certificate pos - last >= N*m, inside the sweep after its
-last flip, and its sweep count is the sweeps begun, that one included.  No
-quantity ever mixes restarts, and every decision rests on integer t_k and on
-the same float expression per restart.  So each restart follows the
-trajectory it would follow alone, and the results do not depend on the
-block size or on the number of worker processes.
+whose build fits BLOCK_BYTES, stacks designs and S_k along a leading axis,
+and each restart has one cursor: pos, the coordinates it has scanned over
+all sweeps, and last, pos just past its last flip.  One iteration scores a
+window of rows from the cursor of every running restart: one row in a full
+block, more in the slots a small block or a block's tail leaves idle,
+within WINDOW_WORK multiply-adds.  Each restart takes its first improving
+coordinate at or after the cursor in row-major order, the serial scan's
+choice, since nothing flips between the rows of a window, and moves its
+cursor past it, or past the window.  It leaves the block at the certificate
+pos - last >= N*m; its sweep count is the sweeps begun.  No quantity mixes
+restarts, and every decision rests on integer t_k and on the same float
+expression per restart, so the results do not depend on the block size,
+the window width or the number of worker processes.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table, run_dista
 QB_TIE_TOL = 1e-9
 IMPROVE_TOL = 1e-9  # a flip is taken when it lowers QB by more than this
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
-# Bytes of one block's int64 (R, N, N) run distances and (R, N, m) designs;
-# the restarts per block are cut to fit, and a search whose one restart does
-# not fit is refused before anything is allocated.
+WINDOW_WORK = 2**16  # multiply-adds one iteration may spend on lookahead rows
+# Bytes of the int64 (R, N, N) run distances a block's build sums S_k over and
+# of its (R, N, m) designs; the restarts per block are cut to fit, and a search
+# whose one restart does not fit is refused before anything is allocated.
 BLOCK_BYTES = 2**27
 
 
@@ -105,11 +106,11 @@ class OptResult:
 
 
 class _Block:
-    """Stacked search state of R restarts: designs, run distances and exact S_k.
+    """Stacked search state of R restarts: designs and exact S_k.
 
-    x is (R, N, m), dist (R, N, N) and s (R, k_max), all int64 and owned by
-    the block.  row_deltas and flip are the package's one row-delta and one
-    flip update; qb_delta and coordinate_exchange run a block of one.
+    x is (R, N, m) and s (R, k_max), both int64 and owned by the block.
+    row_deltas and flip are the package's one row-delta and one flip update;
+    qb_delta and coordinate_exchange run a block of one.
     """
 
     def __init__(self, x: np.ndarray, prior: Prior):
@@ -120,16 +121,15 @@ class _Block:
         self.k_max = len(self.weights)
         self.n2 = self.n * self.n
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
-        self.dist = run_distances(x)
-        self.s = krawtchouk_sums(self.dist, kraw)
+        self.s = krawtchouk_sums(run_distances(x), kraw)
         # K(d + 1) - K(d) and K(d - 1) - K(d), 0 where the step leaves 0..m,
-        # as U = Dp - Dm and V = Dp + Dm indexed [d, k]
+        # as U = Dp - Dm and V = Dp + Dm side by side, indexed [d, (U | V)]
         diff = kraw[:, 1:] - kraw[:, :-1]
         dp = np.pad(diff, ((0, 0), (0, 1)))
         dm = np.pad(-diff, ((0, 0), (1, 0)))
-        self._u = np.ascontiguousarray((dp - dm).T)
-        self._v = np.ascontiguousarray((dp + dm).T)
+        self._uv = np.ascontiguousarray(np.concatenate([dp - dm, dp + dm]).T)
         self._own = 2 * diff[:, 0]
+        self._ones = np.ones(self.n, dtype=np.int64)
 
     def word_counts(self, r: int) -> WordCounts:
         """Restart r's exact word counts."""
@@ -140,24 +140,26 @@ class _Block:
         return qb_from_word_counts(self.word_counts(r), self.prior, self.m)
 
     def row_deltas(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """QB changes of sign-switching each entry of row rows[r], for every restart r.
+        """QB changes of sign-switching each entry of rows rows[r, l], for every restart r.
 
-        Returns (delta, t): delta[r, j] is the QB change of flipping
-        (rows[r], j) in restart r and t[r, k - 1, j] = (S_k' - S_k) / 4 the
-        integer behind it.
+        rows is (R, L).  Returns (delta, t): delta[r, l, j] is the QB change
+        of flipping (rows[r, l], j) in restart r and t[r, l, k - 1, j] =
+        (S_k' - S_k) / 4 the integer behind it.
         """
-        at = np.arange(len(rows))
-        di = self.dist[at, rows]
-        # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = +-1.  Summed over the
-        # runs r with sg_r = x_ij x_rj it is one integer matmul per restart,
-        # less the run itself (d = 0, sg = +1), whose distance does not move
-        moved = (np.swapaxes(self._u[di], 1, 2) @ self.x) * self.x[at, rows][:, None, :]
-        t = (moved + (self._v[di].sum(axis=1) - self._own)[:, :, None]) // 4
+        k, x = self.k_max, self.x
+        xi = x[np.arange(len(rows))[:, None], rows]
+        # the rows' distances to every run, (R, L, N), and U | V at them
+        uv = self._uv.take((self.m - xi @ np.swapaxes(x, 1, 2)) // 2, axis=0)
+        # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = x_ij x_rj = +-1.
+        # Summed over the runs r it is one integer matmul per row, less the
+        # run itself (d = 0, sg = +1), whose distance does not move
+        moved = (np.swapaxes(uv[..., :k], -1, -2) @ x[:, None]) * xi[:, :, None, :]
+        t = (moved + (self._ones @ uv[..., k:] - self._own)[..., None]) // 4
         # w_1 t_1 + w_2 t_2 + ... left to right, so each delta is the same
         # float a per-coordinate sum would give
-        acc = self.weights[0] * t[:, 0]
-        for k in range(1, self.k_max):
-            acc = acc + self.weights[k] * t[:, k]
+        acc = self.weights[0] * t[:, :, 0]
+        for kk in range(1, k):
+            acc = acc + self.weights[kk] * t[:, :, kk]
         return 4.0 * acc / self.n2, t
 
     def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
@@ -165,20 +167,12 @@ class _Block:
 
         t[h] holds the exact terms (S_k' - S_k) / 4 of that flip.
         """
-        h = np.arange(len(at))
-        col = self.x[at, :, cols]
-        xij = col[h, rows]
-        # run i's distances move by x_ij x_rj; its distance to itself stays 0
-        dist = self.dist[at, rows] + xij[:, None] * col
-        dist[h, rows] = 0
-        self.dist[at, rows] = dist
-        self.dist[at, :, rows] = dist
+        self.x[at, rows, cols] *= -1
         self.s[at] += 4 * t
-        self.x[at, rows, cols] = -xij
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the restarts where mask is False."""
-        self.x, self.dist, self.s = self.x[mask], self.dist[mask], self.s[mask]
+        self.x, self.s = self.x[mask], self.s[mask]
 
 
 def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
@@ -188,15 +182,14 @@ def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
     """
     if not (0 <= i < d.runs and 0 <= j < d.factors):
         raise IndexError(f"coordinate ({i}, {j}) out of range")
-    delta, _ = _Block(d.entries[None].copy(), prior).row_deltas(np.array([i]))
-    return float(delta[0, j])
+    delta, _ = _Block(d.entries[None].copy(), prior).row_deltas(np.array([[i]]))
+    return float(delta[0, 0, j])
 
 
 def _check_state(block: _Block, r: int, prior: Prior) -> None:
     """Assert restart r's incremental state equals a from-scratch rebuild."""
     fresh = _Block(block.x[r : r + 1].copy(), prior)
     assert np.array_equal(block.s[r], fresh.s[0])
-    assert np.array_equal(block.dist[r], fresh.dist[0])
 
 
 def _exchange(
@@ -204,10 +197,11 @@ def _exchange(
 ) -> list[tuple[np.ndarray, float, int]]:
     """Coordinate exchange from each start in the (R, N, m) stack x, in lockstep.
 
-    Every iteration scores the current row of each running restart and
-    takes, per restart, the first improving column at or after its cursor;
-    a restart is done once pos - last >= N*m.  Returns (entries, qb, sweeps)
-    per start, in input order, with sweeps = ceil(pos / (N*m)).
+    Every iteration scores a window of rows from each running restart's
+    cursor and takes, per restart, the first improving coordinate at or
+    after the cursor in row-major order; a restart is done once
+    pos - last >= N*m.  Returns (entries, qb, sweeps) per start, in input
+    order, with sweeps = ceil(pos / (N*m)).
     """
     block = _Block(x, prior)
     n, m = block.n, block.m
@@ -215,23 +209,27 @@ def _exchange(
     pos = np.zeros(len(x), dtype=np.intp)  # coordinates scanned, row-major, over all sweeps
     last = np.zeros(len(x), dtype=np.intp)  # pos just past the last flip taken
     out: list[tuple[np.ndarray, float, int]] = [None] * len(x)
-    cols = np.arange(m)
     while len(ids):
-        row, col = pos // m % n, pos % m
-        delta, t = block.row_deltas(row)
-        improving = (delta < -IMPROVE_TOL) & (cols >= col[:, None])
+        # the idle slots' worth of rows, within WINDOW_WORK multiply-adds
+        row_work = len(ids) * n * m * block.k_max
+        width = max(1, min(n, RESTARTS_PER_BLOCK // len(ids), WINDOW_WORK // row_work))
+        rows = ((pos // m)[:, None] + np.arange(width)) % n
+        col = pos % m
+        delta, t = block.row_deltas(rows)
+        improving = (delta < -IMPROVE_TOL).reshape(len(ids), -1)
+        improving &= np.arange(width * m) >= col[:, None]
         hit = improving.any(axis=1)
-        j = improving.argmax(axis=1)
+        c = improving.argmax(axis=1)
         at = np.flatnonzero(hit)
         if at.size:
-            j_at = j[at]
-            block.flip(at, row[at], j_at, t[at, :, j_at])
+            l, j = np.divmod(c[at], m)
+            block.flip(at, rows[at, l], j, t[at, l, :, j])
             if debug:
                 for r in at:
                     _check_state(block, r, prior)
-        # on past the flip, or to the next row; a flip in the last column
-        # ends the row without a re-evaluation
-        pos += np.where(hit, j + 1, m) - col
+        # past the flip, or the window, up to the certificate: that covers every
+        # coordinate against this state, so no window has a flip beyond it
+        pos = np.minimum(pos + np.where(hit, c + 1, width * m) - col, last + n * m)
         last[at] = pos[at]
         # N*m rejections in a row, all against one state: a local optimum
         done = pos - last >= n * m

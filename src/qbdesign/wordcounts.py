@@ -17,8 +17,9 @@ where d_rr' is the Hamming distance between runs r and r' and K_k is the
 Krawtchouk polynomial: the product x_rl x_r'l is -1 on the d_rr' factors
 where the runs differ and +1 on the others.  All S_k come from the N x N
 distance matrix in O(N^2 m) integer operations, with no intermediate that
-grows with C(m, k).  The optimizer keeps the same two pieces, the distance
-matrix and the Krawtchouk table, as its incremental state.
+grows with C(m, k).  The optimizer sums the distance matrix once per block
+of restarts; from then on it keeps only S_k and reads the distances of the
+rows it scores from the designs, through the same Krawtchouk table.
 """
 
 from __future__ import annotations

@@ -65,8 +65,8 @@ def block_of_one(d, prior):
 def row_of_one(block, i):
     """(delta, t) of row i of a block of one: delta[j] is the QB change of
     flipping (i, j) and t[k - 1, j] the exact term (S_k' - S_k) / 4."""
-    delta, t = block.row_deltas(np.array([i]))
-    return delta[0], t[0]
+    delta, t = block.row_deltas(np.array([[i]]))
+    return delta[0, 0], t[0, 0]
 
 
 def flip_one(block, i, j, t=None):

@@ -95,12 +95,14 @@ class TestQbDelta:
         d = random_design(10, 5, seed=77)
         prior = Prior(0.6, 0.3, ModelOrder.SECOND_ORDER)
         block = block_of_one(d, prior)
+        every_row = np.arange(10)[None]
         for _ in range(50):
             i, j = int(rng.integers(10)), int(rng.integers(5))
             flip_one(block, i, j)
             fresh = block_of_one(Design(block.x[0]), prior)
             assert np.array_equal(block.s, fresh.s)
-            assert np.array_equal(block.dist, fresh.dist)
+            for got, want in zip(block.row_deltas(every_row), fresh.row_deltas(every_row)):
+                assert np.array_equal(got, want)
             assert block.qb(0) == fresh.qb(0)
 
     @pytest.mark.parametrize(
@@ -342,6 +344,10 @@ LOCKSTEP_SHAPES = [
     (10, 4, Prior(0.0, 0.5, SECOND)),
 ]
 
+# More shapes for the lookahead windows, with their restarts: a 6x3 one at
+# pi1 = 0, and one whose rows cost enough that WINDOW_WORK cuts the window
+WINDOW_SHAPES = [(6, 3, Prior(0.0), 9), (64, 30, Prior(0.5, 0.5, SECOND), 4)]
+
 # Searches whose QB ties span blocks: in the 12x6 one the best QB first
 # appears at restart 70, after the first block of 64, and in the 10x9 one
 # the largest As among the ties is in the last block
@@ -349,6 +355,11 @@ AS_TIE_CFGS = (
     OptimizerConfig(runs=12, factors=6, prior=Prior(0.6, 0.4, SECOND), restarts=150, seed=33),
     OptimizerConfig(runs=10, factors=9, prior=Prior(0.3), restarts=150, seed=4),
 )
+
+
+@functools.cache
+def cached_oracle(cfg):
+    return oracle_restarts(cfg)
 
 
 @functools.cache
@@ -390,17 +401,38 @@ def certified_rows(events, n, m):
 class TestLockstep:
     """The lockstep kernel against one-restart-at-a-time serial scans."""
 
+    @staticmethod
+    def check_every_window(monkeypatch, cfg):
+        # WINDOW_WORK = 0 scores one row per restart and 2**62 every row of
+        # the idle slots, up to N; blocks of 1, 3 and 7 leave fewer slots idle
+        expected = cached_oracle(cfg)
+        for work in (0, optimizer.WINDOW_WORK, 2**62):
+            monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
+            for per_block in (1, 3, 7, 64):
+                monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
+                got = []
+                for lo in range(0, cfg.restarts, per_block):
+                    hi = min(lo + per_block, cfg.restarts)
+                    stats, entries = optimizer._run_block(cfg, lo, hi)
+                    got += zip(entries, stats)
+                for (x0, qb0, sw0), (x, st) in zip(expected, got, strict=True):
+                    assert np.array_equal(x, x0)
+                    assert (st.qb, st.sweeps) == (qb0, sw0)
+            assert_matches_oracle(multi_restart(cfg), expected)
+
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES)
-    def test_matches_serial_oracle(self, n, m, prior):
+    def test_matches_serial_oracle(self, monkeypatch, n, m, prior):
         cfg = OptimizerConfig(
             runs=n, factors=m, prior=prior, restarts=9, seed=13, tiebreak_as=False
         )
-        expected = oracle_restarts(cfg)
-        got = optimizer._exchange(np.stack(restart_starts(cfg)), prior)
-        for (x0, qb0, sw0), (x, qb, sw) in zip(expected, got, strict=True):
-            assert np.array_equal(x, x0)
-            assert (qb, sw) == (qb0, sw0)
-        assert_matches_oracle(multi_restart(cfg), expected)
+        self.check_every_window(monkeypatch, cfg)
+
+    @pytest.mark.parametrize("n, m, prior, restarts", WINDOW_SHAPES)
+    def test_every_window_matches_serial_oracle(self, monkeypatch, n, m, prior, restarts):
+        cfg = OptimizerConfig(
+            runs=n, factors=m, prior=prior, restarts=restarts, seed=13, tiebreak_as=False
+        )
+        self.check_every_window(monkeypatch, cfg)
 
     @pytest.mark.parametrize("per_block", [1, 3, 7, 64])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -414,7 +446,7 @@ class TestLockstep:
         ):
             blocks = []
             res = multi_restart(cfg, threads=threads, on_block=blocks.append)
-            assert_matches_oracle(res, oracle_restarts(cfg))
+            assert_matches_oracle(res, cached_oracle(cfg))
             assert all(0 < len(b) <= per_block for b in blocks)
             assert tuple(st for b in blocks for st in b) == res.restart_log
 
@@ -479,6 +511,22 @@ class TestLockstep:
                 multi_restart(cfg, threads=threads)
 
 
+def consumed_rows(events):
+    """The rows a cursor consumes, as certified_rows' events, from window
+    events: each ("rows", window, None) is scored in one call, and the
+    cursor consumes its rows through the flip row, or the whole window when
+    no ("flip", i, j) follows it."""
+    out = []
+    for (kind, rows, j), nxt in zip(events, events[1:] + [None]):
+        if kind == "flip":
+            out.append((kind, rows, j))
+            continue
+        if nxt is not None and nxt[0] == "flip":
+            rows = rows[: rows.index(nxt[1]) + 1]
+        out += [("row", i, None) for i in rows]
+    return out
+
+
 class TestCertifiedStop:
     """A restart stops once N*m coordinates in a row have been rejected."""
 
@@ -487,7 +535,7 @@ class TestCertifiedStop:
         row_deltas, flip = optimizer._Block.row_deltas, optimizer._Block.flip
 
         def scored(block, rows):
-            events.append(("row", int(rows[0]), None))
+            events.append(("rows", rows[0].tolist(), None))
             return row_deltas(block, rows)
 
         def flipped(block, at, rows, cols, t):
@@ -496,20 +544,29 @@ class TestCertifiedStop:
 
         monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
         monkeypatch.setattr(optimizer._Block, "flip", flipped)
-        tails = 0
-        for n, m, prior in LOCKSTEP_SHAPES:
-            cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
-            for x in restart_starts(cfg):
-                events.clear()
-                _, _, sweeps = serial_coordinate_exchange(Design(x), prior)
-                rows, certified_sweeps = certified_rows(events, n, m)
-                full_scan = sum(kind == "row" for kind, _, _ in events)
-                events.clear()
-                assert coordinate_exchange(Design(x), prior)[2] == sweeps == certified_sweeps
-                assert sum(kind == "row" for kind, _, _ in events) == rows
-                tails += rows < full_scan
-        # most restarts certify before the end of their last sweep
-        assert tails > len(LOCKSTEP_SHAPES)
+        for work in (0, optimizer.WINDOW_WORK):
+            monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
+            tails = windows = 0
+            for n, m, prior in LOCKSTEP_SHAPES:
+                cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
+                for x in restart_starts(cfg):
+                    events.clear()
+                    _, _, sweeps = serial_coordinate_exchange(Design(x), prior)
+                    rows, certified_sweeps = certified_rows(consumed_rows(events), n, m)
+                    full_scan = len(events) - sum(kind == "flip" for kind, _, _ in events)
+                    events.clear()
+                    assert coordinate_exchange(Design(x), prior)[2] == sweeps == certified_sweeps
+                    # the rows the cursor consumes up to the certificate are the
+                    # serial scan's, in at most as many calls
+                    iterations = sum(kind == "rows" for kind, _, _ in events)
+                    assert certified_rows(consumed_rows(events), n, m)[0] == rows
+                    assert iterations <= rows
+                    tails += rows < full_scan
+                    windows += iterations < rows
+            # most restarts certify before the end of their last sweep
+            assert tails > len(LOCKSTEP_SHAPES)
+            # a restart alone scores lookahead rows unless WINDOW_WORK forbids it
+            assert (windows > 0) == (work > 0)
 
 
 class TestBlockBudget:
@@ -559,6 +616,22 @@ class TestBlockBudget:
         assert peak <= 1.1 * budget
         assert block.word_counts(0) == word_counts(Design(x[0]), block.k_max)
 
+    @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
+    def test_block_holds_no_distances(self, prior):
+        # the run distances are a temporary of the build: what the block keeps
+        # beside its design is O(N + m k), not O(N^2)
+        n, m = 1500, 3
+        x = random_design(n, m, 4).entries[None].copy()
+        tracemalloc.start()
+        try:
+            block = optimizer._Block(x, prior)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * 8 * n * m
+        arrays = [v for v in vars(block).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) == n * m
+
     def test_budget_splits_blocks_without_changing_results(self, monkeypatch):
         cfg = self.cfg(12, 14, restarts=10, seed=2, tiebreak_as=False)
         reference = multi_restart(cfg)
@@ -579,23 +652,34 @@ class TestDebugMode:
         assert qb == qb2
 
     def test_debug_on_a_block(self, monkeypatch):
-        checks = []
-        check_state = optimizer._check_state
+        checks, widths = [], set()
+        check_state, row_deltas = optimizer._check_state, optimizer._Block.row_deltas
 
         def counted(block, r, prior):
             checks.append(r)
             check_state(block, r, prior)
 
+        def scored(block, rows):
+            widths.add(rows.shape[1])
+            return row_deltas(block, rows)
+
         monkeypatch.setattr(optimizer, "_check_state", counted)
+        monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
         prior = Prior(0.7, 0.4, SECOND)
         cfg = OptimizerConfig(runs=10, factors=5, prior=prior, restarts=6, seed=19)
         starts = np.stack(restart_starts(cfg))
-        debugged = optimizer._exchange(starts.copy(), prior, debug=True)
-        plain = optimizer._exchange(starts.copy(), prior)
-        assert len(checks) > len(starts)
-        for (x, qb, sw), (x0, qb0, sw0) in zip(debugged, plain, strict=True):
-            assert np.array_equal(x, x0)
-            assert (qb, sw) == (qb0, sw0)
+        # one row per restart, then the default lookahead windows
+        for work in (0, optimizer.WINDOW_WORK):
+            monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
+            checks.clear()
+            widths.clear()
+            debugged = optimizer._exchange(starts.copy(), prior, debug=True)
+            plain = optimizer._exchange(starts.copy(), prior)
+            assert len(checks) > len(starts)
+            assert (max(widths) > 1) == (work > 0)
+            for (x, qb, sw), (x0, qb0, sw0) in zip(debugged, plain, strict=True):
+                assert np.array_equal(x, x0)
+                assert (qb, sw) == (qb0, sw0)
 
     def test_debug_catches_a_broken_state(self):
         prior = Prior(0.4)
