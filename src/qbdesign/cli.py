@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -331,6 +332,7 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main only parses
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qbdesign",

@@ -21,10 +21,12 @@ with t_k an integer, and S_k stays exact along the whole search.  With the
 difference tables U = Dp - Dm and V = Dp + Dm, where Dp(d) = K_k(d + 1) -
 K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
 2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d).  So t_k for all m flips of a row
-and every k is one small integer matmul over the N x m matrix of sg values
-(the run itself, sg = 0, taken back out), in O(N m k_max).  The distances
-d_ir = (m - x_i . x_r) / 2 come from the design, so the designs and S_k are
-the whole state; the N x N distances are summed once, to build it.
+and every k is one small float64 BLAS matmul over the N x m matrix of sg
+values (the run itself, sg = 0, taken back out), in O(N m k_max); it is
+exact, as a block refuses a table whose partial sums could reach 2^53 (at
+the int64 check's largest m, N = 2, they stay under 0.29 * 2^53).  The
+distances d_ir = (m - x_i . x_r) / 2 come from the design, so the designs
+and S_k are the whole state; the N x N distances are summed once.
 
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
 whose build fits BLOCK_BYTES, stacks designs and S_k along a leading axis,
@@ -47,7 +49,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,8 +90,7 @@ class OptimizerConfig:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
-@dataclass(frozen=True)
-class RestartStat:
+class RestartStat(NamedTuple):  # a tuple: a long log stays small, and it pickles
     restart: int
     qb: float
     sweeps: int
@@ -127,9 +128,14 @@ class _Block:
         diff = kraw[:, 1:] - kraw[:, :-1]
         dp = np.pad(diff, ((0, 0), (0, 1)))
         dm = np.pad(-diff, ((0, 0), (1, 0)))
-        self._uv = np.ascontiguousarray(np.concatenate([dp - dm, dp + dm]).T)
-        self._own = 2 * diff[:, 0]
-        self._ones = np.ones(self.n, dtype=np.int64)
+        uv = np.concatenate([dp - dm, dp + dm]).T
+        # row_deltas sums these in float64: exact while its partial sums, at
+        # most 2 (N + 1) max |U|, |V|, stay below 2^53
+        if 2 * (self.n + 1) * int(np.abs(uv).max()) >= 2**53:
+            raise TooLargeError(f"row deltas of a {self.n}x{self.m} design pass exact float64")
+        self._uv = np.ascontiguousarray(uv, dtype=np.float64)
+        self._own = 2.0 * diff[:, 0]
+        self._ones = np.ones(self.n)
 
     def word_counts(self, r: int) -> WordCounts:
         """Restart r's exact word counts."""
@@ -146,21 +152,23 @@ class _Block:
         of flipping (rows[r, l], j) in restart r and t[r, l, k - 1, j] =
         (S_k' - S_k) / 4 the integer behind it.
         """
-        k, x = self.k_max, self.x
+        k, x = self.k_max, self.x.astype(np.float64)
         xi = x[np.arange(len(rows))[:, None], rows]
         # the rows' distances to every run, (R, L, N), and U | V at them
-        uv = self._uv.take((self.m - xi @ np.swapaxes(x, 1, 2)) // 2, axis=0)
+        dist = ((self.m - xi @ np.swapaxes(x, 1, 2)) * 0.5).astype(np.intp)
+        uv = self._uv.take(dist, axis=0)
         # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = x_ij x_rj = +-1.
-        # Summed over the runs r it is one integer matmul per row, less the
-        # run itself (d = 0, sg = +1), whose distance does not move
-        moved = (np.swapaxes(uv[..., :k], -1, -2) @ x[:, None]) * xi[:, :, None, :]
-        t = (moved + (self._ones @ uv[..., k:] - self._own)[..., None]) // 4
+        # Summed over the runs r it is one float64 matmul per row, exact on these
+        # integers, less the run itself (d = 0, sg = +1), whose distance does not move
+        t = (np.swapaxes(uv[..., :k], -1, -2) @ x[:, None]) * xi[:, :, None, :]
+        t += (self._ones @ uv[..., k:] - self._own)[..., None]
+        t *= 0.25
         # w_1 t_1 + w_2 t_2 + ... left to right, so each delta is the same
         # float a per-coordinate sum would give
         acc = self.weights[0] * t[:, :, 0]
         for kk in range(1, k):
             acc = acc + self.weights[kk] * t[:, :, kk]
-        return 4.0 * acc / self.n2, t
+        return 4.0 * acc / self.n2, t.astype(np.int64)
 
     def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
         """Sign-switch entry (rows[h], cols[h]) of restart at[h], for every h.
@@ -260,7 +268,7 @@ def coordinate_exchange(
 
 
 def _start(cfg: OptimizerConfig, r: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(r))
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=r << 128))
     return rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1
 
 
@@ -281,15 +289,18 @@ def _collect(blocks, on_block) -> tuple[tuple[RestartStat, ...], dict[RestartSta
     The tie set is pruned to the running minimum after each block; a tie of
     the final minimum is a tie of every running minimum, so none is dropped.
     """
-    log, tied = [], {}
+    qbs, sweeps, tied = [], [], {}
     for stats, entries in blocks:
-        log += stats
+        qbs += [st.qb for st in stats]
+        sweeps += [st.sweeps for st in stats]
         tied.update(zip(stats, entries))
+        del entries  # freed before the next block runs, not while it runs
         qb_min = min(st.qb for st in tied)
         tied = {st: x for st, x in tied.items() if st.qb <= qb_min + QB_TIE_TOL}
         if on_block is not None:
             on_block(stats)
-    return tuple(log), tied
+    # built after the last block, so the records never sit beside a running block
+    return tuple(map(RestartStat, range(len(qbs)), qbs, sweeps)), tied
 
 
 def _block_size(cfg: OptimizerConfig, threads: int) -> int:
@@ -313,8 +324,9 @@ def multi_restart(
     """Coordinate exchange from `restarts` random starts; deterministic reduction.
 
     Restart r draws its start from the Philox stream jumped r times from
-    cfg.seed, so results are reproducible and independent of the execution
-    schedule.  Restarts run in contiguous blocks of at most
+    cfg.seed, seeded at that state (counter r * 2^128), so results are
+    reproducible and independent of the execution schedule.  Restarts run
+    in contiguous blocks of at most
     RESTARTS_PER_BLOCK, and of at most BLOCK_BYTES of run distances and
     designs (TooLargeError, before any allocation, when one restart does not
     fit); with threads > 1 the blocks are spread over a process pool of at

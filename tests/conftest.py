@@ -1,13 +1,20 @@
 import functools
 import io
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qbdesign import cli
-from qbdesign.criteria import RCOND_SINGULAR, Prior, PriorSums, qb_from_word_counts
+from qbdesign.criteria import (
+    RCOND_SINGULAR,
+    Prior,
+    PriorSums,
+    qb_coefficients,
+    qb_from_word_counts,
+)
 from qbdesign.design import Design, ModelOrder, model_terms
 from qbdesign.fixtures import load_fixture
 from qbdesign.optimizer import _Block
@@ -105,15 +112,52 @@ def serial_coordinate_exchange(start, prior):
             return block.x[0].copy(), block.qb(0), sweeps
 
 
-def restart_starts(cfg):
-    """The random start of every restart of an OptimizerConfig, drawn as
-    multi_restart documents."""
+def restart_starts(cfg, restarts=None):
+    """The random starts of the given restarts (default: every restart) of an
+    OptimizerConfig, drawn as multi_restart documents: restart r from the
+    Philox stream of cfg.seed jumped r times."""
     return [
         np.random.Generator(np.random.Philox(key=cfg.seed).jumped(r)).integers(
             0, 2, size=(cfg.runs, cfg.factors)
         ) * 2 - 1
-        for r in range(cfg.restarts)
+        for r in (range(cfg.restarts) if restarts is None else restarts)
     ]
+
+
+def krawtchouk(k, d, m):
+    """K_k(d; m) = sum_j (-1)^j C(d, j) C(m - d, k - j), as a Python int."""
+    return sum((-1) ** j * math.comb(d, j) * math.comb(m - d, k - j) for j in range(k + 1))
+
+
+def reference_row_deltas(x, rows, prior, scale=1):
+    """(delta, t) of _Block.row_deltas for the (R, N, m) stack x and the
+    (R, L) rows, in int64 from the optimizer's module docstring.
+
+    The reference for the float64 row-delta kernel: flipping (i, j) moves
+    each distance d_ir to d_ir + sg_r, sg_r = x_ij x_rj (0 for r = i), so
+    S_k' - S_k = 2 sum_r [K_k(d_ir + sg_r) - K_k(d_ir)] = 4 t_k, and delta
+    is 4 (w_1 t_1 + w_2 t_2 + ...) / N^2, summed left to right.  K is taken
+    times scale, as a test may scale the optimizer's table; only the values
+    the distances reach are computed, so a long design costs little.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    r_, n, m = x.shape
+    weights = qb_coefficients(prior, m)
+    xi = x[np.arange(r_)[:, None], rows]  # (R, L, m)
+    d = (m - (xi[:, :, None, :] * x[:, None]).sum(axis=-1)) // 2  # (R, L, N)
+    sg = xi[:, :, None, :] * x[:, None]  # (R, L, N, m)
+    sg[rows[:, :, None] == np.arange(n)] = 0  # the run itself does not move
+    moved = d[..., None] + sg
+    table = np.zeros((len(weights), m + 1), dtype=np.int64)
+    for v in np.union1d(moved, d).tolist():
+        table[:, v] = [scale * krawtchouk(k, v, m) for k in range(1, len(weights) + 1)]
+    change = 2 * (table[:, moved] - table[:, d][..., None]).sum(axis=-2)  # (k, R, L, m)
+    assert not (change % 4).any()
+    t = np.moveaxis(change // 4, 0, 2)
+    acc = weights[0] * t[:, :, 0]
+    for k in range(1, len(weights)):
+        acc = acc + weights[k] * t[:, :, k]
+    return 4.0 * acc / (n * n), t
 
 
 def oracle_restarts(cfg):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,22 @@ from qbdesign.design import ModelOrder, load_design
 from conftest import oracle_restarts, pointwise_sweep
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "qbdesign" / "fixtures" / "data"
+EXPECTED = Path(__file__).resolve().parent / "expected"
+
+# The optimize --progress runs of CI's process-pool step, by the name of
+# their frozen stdout and stderr in tests/expected: blocks of 64 + 64 + 64 +
+# 8, 64 + 64 + 2, 64 + 6 and 64 + 36 restarts with one worker
+FROZEN_OPTIMIZE = {
+    "12x14": "--runs 12 --factors 14 --pi1 0.1 --restarts 200 --seed 1",
+    "24x7-order2": "--runs 24 --factors 7 --order 2 --pi1 0.8 --pi2 0.5 --restarts 130 --seed 3",
+    "64x30-order2": "--runs 64 --factors 30 --order 2 --pi1 0.5 --pi2 0.5 --restarts 70 --seed 1",
+    "16x6-order2": "--runs 16 --factors 6 --order 2 --pi1 0.6 --pi2 0.4 --restarts 100 --seed 5",
+}
+
+
+def frozen(name):
+    """The frozen (stdout, stderr) of FROZEN_OPTIMIZE[name]."""
+    return tuple((EXPECTED / f"optimize-{name}.{ext}").read_text() for ext in ("out", "err"))
 
 
 def run(capsys, *argv):
@@ -129,6 +146,49 @@ class TestOptimize:
         assert logs[0] == logs[1]
         starts = [ln.split()[0] for ln in logs[0].splitlines()]
         assert starts == [f"restart={r}" for r in range(9)]
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", FROZEN_OPTIMIZE)
+    def test_optimize_progress_bytes(self, capsys, name, threads):
+        argv = ("optimize", *FROZEN_OPTIMIZE[name].split(), "--progress", "--threads", threads)
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert (out, err) == frozen(name)
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rejected_call_leaves_the_parser_as_built(self, capsys):
+        for bad in (["optimize", "--runs", "x"], ["optimize", "--order", "3"], ["nope"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "optimize", *FROZEN_OPTIMIZE["12x14"].split(), "--progress")
+        assert code == 0
+        assert (out, err) == frozen("12x14")
+
+    @staticmethod
+    def help_text(capsys, monkeypatch, parser):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["optimize", "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_optimize_help_of_a_used_parser(self, capsys, monkeypatch):
+        run(capsys, "optimize", "--runs", "4", "--factors", "3", "--pi1", "0.3", "--restarts", "2")
+        fresh = self.help_text(capsys, monkeypatch, cli.build_parser.__wrapped__())
+        assert self.help_text(capsys, monkeypatch, cli.build_parser()) == fresh
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 lays out help anew")
+    def test_optimize_help_bytes(self, capsys, monkeypatch):
+        got = self.help_text(capsys, monkeypatch, cli.build_parser())
+        assert got == (EXPECTED / "optimize-help.txt").read_text()
 
 
 class TestSweep:

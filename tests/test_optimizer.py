@@ -1,4 +1,5 @@
 import functools
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from qbdesign.optimizer import (
     multi_restart,
     qb_delta,
 )
-from qbdesign.wordcounts import WordCounts, word_counts
+from qbdesign.wordcounts import WordCounts, krawtchouk_table, word_counts
 
 from conftest import (
     block_of_one,
@@ -25,6 +26,7 @@ from conftest import (
     full_factorial,
     oracle_restarts,
     random_designs,
+    reference_row_deltas,
     restart_starts,
     row_of_one,
     serial_coordinate_exchange,
@@ -239,10 +241,11 @@ class TestMultiRestart:
             assert qb == qb_from_word_counts(word_counts(best), prior, m)
 
     def test_memory_does_not_grow_with_designs(self):
-        # only the designs tied on QB are kept, so ten times the restarts
-        # add little beyond the restart log
-        def peak(restarts):
-            cfg = OptimizerConfig(runs=24, factors=7, prior=Prior(0.1), restarts=restarts, seed=1)
+        # only the designs tied on QB are kept, and a finished restart costs
+        # a few bytes until the search ends, so ten times the restarts stay
+        # well within the peak of one block
+        def peak(n, m, restarts):
+            cfg = OptimizerConfig(runs=n, factors=m, prior=Prior(0.1), restarts=restarts, seed=1)
             tracemalloc.start()
             try:
                 multi_restart(cfg)
@@ -250,8 +253,9 @@ class TestMultiRestart:
             finally:
                 tracemalloc.stop()
 
-        peak(2)  # caches and imports out of the way
-        assert peak(640) < 1.5 * peak(64)
+        for n, m in ((24, 7), (12, 14)):
+            peak(n, m, 2)  # caches and imports out of the way
+            assert peak(n, m, 640) < 1.3 * peak(n, m, 64)
 
     def test_restart_log_shape(self):
         cfg = OptimizerConfig(runs=6, factors=3, prior=Prior(0.2), restarts=5, seed=4)
@@ -259,6 +263,10 @@ class TestMultiRestart:
         assert len(res.restart_log) == 5
         assert [st.restart for st in res.restart_log] == list(range(5))
         assert [st.sweeps for st in res.restart_log] == [sw for _, _, sw in oracle_restarts(cfg)]
+        # records cross the process pool
+        back = pickle.loads(pickle.dumps(res.restart_log))
+        assert back == res.restart_log
+        assert all(type(st) is optimizer.RestartStat for st in back)
 
     def test_tiebreak_prefers_larger_as(self):
         # N=10, m=9 has many QB-ties; the As tiebreak must never pick a
@@ -732,3 +740,62 @@ class TestTheoryConsistency:
                     if res.qb > theory + 1e-9:
                         misses += 1
         assert misses <= 4
+
+
+class TestFloatRowDeltas:
+    """The float64 row-delta kernel against the int64 reference of the docstring."""
+
+    @staticmethod
+    def check_every_width(block, prior, scale=1):
+        # rows of every window width from each restart's own offset, wrapping round
+        r, n = block.x.shape[:2]
+        offsets = np.random.Generator(np.random.Philox(key=n)).integers(0, n, r)
+        for width in range(1, n + 1):
+            rows = (offsets[:, None] + np.arange(width)) % n
+            delta, t = block.row_deltas(rows)
+            want_delta, want_t = reference_row_deltas(block.x, rows, prior, scale)
+            assert t.dtype == np.int64 and np.array_equal(t, want_t)
+            assert delta.dtype == np.float64 and np.array_equal(delta, want_delta)
+
+    @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
+    def test_every_width_equals_int64_reference(self, n, m, prior):
+        cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
+        self.check_every_width(optimizer._Block(np.stack(restart_starts(cfg)), prior), prior)
+
+    def test_bound_holds_at_the_int64_edge(self):
+        # m = 86,251 is the largest m whose k <= 4 word counts of a 2-run
+        # design the int64 check accepts; the float64 sums stay far from 2^53
+        n, m, prior = 2, 86_251, Prior(0.5, 0.5, SECOND)
+        block = optimizer._Block(random_design(n, m, seed=3).entries[None].copy(), prior)
+        assert 2 * (n + 1) * np.abs(block._uv).max() < 2**53 / 2
+        rows = np.array([[0, 1]])
+        for got, want in zip(block.row_deltas(rows), reference_row_deltas(block.x, rows, prior)):
+            assert np.array_equal(got, want)
+        with pytest.raises(TooLargeError):
+            krawtchouk_table(m + 1, 4, n)
+
+    def test_refused_past_the_bound_and_exact_below_it(self, monkeypatch):
+        # the table scaled by the least factor that reaches 2^53 is refused;
+        # one less is accepted, and every delta is still exact
+        n, m, prior = 4, 3, Prior(0.3)
+        x = random_design(n, m, seed=1).entries[None].copy()
+        top = int(np.abs(optimizer._Block(x.copy(), prior)._uv).max())
+        edge = -(-(2**53) // (2 * (n + 1) * top))
+        real = optimizer.krawtchouk_table
+        monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * edge)
+        with pytest.raises(TooLargeError, match="exact float64"):
+            optimizer._Block(x.copy(), prior)
+        monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * (edge - 1))
+        self.check_every_width(optimizer._Block(x.copy(), prior), prior, scale=edge - 1)
+
+
+class TestStarts:
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+    def test_counter_seeded_start_is_the_jumped_stream(self, seed):
+        restarts = [0, 1, 63, 64, 10**6]
+        for n, m in ((2, 1), (12, 14), (64, 30)):
+            cfg = OptimizerConfig(runs=n, factors=m, prior=Prior(0.1), restarts=1, seed=seed)
+            for r, want in zip(restarts, restart_starts(cfg, restarts)):
+                got = optimizer._start(cfg, r)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
