@@ -20,28 +20,38 @@ sg_r = x_ij * x_rj = +-1 (0 for r = i).  So
 with t_k an integer, and S_k stays exact along the whole search.  With the
 difference tables U = Dp - Dm and V = Dp + Dm, where Dp(d) = K_k(d + 1) -
 K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
-2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d).  So t_k for all m flips of a row
-and every k is one small float64 BLAS matmul over the N x m matrix of sg
-values (the run itself, sg = 0, taken back out), in O(N m k_max); it is
-exact, as a block refuses a table whose partial sums could reach 2^53 (at
-the int64 check's largest m, N = 2, they stay under 0.29 * 2^53).  The
-distances d_ir = (m - x_i . x_r) / 2 come from the design, so the designs
-and S_k are the whole state; the N x N distances are summed once.
+2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d).  A block holds its designs in
+float64 with a trailing column of ones, so x_i . x_r + 1 = m + 1 - 2 d_ir
+is one BLAS matmul from the design and indexes one table of [U | V] / 4.
+A second matmul of the rows read from it against the ones-extended
+designs gives sum_r U x_rj in the first m columns and sum_r V in the ones
+column: t_k for all m flips of a row and every k, in O(N m k_max), less
+the run itself (d = 0, sg = +1).  The table is scaled by 1/4 and the QB
+weights by 4, both powers of two, so t_k comes out as the exact integer
+and each QB change is the same float as 4 (w_1 t_1 + w_2 t_2 + ...) / N^2
+summed left to right.  The sums are exact, as a block refuses a table
+whose partial sums could reach 2^53 (at the int64 check's largest m,
+N = 2, they stay under 0.29 * 2^53).  The designs and S_k are the whole
+state; the N x N distances are summed once.
 
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
 whose build fits BLOCK_BYTES, stacks designs and S_k along a leading axis,
 and each restart has one cursor: pos, the coordinates it has scanned over
-all sweeps, and last, pos just past its last flip.  One iteration scores a
+all sweeps, and lim, N*m past its last flip.  One iteration scores a
 window of rows from the cursor of every running restart: one row in a full
 block, more in the slots a small block or a block's tail leaves idle,
 within WINDOW_WORK multiply-adds.  Each restart takes its first improving
 coordinate at or after the cursor in row-major order, the serial scan's
 choice, since nothing flips between the rows of a window, and moves its
 cursor past it, or past the window.  It leaves the block at the certificate
-pos - last >= N*m; its sweep count is the sweeps begun.  No quantity mixes
-restarts, and every decision rests on integer t_k and on the same float
-expression per restart, so the results do not depend on the block size,
-the window width or the number of worker processes.
+pos = lim, N*m rejections in a row; its sweep count is the sweeps begun.
+The window rows of each cursor row and the advance past each lane are
+small tables built once per window width, and only the window's first row
+has lanes before the cursor to mask, so the bookkeeping of an iteration is
+a few array passes, none larger than the window.
+No quantity mixes restarts, and every decision rests on integer t_k and
+on the same float expression per restart, so the results do not depend
+on the block size, the window width or the number of worker processes.
 """
 
 from __future__ import annotations
@@ -56,15 +66,16 @@ import numpy as np
 from .criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from .design import Design
 from .errors import TooLargeError
-from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table, run_distances, word_counts
+from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table, run_distances
 
 QB_TIE_TOL = 1e-9
 IMPROVE_TOL = 1e-9  # a flip is taken when it lowers QB by more than this
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
 WINDOW_WORK = 2**16  # multiply-adds one iteration may spend on lookahead rows
-# Bytes of the int64 (R, N, N) run distances a block's build sums S_k over and
-# of its (R, N, m) designs; the restarts per block are cut to fit, and a search
-# whose one restart does not fit is refused before anything is allocated.
+# Bytes of the int64 (R, N, N) run distances and (R, N, m) starts a block's
+# build sums S_k over, and of its float64 (R, N, m + 1) designs; the restarts
+# per block are cut to fit, and a search whose one restart does not fit is
+# refused before anything is allocated.
 BLOCK_BYTES = 2**27
 
 
@@ -109,37 +120,52 @@ class OptResult:
 class _Block:
     """Stacked search state of R restarts: designs and exact S_k.
 
-    x is (R, N, m) and s (R, k_max), both int64 and owned by the block.
-    row_deltas and flip are the package's one row-delta and one flip update;
-    qb_delta and coordinate_exchange run a block of one.
+    xo is float64 (R, N, m + 1), the designs with a trailing column of ones,
+    and x its (R, N, m) view; s is int64 (R, k_max).  Both are owned by the
+    block.  row_deltas and flip are the package's one row-delta and one flip
+    update; qb_delta and coordinate_exchange run a block of one.
     """
 
     def __init__(self, x: np.ndarray, prior: Prior):
-        self.x = x
-        self.n, self.m = x.shape[1:]
+        """x is an int64 (R, N, m) stack of +-1 designs."""
+        r, self.n, self.m = x.shape
         self.prior = prior
-        self.weights = qb_coefficients(prior, self.m)
-        self.k_max = len(self.weights)
+        weights = qb_coefficients(prior, self.m)
+        self.k_max = len(weights)
         self.n2 = self.n * self.n
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
         self.s = krawtchouk_sums(run_distances(x), kraw)
-        # K(d + 1) - K(d) and K(d - 1) - K(d), 0 where the step leaves 0..m,
-        # as U = Dp - Dm and V = Dp + Dm side by side, indexed [d, (U | V)]
-        diff = kraw[:, 1:] - kraw[:, :-1]
-        dp = np.pad(diff, ((0, 0), (0, 1)))
-        dm = np.pad(-diff, ((0, 0), (1, 0)))
-        uv = np.concatenate([dp - dm, dp + dm]).T
+        self.xo = np.ones((r, self.n, self.m + 1))
+        self.xo[..., :-1] = x
+        self._at = np.arange(r)[:, None]
+        # Dp(d) = K(d + 1) - K(d) = z[d + 1] and Dm(d) = K(d - 1) - K(d) =
+        # -z[d], 0 where the step leaves 0..m, as U = Dp - Dm and V = Dp + Dm
+        # side by side
+        z = np.zeros((self.k_max, self.m + 2), dtype=np.int64)
+        z[:, 1:-1] = kraw[:, 1:] - kraw[:, :-1]
+        uv = np.concatenate([z[:, 1:] + z[:, :-1], z[:, 1:] - z[:, :-1]]).T
         # row_deltas sums these in float64: exact while its partial sums, at
         # most 2 (N + 1) max |U|, |V|, stay below 2^53
         if 2 * (self.n + 1) * int(np.abs(uv).max()) >= 2**53:
             raise TooLargeError(f"row deltas of a {self.n}x{self.m} design pass exact float64")
-        self._uv = np.ascontiguousarray(uv, dtype=np.float64)
-        self._own = 2.0 * diff[:, 0]
-        self._ones = np.ones(self.n)
+        # [U | V] / 4 at distance d in row m + 1 - 2d of 2m + 2, the value of
+        # x_i . x_r + 1 on the ones-extended rows; take reads the negative
+        # ones from the end.  The scalings by 1/4 here and 4 in the weights
+        # are powers of two, so every sum is exact or rounds as unscaled.
+        self._uv = np.zeros((2 * self.m + 2, 2 * self.k_max))
+        self._uv[self.m + 1 - 2 * np.arange(self.m + 1)] = uv * 0.25
+        # the run itself, U(0) + V(0) = 2 Dp(0), over 4
+        self._own = 0.5 * z[:, 1:2, None]
+        self._w4 = 4.0 * np.array(weights)[:, None, None, None]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The (R, N, m) designs, a view of xo."""
+        return self.xo[..., :-1]
 
     def word_counts(self, r: int) -> WordCounts:
         """Restart r's exact word counts."""
-        return WordCounts(runs=self.n, s_k=tuple(int(v) for v in self.s[r]))
+        return WordCounts(runs=self.n, s_k=tuple(self.s[r].tolist()))
 
     def qb(self, r: int) -> float:
         """Criterion value of restart r from its exact word counts."""
@@ -150,37 +176,41 @@ class _Block:
 
         rows is (R, L).  Returns (delta, t): delta[r, l, j] is the QB change
         of flipping (rows[r, l], j) in restart r and t[r, l, k - 1, j] =
-        (S_k' - S_k) / 4 the integer behind it.
+        (S_k' - S_k) / 4 the integer behind it, in float64.
         """
-        k, x = self.k_max, self.x.astype(np.float64)
-        xi = x[np.arange(len(rows))[:, None], rows]
-        # the rows' distances to every run, (R, L, N), and U | V at them
-        dist = ((self.m - xi @ np.swapaxes(x, 1, 2)) * 0.5).astype(np.intp)
-        uv = self._uv.take(dist, axis=0)
+        k, xo = self.k_max, self.xo
+        xi = xo[self._at, rows]
+        # [U | V] / 4 at the rows' distances to every run, (R, L, N, 2k)
+        uv = self._uv.take((xi @ xo.swapaxes(1, 2)).astype(np.intp), axis=0)
         # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = x_ij x_rj = +-1.
-        # Summed over the runs r it is one float64 matmul per row, exact on these
-        # integers, less the run itself (d = 0, sg = +1), whose distance does not move
-        t = (np.swapaxes(uv[..., :k], -1, -2) @ x[:, None]) * xi[:, :, None, :]
-        t += (self._ones @ uv[..., k:] - self._own)[..., None]
-        t *= 0.25
-        # w_1 t_1 + w_2 t_2 + ... left to right, so each delta is the same
-        # float a per-coordinate sum would give
-        acc = self.weights[0] * t[:, :, 0]
-        for kk in range(1, k):
-            acc = acc + self.weights[kk] * t[:, :, kk]
-        return 4.0 * acc / self.n2, t.astype(np.int64)
+        # Summed over the runs r it is one float64 matmul per row, exact on
+        # these quarter integers: sum_r U x_rj in the first m columns and
+        # sum_r V in the ones column, laid out k-major so that each pass
+        # below runs over long contiguous rows.  The run itself (d = 0,
+        # sg = +1), whose distance does not move, is taken back out.
+        a = np.empty((2 * k,) + xi.shape)
+        np.matmul(uv.swapaxes(-1, -2), xo[:, None], out=a.transpose(1, 2, 0, 3))
+        t = a[:k] * xi
+        t += (a[k:, ..., -1] - self._own)[..., None]
+        # 4 w_1 t_1 + 4 w_2 t_2 + ... left to right (add.reduce over the
+        # outer axis), so each delta is the same float a per-coordinate sum
+        # would give; column m, the ones column, is left out
+        delta = (t * self._w4).sum(axis=0)
+        delta /= self.n2
+        return delta[..., :-1], t.transpose(1, 2, 0, 3)[..., :-1]
 
     def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
         """Sign-switch entry (rows[h], cols[h]) of restart at[h], for every h.
 
         t[h] holds the exact terms (S_k' - S_k) / 4 of that flip.
         """
-        self.x[at, rows, cols] *= -1
-        self.s[at] += 4 * t
+        self.xo[at, rows, cols] *= -1
+        self.s[at] += 4 * t.astype(np.int64)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the restarts where mask is False."""
-        self.x, self.s = self.x[mask], self.s[mask]
+        self.xo, self.s = self.xo[mask], self.s[mask]
+        self._at = self._at[: len(self.s)]
 
 
 def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
@@ -196,39 +226,52 @@ def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
 
 def _check_state(block: _Block, r: int, prior: Prior) -> None:
     """Assert restart r's incremental state equals a from-scratch rebuild."""
-    fresh = _Block(block.x[r : r + 1].copy(), prior)
+    fresh = _Block(block.x[r : r + 1].astype(np.int64), prior)
     assert np.array_equal(block.s[r], fresh.s[0])
 
 
 def _exchange(
     x: np.ndarray, prior: Prior, debug: bool = False
-) -> list[tuple[np.ndarray, float, int]]:
-    """Coordinate exchange from each start in the (R, N, m) stack x, in lockstep.
+) -> list[tuple[np.ndarray, float, int, WordCounts]]:
+    """Coordinate exchange from each start in the int64 (R, N, m) stack x, in lockstep.
 
     Every iteration scores a window of rows from each running restart's
     cursor and takes, per restart, the first improving coordinate at or
-    after the cursor in row-major order; a restart is done once
-    pos - last >= N*m.  Returns (entries, qb, sweeps) per start, in input
-    order, with sweeps = ceil(pos / (N*m)).
+    after the cursor in row-major order; a restart is done once it has
+    scanned N*m coordinates past its last flip.  Returns (entries, qb,
+    sweeps, word counts) per start, in input order, with sweeps =
+    ceil(pos / (N*m)) and the exact word counts the search carried.
     """
     block = _Block(x, prior)
     n, m = block.n, block.m
+    nm = n * m
     ids = np.arange(len(x))
     pos = np.zeros(len(x), dtype=np.intp)  # coordinates scanned, row-major, over all sweeps
-    last = np.zeros(len(x), dtype=np.intp)  # pos just past the last flip taken
-    out: list[tuple[np.ndarray, float, int]] = [None] * len(x)
+    lim = np.full(len(x), nm, dtype=np.intp)  # pos at the certificate: N*m past the last flip
+    out: list[tuple[np.ndarray, float, int, WordCounts]] = [None] * len(x)
+    width, improving, cols = 0, np.ones((0, 0, 0), dtype=bool), np.arange(m)
     while len(ids):
         # the idle slots' worth of rows, within WINDOW_WORK multiply-adds
         row_work = len(ids) * n * m * block.k_max
-        width = max(1, min(n, RESTARTS_PER_BLOCK // len(ids), WINDOW_WORK // row_work))
-        rows = ((pos // m)[:, None] + np.arange(width)) % n
-        col = pos % m
+        w = max(1, min(n, RESTARTS_PER_BLOCK // len(ids), WINDOW_WORK // row_work))
+        if w != width:
+            # per cursor row, its window of rows; per lane, the advance past it
+            width = w
+            windows = (np.arange(n)[:, None] + np.arange(width)) % n
+            step = np.minimum(np.arange(1, width * m + 2), width * m)
+        if improving.shape[:2] != (len(ids), width + 1):
+            # one row past the window, its first lane set: argmax stops there,
+            # at lane width * m, when no coordinate improves
+            improving = np.ones((len(ids), width + 1, m), dtype=bool)
+        row, col = np.divmod(pos, m)
+        rows = windows.take(row % n, axis=0)
         delta, t = block.row_deltas(rows)
-        improving = (delta < -IMPROVE_TOL).reshape(len(ids), -1)
-        improving &= np.arange(width * m) >= col[:, None]
-        hit = improving.any(axis=1)
-        c = improving.argmax(axis=1)
-        at = np.flatnonzero(hit)
+        np.less(delta, -IMPROVE_TOL, out=improving[:, :width])
+        # the lanes before the cursor, all in the window's first row, do not count
+        improving[:, 0] &= cols >= col[:, None]
+        c = improving.reshape(len(ids), -1).argmax(axis=1)
+        hit = c < width * m
+        at = hit.nonzero()[0]
         if at.size:
             l, j = np.divmod(c[at], m)
             block.flip(at, rows[at, l], j, t[at, l, :, j])
@@ -237,15 +280,18 @@ def _exchange(
                     _check_state(block, r, prior)
         # past the flip, or the window, up to the certificate: that covers every
         # coordinate against this state, so no window has a flip beyond it
-        pos = np.minimum(pos + np.where(hit, c + 1, width * m) - col, last + n * m)
-        last[at] = pos[at]
+        pos -= col
+        pos += step.take(c)
+        np.minimum(pos, lim, out=pos)
+        lim[at] = pos[at] + nm
         # N*m rejections in a row, all against one state: a local optimum
-        done = pos - last >= n * m
-        if done.any():
-            for r in np.flatnonzero(done):
-                out[ids[r]] = (block.x[r].copy(), block.qb(r), -(-int(pos[r]) // (n * m)))
-            keep = ~done
-            ids, pos, last = ids[keep], pos[keep], last[keep]
+        done = (pos == lim).nonzero()[0]
+        if done.size:
+            for r in done:
+                sweeps = -(-int(pos[r]) // nm)
+                out[ids[r]] = (block.x[r].astype(np.int64), block.qb(r), sweeps, block.word_counts(r))
+            keep = pos != lim
+            ids, pos, lim = ids[keep], pos[keep], lim[keep]
             block.keep(keep)
     return out
 
@@ -263,7 +309,7 @@ def coordinate_exchange(
     against a from-scratch recomputation after every accepted flip.  This is
     the lockstep kernel run on a block of one.
     """
-    [(entries, qb, sweeps)] = _exchange(start.entries[None].copy(), prior, debug)
+    [(entries, qb, sweeps, _)] = _exchange(start.entries[None].copy(), prior, debug)
     return Design(entries), qb, sweeps
 
 
@@ -274,29 +320,33 @@ def _start(cfg: OptimizerConfig, r: int) -> np.ndarray:
 
 def _run_block(
     cfg: OptimizerConfig, lo: int, hi: int
-) -> tuple[tuple[RestartStat, ...], list[np.ndarray]]:
-    """Restarts lo..hi-1 through the lockstep kernel: their stats and final designs."""
+) -> tuple[tuple[RestartStat, ...], list[tuple[np.ndarray, WordCounts]]]:
+    """Restarts lo..hi-1 through the lockstep kernel: their stats, and their
+    final designs with those designs' exact word counts."""
     x = np.stack([_start(cfg, r) for r in range(lo, hi)])
     res = _exchange(x, cfg.prior)
-    stats = tuple(RestartStat(r, qb, sw) for r, (_, qb, sw) in zip(range(lo, hi), res))
-    return stats, [entries for entries, _, _ in res]
+    stats = tuple(RestartStat(r, qb, sw) for r, (_, qb, sw, _) in zip(range(lo, hi), res))
+    return stats, [(entries, wc) for entries, _, _, wc in res]
 
 
-def _collect(blocks, on_block) -> tuple[tuple[RestartStat, ...], dict[RestartStat, np.ndarray]]:
-    """Every block's stats, in restart order, and the final designs of the
-    restarts within QB_TIE_TOL of the best QB; on_block sees each block.
+def _collect(
+    blocks, on_block
+) -> tuple[tuple[RestartStat, ...], dict[RestartStat, tuple[np.ndarray, WordCounts]]]:
+    """Every block's stats, in restart order, and the final designs and word
+    counts of the restarts within QB_TIE_TOL of the best QB; on_block sees
+    each block.
 
     The tie set is pruned to the running minimum after each block; a tie of
     the final minimum is a tie of every running minimum, so none is dropped.
     """
     qbs, sweeps, tied = [], [], {}
-    for stats, entries in blocks:
+    for stats, finals in blocks:
         qbs += [st.qb for st in stats]
         sweeps += [st.sweeps for st in stats]
-        tied.update(zip(stats, entries))
-        del entries  # freed before the next block runs, not while it runs
+        tied.update(zip(stats, finals))
+        del finals  # freed before the next block runs, not while it runs
         qb_min = min(st.qb for st in tied)
-        tied = {st: x for st, x in tied.items() if st.qb <= qb_min + QB_TIE_TOL}
+        tied = {st: fin for st, fin in tied.items() if st.qb <= qb_min + QB_TIE_TOL}
         if on_block is not None:
             on_block(stats)
     # built after the last block, so the records never sit beside a running block
@@ -306,12 +356,12 @@ def _collect(blocks, on_block) -> tuple[tuple[RestartStat, ...], dict[RestartSta
 def _block_size(cfg: OptimizerConfig, threads: int) -> int:
     """Restarts per block: at most RESTARTS_PER_BLOCK, at most what fits in
     BLOCK_BYTES, and no more than an even share of the restarts per worker."""
-    per_restart = np.dtype(np.int64).itemsize * cfg.runs * (cfg.runs + cfg.factors)
+    per_restart = 8 * cfg.runs * (cfg.runs + 2 * cfg.factors + 1)
     if per_restart > BLOCK_BYTES:
         raise TooLargeError(
             f"one restart of a {cfg.runs}x{cfg.factors} search needs"
-            f" {per_restart / 2**20:,.0f} MiB of run distances, more than the"
-            f" {BLOCK_BYTES // 2**20} MiB a block may use"
+            f" {per_restart / 2**20:,.0f} MiB of run distances and designs,"
+            f" more than the {BLOCK_BYTES // 2**20} MiB a block may use"
         )
     return min(RESTARTS_PER_BLOCK, BLOCK_BYTES // per_restart, -(-cfg.restarts // threads))
 
@@ -352,20 +402,20 @@ def multi_restart(
     else:
         log, tied = _collect(map(_run_block, itertools.repeat(cfg), los, his), on_block)
 
-    tied_designs = [Design(x) for x in tied.values()]  # in restart order
+    # (stat, design, word counts) of each tie, in restart order
+    ties = [(st, Design(x), wc) for st, (x, wc) in tied.items()]
     best_as: float | None = None
     if cfg.tiebreak_as:
         # the largest As wins, a non-estimable fit last; min keeps the first
         # of equals, the lowest restart index
-        scored = [(d, as_efficiency(d)) for d in tied_designs]
-        best, best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
+        scored = [(tie, as_efficiency(tie[1])) for tie in ties]
+        (st, best, wc), best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
     else:
-        best = tied_designs[0]
-    wc = word_counts(best, len(qb_coefficients(cfg.prior, cfg.factors)))
+        st, best, wc = ties[0]
     n_lb = int((best.column_sums() == 0).sum())
     return OptResult(
         best=best,
-        qb=qb_from_word_counts(wc, cfg.prior, cfg.factors),
+        qb=st.qb,  # qb_from_word_counts(wc, ...), as the search computed it
         word_counts=wc,
         restart_log=log,
         n_level_balanced=n_lb,

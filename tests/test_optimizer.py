@@ -421,9 +421,9 @@ class TestLockstep:
                 got = []
                 for lo in range(0, cfg.restarts, per_block):
                     hi = min(lo + per_block, cfg.restarts)
-                    stats, entries = optimizer._run_block(cfg, lo, hi)
-                    got += zip(entries, stats)
-                for (x0, qb0, sw0), (x, st) in zip(expected, got, strict=True):
+                    stats, finals = optimizer._run_block(cfg, lo, hi)
+                    got += zip(finals, stats)
+                for (x0, qb0, sw0), ((x, _), st) in zip(expected, got, strict=True):
                     assert np.array_equal(x, x0)
                     assert (st.qb, st.sweeps) == (qb0, sw0)
             assert_matches_oracle(multi_restart(cfg), expected)
@@ -589,7 +589,8 @@ class TestBlockBudget:
             assert optimizer._block_size(self.cfg(n, m), 1) == 64
 
     def test_large_designs_get_smaller_blocks(self):
-        per_restart = 8 * 1000 * (1000 + 14)
+        # int64 distances and starts, float64 designs with a column of ones
+        per_restart = 8 * 1000 * (1000 + 2 * 14 + 1)
         size = optimizer._block_size(self.cfg(1000, 14), 1)
         assert size == optimizer.BLOCK_BYTES // per_restart
         assert 0 < size < optimizer.RESTARTS_PER_BLOCK
@@ -604,7 +605,7 @@ class TestBlockBudget:
         with pytest.raises(TooLargeError, match="200000x3"):
             multi_restart(self.cfg(200000, 3, restarts=1))
         # the edge: a budget one byte short of one restart
-        monkeypatch.setattr(optimizer, "BLOCK_BYTES", 8 * 12 * (12 + 14) - 1)
+        monkeypatch.setattr(optimizer, "BLOCK_BYTES", 8 * 12 * (12 + 2 * 14 + 1) - 1)
         with pytest.raises(TooLargeError):
             multi_restart(self.cfg(12, 14, restarts=1))
 
@@ -627,7 +628,8 @@ class TestBlockBudget:
     @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
     def test_block_holds_no_distances(self, prior):
         # the run distances are a temporary of the build: what the block keeps
-        # beside its design is O(N + m k), not O(N^2)
+        # beside its design, N x (m + 1) with the ones column, is O(N + m k),
+        # not O(N^2)
         n, m = 1500, 3
         x = random_design(n, m, 4).entries[None].copy()
         tracemalloc.start()
@@ -638,12 +640,28 @@ class TestBlockBudget:
             tracemalloc.stop()
         assert held <= 2 * 8 * n * m
         arrays = [v for v in vars(block).values() if isinstance(v, np.ndarray)]
-        assert max(a.size for a in arrays) == n * m
+        assert max(a.size for a in arrays) == n * (m + 1)
+
+    @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_search_memory_is_linear_in_m(self, prior, restarts):
+        # a search at m in the thousands: windows of two rows (one restart)
+        # and of one row (three), and nothing it allocates grows with m^2
+        n, m = 4, 3000
+        x = np.stack([random_design(n, m, seed).entries for seed in range(restarts)])
+        tracemalloc.start()
+        try:
+            out = optimizer._exchange(x, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == restarts
+        assert peak <= 32 * 8 * restarts * n * m
 
     def test_budget_splits_blocks_without_changing_results(self, monkeypatch):
         cfg = self.cfg(12, 14, restarts=10, seed=2, tiebreak_as=False)
         reference = multi_restart(cfg)
-        monkeypatch.setattr(optimizer, "BLOCK_BYTES", 3 * 8 * 12 * (12 + 14))
+        monkeypatch.setattr(optimizer, "BLOCK_BYTES", 3 * 8 * 12 * (12 + 2 * 14 + 1))
         blocks = []
         res = multi_restart(cfg, on_block=blocks.append)
         assert [len(b) for b in blocks] == [3, 3, 3, 1]
@@ -685,9 +703,9 @@ class TestDebugMode:
             plain = optimizer._exchange(starts.copy(), prior)
             assert len(checks) > len(starts)
             assert (max(widths) > 1) == (work > 0)
-            for (x, qb, sw), (x0, qb0, sw0) in zip(debugged, plain, strict=True):
+            for (x, qb, sw, wc), (x0, qb0, sw0, wc0) in zip(debugged, plain, strict=True):
                 assert np.array_equal(x, x0)
-                assert (qb, sw) == (qb0, sw0)
+                assert (qb, sw, wc) == (qb0, sw0, wc0)
 
     def test_debug_catches_a_broken_state(self):
         prior = Prior(0.4)
@@ -754,7 +772,7 @@ class TestFloatRowDeltas:
             rows = (offsets[:, None] + np.arange(width)) % n
             delta, t = block.row_deltas(rows)
             want_delta, want_t = reference_row_deltas(block.x, rows, prior, scale)
-            assert t.dtype == np.int64 and np.array_equal(t, want_t)
+            assert t.dtype == np.float64 and np.array_equal(t, want_t)
             assert delta.dtype == np.float64 and np.array_equal(delta, want_delta)
 
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
@@ -767,7 +785,8 @@ class TestFloatRowDeltas:
         # design the int64 check accepts; the float64 sums stay far from 2^53
         n, m, prior = 2, 86_251, Prior(0.5, 0.5, SECOND)
         block = optimizer._Block(random_design(n, m, seed=3).entries[None].copy(), prior)
-        assert 2 * (n + 1) * np.abs(block._uv).max() < 2**53 / 2
+        # _uv holds [U | V] / 4
+        assert 2 * (n + 1) * 4 * np.abs(block._uv).max() < 2**53 / 2
         rows = np.array([[0, 1]])
         for got, want in zip(block.row_deltas(rows), reference_row_deltas(block.x, rows, prior)):
             assert np.array_equal(got, want)
@@ -779,7 +798,7 @@ class TestFloatRowDeltas:
         # one less is accepted, and every delta is still exact
         n, m, prior = 4, 3, Prior(0.3)
         x = random_design(n, m, seed=1).entries[None].copy()
-        top = int(np.abs(optimizer._Block(x.copy(), prior)._uv).max())
+        top = int(4 * np.abs(optimizer._Block(x.copy(), prior)._uv).max())  # max |U|, |V|
         edge = -(-(2**53) // (2 * (n + 1) * top))
         real = optimizer.krawtchouk_table
         monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * edge)
@@ -787,6 +806,45 @@ class TestFloatRowDeltas:
             optimizer._Block(x.copy(), prior)
         monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * (edge - 1))
         self.check_every_width(optimizer._Block(x.copy(), prior), prior, scale=edge - 1)
+
+    @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
+    def test_k_sum_is_left_to_right(self, monkeypatch, n, m, prior):
+        # weights of mixed signs and magnitudes, drawn until the k-sum of
+        # w_k t_k rounds differently backwards: the kernel's deltas are the
+        # reference's 4 (w_1 t_1 + w_2 t_2 + ...) / N^2, summed left to right
+        rng = np.random.Generator(np.random.Philox(key=n * 100 + m))
+        cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
+        starts = np.stack(restart_starts(cfg))
+        rows = np.broadcast_to(np.arange(n), (3, n))
+        for _ in range(20):
+            w = tuple(float(v) for v in rng.choice([-1, 1], 4) * 10.0 ** rng.uniform(-3, 16, 4))
+            monkeypatch.setattr(optimizer, "qb_coefficients", lambda prior, m: w[: min(4, m)])
+            block = optimizer._Block(starts.copy(), prior)
+            delta, t = block.row_deltas(rows)
+            terms = [w[k] * t[:, :, k] for k in range(block.k_max)]
+            assert np.array_equal(delta, 4.0 * functools.reduce(np.add, terms) / (n * n))
+            backward = 4.0 * functools.reduce(np.add, terms[::-1]) / (n * n)
+            if block.k_max < 3 or not np.array_equal(delta, backward):
+                break
+        else:
+            pytest.fail("no weights told the summation orders apart")
+
+
+class TestCarriedWordCounts:
+    """multi_restart reports the winner's word counts the search carried."""
+
+    @pytest.mark.parametrize("per_block", [1, 3, 64])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equal_to_a_fresh_count(self, monkeypatch, per_block, threads):
+        monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
+        for n, m, prior in LOCKSTEP_SHAPES:
+            k_max = len(qb_coefficients(prior, m))
+            for tiebreak in (True, False):
+                cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=7, seed=m,
+                                      tiebreak_as=tiebreak)
+                res = multi_restart(cfg, threads=threads)
+                assert res.word_counts == word_counts(res.best, k_max)
+                assert res.qb == qb_from_word_counts(res.word_counts, prior, m)
 
 
 class TestStarts:
