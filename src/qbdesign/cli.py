@@ -25,6 +25,7 @@ from .design import (
     Design,
     ModelOrder,
     balance_profile,
+    format_design,
     load_design,
     parse_design,
     save_design,
@@ -123,11 +124,10 @@ def _check_writable(path: str) -> None:
 
 def cmd_optimize(args) -> int:
     threads = _threads(args)
-    order = _order(args.order)
     cfg = OptimizerConfig(
         runs=args.runs,
         factors=args.factors,
-        prior=Prior(args.pi1, args.pi2, order),
+        prior=Prior(args.pi1, args.pi2, _order(args.order)),
         restarts=args.restarts,
         seed=args.seed,
         tiebreak_as=not args.no_tiebreak_as,
@@ -155,7 +155,7 @@ def cmd_optimize(args) -> int:
     if args.output:
         print(f"design written to {args.output}")
     else:
-        sys.stdout.write("\n".join(" ".join(str(v) for v in row) for row in res.best.entries) + "\n")
+        sys.stdout.write(format_design(res.best))
     return 0
 
 
@@ -406,7 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # so a reader gone before the exit flush is caught here
+        return rc
+    except BrokenPipeError:  # the reader closed stdout: end quietly, 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (QbDesignError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

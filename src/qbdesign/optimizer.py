@@ -32,7 +32,7 @@ and each QB change is the same float as 4 (w_1 t_1 + w_2 t_2 + ...) / N^2
 summed left to right.  The sums are exact, as a block refuses a table
 whose partial sums could reach 2^53 (at the int64 check's largest m,
 N = 2, they stay under 0.29 * 2^53).  The designs and S_k are the whole
-state; the N x N distances are summed once.
+state; the N x N distances are counted once.
 
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
 whose build fits BLOCK_BYTES, stacks designs and S_k along a leading axis,
@@ -66,14 +66,13 @@ import numpy as np
 from .criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from .design import Design
 from .errors import TooLargeError
-from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table, run_distances
+from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table
 
-QB_TIE_TOL = 1e-9
 IMPROVE_TOL = 1e-9  # a flip is taken when it lowers QB by more than this
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
 WINDOW_WORK = 2**16  # multiply-adds one iteration may spend on lookahead rows
 # Bytes of the int64 (R, N, N) run distances and (R, N, m) starts a block's
-# build sums S_k over, and of its float64 (R, N, m + 1) designs; the restarts
+# build counts S_k from, and of its float64 (R, N, m + 1) designs; the restarts
 # per block are cut to fit, and a search whose one restart does not fit is
 # refused before anything is allocated.
 BLOCK_BYTES = 2**27
@@ -132,9 +131,8 @@ class _Block:
         self.prior = prior
         weights = qb_coefficients(prior, self.m)
         self.k_max = len(weights)
-        self.n2 = self.n * self.n
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
-        self.s = krawtchouk_sums(run_distances(x), kraw)
+        self.s = krawtchouk_sums(x, kraw)
         self.xo = np.ones((r, self.n, self.m + 1))
         self.xo[..., :-1] = x
         self._at = np.arange(r)[:, None]
@@ -196,7 +194,7 @@ class _Block:
         # outer axis), so each delta is the same float a per-coordinate sum
         # would give; column m, the ones column, is left out
         delta = (t * self._w4).sum(axis=0)
-        delta /= self.n2
+        delta /= self.n * self.n
         return delta[..., :-1], t.transpose(1, 2, 0, 3)[..., :-1]
 
     def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
@@ -333,9 +331,9 @@ def _collect(
     blocks, on_block
 ) -> tuple[tuple[RestartStat, ...], dict[RestartStat, tuple[np.ndarray, WordCounts]]]:
     """Every block's stats, in restart order, and the final designs and word
-    counts of the restarts within QB_TIE_TOL of the best QB; on_block sees
-    each block.
+    counts of the restarts whose QB equals the best; on_block sees each block.
 
+    Each QB is qb_from_word_counts of exact S_k, so equal word counts tie.
     The tie set is pruned to the running minimum after each block; a tie of
     the final minimum is a tie of every running minimum, so none is dropped.
     """
@@ -346,7 +344,7 @@ def _collect(
         tied.update(zip(stats, finals))
         del finals  # freed before the next block runs, not while it runs
         qb_min = min(st.qb for st in tied)
-        tied = {st: fin for st, fin in tied.items() if st.qb <= qb_min + QB_TIE_TOL}
+        tied = {st: fin for st, fin in tied.items() if st.qb == qb_min}
         if on_block is not None:
             on_block(stats)
     # built after the last block, so the records never sit beside a running block
@@ -376,15 +374,15 @@ def multi_restart(
     Restart r draws its start from the Philox stream jumped r times from
     cfg.seed, seeded at that state (counter r * 2^128), so results are
     reproducible and independent of the execution schedule.  Restarts run
-    in contiguous blocks of at most
-    RESTARTS_PER_BLOCK, and of at most BLOCK_BYTES of run distances and
-    designs (TooLargeError, before any allocation, when one restart does not
-    fit); with threads > 1 the blocks are spread over a process pool of at
-    most os.cpu_count() workers.  `on_block`, when given, receives each
-    block's restart stats in restart order as soon as that block and every
-    earlier one are done.  Only the final designs within QB_TIE_TOL of the
-    best QB are kept; among them the larger main-effects As efficiency wins
-    (when tiebreak_as is set), then the lower restart index.
+    in contiguous blocks of at most RESTARTS_PER_BLOCK, and of at most
+    BLOCK_BYTES of run distances and designs (TooLargeError, before any
+    allocation, when one restart does not fit); with threads > 1 the blocks
+    are spread over a process pool of at most os.cpu_count() workers.
+    `on_block`, when given, receives each block's restart stats in restart
+    order as soon as that block and every earlier one are done.  Only the
+    final designs whose QB equals the least in the restart log are kept;
+    among them the larger main-effects As efficiency wins (when tiebreak_as
+    is set), then the lower restart index.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

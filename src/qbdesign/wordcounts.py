@@ -15,11 +15,13 @@ r, r' and summing over all k-subsets gives the moment/word-length duality
 
 where d_rr' is the Hamming distance between runs r and r' and K_k is the
 Krawtchouk polynomial: the product x_rl x_r'l is -1 on the d_rr' factors
-where the runs differ and +1 on the others.  All S_k come from the N x N
-distance matrix in O(N^2 m) integer operations, with no intermediate that
-grows with C(m, k).  The optimizer sums the distance matrix once per block
-of restarts; from then on it keeps only S_k and reads the distances of the
-rows it scores from the designs, through the same Krawtchouk table.
+where the runs differ and +1 on the others.  So S_k = sum_d h(d) K_k(d; m)
+over the histogram h of the N x N distance matrix, the number of ordered
+run pairs at each distance d = 0..m: one bincount and one small integer
+matmul, with no intermediate that grows with C(m, k).  The optimizer
+counts the distances once per block of restarts; from then on it keeps
+only S_k and reads the distances of the rows it scores from the designs,
+through the same Krawtchouk table.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ import numpy as np
 
 from .design import Design, ModelOrder, model_terms
 from .errors import BadSubsetError, TooLargeError
-
-# Bytes of the int64 temporary of one row slice of the S_k sums; the
-# distances summed over are the only other array that sizes with N^2.
-SUM_SLICE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -121,21 +119,19 @@ def run_distances(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def krawtchouk_sums(dist: np.ndarray, kraw: np.ndarray) -> np.ndarray:
-    """S = sum over r, r' of kraw[k, dist[..., r, r']], for every row k of kraw.
+def krawtchouk_sums(x: np.ndarray, kraw: np.ndarray) -> np.ndarray:
+    """S[..., k] = sum over runs r, r' of kraw[k, d_rr'], for the (..., N, m) +-1 designs x.
 
-    dist is a stack (..., N, N) of run distances; the result is int64 of
-    shape (..., len(kraw)).  The sums run over slices of rows, so no
-    temporary beside dist exceeds SUM_SLICE_BYTES (one row at the least).
+    Design i's distances, offset by i * (m + 1), go into one bincount, every
+    design's histogram h over d = 0..m, and S = h kraw' is int64.  Those
+    distances are the one array that sizes with N^2; x is left as given.
     """
-    lead = dist.shape[:-2]
-    s = np.zeros(lead + (len(kraw),), dtype=np.int64)
-    step = max(1, SUM_SLICE_BYTES // (8 * math.prod(lead) * dist.shape[-1]))
-    for lo in range(0, dist.shape[-2], step):
-        d = dist[..., lo : lo + step, :]
-        for k, kr in enumerate(kraw):
-            s[..., k] += kr[d].sum(axis=(-2, -1))
-    return s
+    lead, m = x.shape[:-2], x.shape[-1]
+    n_designs = math.prod(lead)
+    dist = run_distances(x)
+    dist += (np.arange(n_designs) * (m + 1)).reshape(lead + (1, 1))
+    hist = np.bincount(dist.reshape(-1), minlength=n_designs * (m + 1))
+    return hist.reshape(lead + (m + 1,)) @ kraw.T
 
 
 def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
@@ -149,7 +145,7 @@ def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
         k_max = min(4, m)
     if not 1 <= k_max <= m:
         raise BadSubsetError(f"k_max must be in 1..{m}, got {k_max}")
-    s_k = krawtchouk_sums(run_distances(d.entries), krawtchouk_table(m, k_max, d.runs)[1:])
+    s_k = krawtchouk_sums(d.entries, krawtchouk_table(m, k_max, d.runs)[1:])
     return WordCounts(runs=d.runs, s_k=tuple(s_k.tolist()))
 
 

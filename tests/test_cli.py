@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -582,6 +584,26 @@ class TestSweepGrid:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 2**17
+
+
+class TestClosedStdout:
+    def test_reader_gone_ends_quietly(self):
+        # as `sweep ... | head -1`: the reader takes one line and closes the
+        # pipe; the sweep ends with 128 + SIGPIPE and says nothing.  From
+        # pi1 = 0.3 on the argmin never changes, so nothing else goes to
+        # stderr, whenever the pipe closes
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["sweep", *SUPP1, "--lo", "0.3", "--hi", "1", "--step", "0.0001"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qbdesign.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout.readline().startswith(b"pi1,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestInputErrors:

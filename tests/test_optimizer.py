@@ -11,7 +11,6 @@ from qbdesign.criteria import Prior, as_efficiency, qb_coefficients, qb_from_wor
 from qbdesign.design import Design, ModelOrder, random_design
 from qbdesign.errors import TooLargeError
 from qbdesign.optimizer import (
-    QB_TIE_TOL,
     OptimizerConfig,
     coordinate_exchange,
     multi_restart,
@@ -330,7 +329,7 @@ class TestMultiRestart:
 def assert_matches_oracle(res, expected):
     assert [(st.qb, st.sweeps) for st in res.restart_log] == [(qb, sw) for _, qb, sw in expected]
     qb_min = min(qb for _, qb, _ in expected)
-    first = next(x for x, qb, _ in expected if qb <= qb_min + 1e-9)
+    first = next(x for x, qb, _ in expected if qb == qb_min)
     assert np.array_equal(res.best.entries, first)
 
 
@@ -356,12 +355,16 @@ LOCKSTEP_SHAPES = [
 # pi1 = 0, and one whose rows cost enough that WINDOW_WORK cuts the window
 WINDOW_SHAPES = [(6, 3, Prior(0.0), 9), (64, 30, Prior(0.5, 0.5, SECOND), 4)]
 
-# Searches whose QB ties span blocks: in the 12x6 one the best QB first
-# appears at restart 70, after the first block of 64, and in the 10x9 one
-# the largest As among the ties is in the last block
+# Searches with QB ties: in the 12x6 one the best QB first appears at
+# restart 70, after the first block of 64; in the 10x9 one the largest As
+# among the ties is in the last block; in the 18x10 one the ties have two
+# different word counts; in the 12x14 one QB is near 1e-9, so restarts 60%
+# above the best lie within 1e-9 of it
 AS_TIE_CFGS = (
     OptimizerConfig(runs=12, factors=6, prior=Prior(0.6, 0.4, SECOND), restarts=150, seed=33),
     OptimizerConfig(runs=10, factors=9, prior=Prior(0.3), restarts=150, seed=4),
+    OptimizerConfig(runs=18, factors=10, prior=Prior(0.1), restarts=64, seed=7),
+    OptimizerConfig(runs=12, factors=14, prior=Prior(1e-5), restarts=200, seed=1),
 )
 
 
@@ -372,17 +375,26 @@ def cached_oracle(cfg):
 
 @functools.cache
 def as_tiebreak_oracle(cfg):
-    """The winner of cfg by brute force over oracle_restarts(cfg): QB within
-    QB_TIE_TOL of the least, then the largest As, then the lowest restart.
+    """The winner of cfg by brute force over oracle_restarts(cfg): the least
+    QB as an exact rational, then the largest As, then the lowest restart.
 
-    Returns (the tied restarts, the winner, its entries, its qb, its As).
+    The QB of a restart is sum_k w_k S_k / N^2 with the weights of the prior
+    taken as the Fractions of the decimals pi1 and pi2, and S_k enumerated
+    over subsets.  Returns (the tied restarts, the winner, its entries, its
+    qb as the search computed it, its As, the word counts of the ties).
     """
     runs = oracle_restarts(cfg)
-    qb_min = min(qb for _, qb, _ in runs)
-    tied = [r for r, (_, qb, _) in enumerate(runs) if qb <= qb_min + QB_TIE_TOL]
+    p = cfg.prior
+    exact = Prior(Fraction(repr(p.pi1)), Fraction(repr(p.pi2)), p.order)
+    weights = qb_coefficients(exact, cfg.factors)
+    s_k = [enumerated_word_counts(x, len(weights)) for x, _, _ in runs]
+    qbs = [sum(w * Fraction(s, cfg.runs**2) for w, s in zip(weights, sk)) for sk in s_k]
+    qb_min = min(qbs)
+    tied = [r for r, qb in enumerate(qbs) if qb == qb_min]
     eff = {r: as_efficiency(Design(runs[r][0])) for r in tied}
     winner = max(tied, key=lambda r: (-np.inf if eff[r] is None else eff[r], -r))
-    return tied, winner, runs[winner][0], runs[winner][1], eff[winner]
+    counts = {s_k[r] for r in tied}
+    return tied, winner, runs[winner][0], runs[winner][1], eff[winner], counts
 
 
 def certified_rows(events, n, m):
@@ -461,17 +473,22 @@ class TestLockstep:
     @pytest.mark.parametrize("per_block", [1, 3, 64])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_as_tiebreak_across_blocks(self, monkeypatch, per_block, threads):
-        # the cases the two searches stand for
+        # the cases the four searches stand for
+        for cfg in AS_TIE_CFGS[:2]:
+            tied = as_tiebreak_oracle(cfg)[0]
+            assert tied[-1] // 64 > tied[0] // 64
         assert as_tiebreak_oracle(AS_TIE_CFGS[0])[0][0] >= 64
         tied, winner = as_tiebreak_oracle(AS_TIE_CFGS[1])[:2]
         assert tied[0] < 64 <= 128 <= winner
+        assert as_tiebreak_oracle(AS_TIE_CFGS[2])[-1] == {(8, 116), (12, 96)}
+        assert f"{as_tiebreak_oracle(AS_TIE_CFGS[3])[3]:.6g}" == "1.31111e-09"
         monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
         for cfg in AS_TIE_CFGS:
-            tied, winner, entries, qb, eff = as_tiebreak_oracle(cfg)
-            assert tied[-1] // 64 > tied[0] // 64
+            _, _, entries, qb, eff, _ = as_tiebreak_oracle(cfg)
             res = multi_restart(cfg, threads=threads)
             assert np.array_equal(res.best.entries, entries)
             assert (res.qb, res.as_main) == (qb, eff)
+            assert res.qb == min(st.qb for st in res.restart_log)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_callback_sees_every_restart_in_order(self, threads):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbdesign import wordcounts
 from qbdesign.design import Design, ModelOrder, information_matrix, random_design
 from qbdesign.errors import BadSubsetError, TooLargeError
 from qbdesign.wordcounts import (
@@ -117,20 +116,22 @@ class TestKrawtchoukKernel:
             expected = (x[:, None, :] != x[None, :, :]).sum(axis=2)
             assert np.array_equal(run_distances(x), expected)
 
-    def test_sums_over_slices_equal_one_sum(self, monkeypatch):
-        # one row per slice, on one matrix and on a stack, against the
-        # unsliced table lookup
+    def test_stacks_match_enumeration(self):
+        # one design, a stack and a stack of stacks: each design's sums are its
+        # own, equal to the subset enumeration, and the designs are left as given
         rng = np.random.Generator(np.random.Philox(key=59))
-        x = rng.integers(0, 2, size=(3, 13, 9)) * 2 - 1
-        dist = run_distances(x)
-        kraw = krawtchouk_table(9, 4, 13)[1:]
-        whole = np.array([[kr[d].sum() for kr in kraw] for d in dist])
-        monkeypatch.setattr(wordcounts, "SUM_SLICE_BYTES", 8)
-        assert np.array_equal(krawtchouk_sums(dist, kraw), whole)
-        assert np.array_equal(krawtchouk_sums(dist[1], kraw), whole[1])
+        for lead, n, m in [((), 13, 9), ((5,), 13, 9), ((2, 3), 7, 5), ((4,), 2, 1)]:
+            x = rng.integers(0, 2, size=lead + (n, m)) * 2 - 1
+            given = x.copy()
+            k_max = min(4, m)
+            s = krawtchouk_sums(x, krawtchouk_table(m, k_max, n)[1:])
+            assert np.array_equal(x, given)
+            assert s.shape == lead + (k_max,) and s.dtype == np.int64
+            for idx in np.ndindex(lead):
+                assert tuple(s[idx].tolist()) == enumerated_word_counts(x[idx], k_max), (lead, idx)
 
     def test_memory_stays_near_the_distances(self):
-        # beside the N x N distances the sums hold one row slice, not a
+        # beside the N x N distances the sums hold one histogram, not a
         # second N x N table
         n = 1500
         d = random_design(n, 6, seed=61)
@@ -140,7 +141,7 @@ class TestKrawtchoukKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * n * n
+        assert peak < 1.05 * 8 * n * n
         assert w.s(1) == int(d.entries.sum(axis=0) @ d.entries.sum(axis=0))
 
     def test_int64_bound(self):
