@@ -179,13 +179,14 @@ def _grid(lo: float, hi: float, step: float, start: int, stop: int) -> np.ndarra
 def _prior_chunks(args, pi1_size: int, pi2_axis: np.ndarray, order: ModelOrder):
     """The sweep grid as priors of a pi1 column by a pi2 row of at most
     SWEEP_CHUNK_POINTS points, in row-major order: whole pi1 rows, or pieces
-    of one row when a row alone is longer than a chunk."""
+    of one row when a row alone is longer than a chunk.  Each has a trailing
+    axis of length 1, for the designs."""
     rows = max(1, SWEEP_CHUNK_POINTS // len(pi2_axis))
     cols = min(len(pi2_axis), SWEEP_CHUNK_POINTS)
     for r0 in range(0, pi1_size, rows):
         pi1 = _grid(args.lo, args.hi, args.step, r0, min(r0 + rows, pi1_size))
         for c0 in range(0, len(pi2_axis), cols):
-            yield Prior(pi1[:, None], pi2_axis[None, c0 : c0 + cols], order)
+            yield Prior(pi1[:, None, None], pi2_axis[None, c0 : c0 + cols, None], order)
 
 
 def cmd_sweep(args) -> int:
@@ -200,6 +201,7 @@ def cmd_sweep(args) -> int:
         names.append(stem)
     order = _order(args.order)
     counts = [word_counts(d) for d in designs]
+    factors = [d.factors for d in designs]
     pi1_size = _grid_size(args.lo, args.hi, args.step)
     two_d = args.pi2_lo is not None
     if two_d and order is ModelOrder.FIRST_ORDER:
@@ -223,15 +225,14 @@ def cmd_sweep(args) -> int:
     cells_fmt = ",".join(["%.6g"] * (2 * len(designs))) + "\n"
     prev_argmin = None
     for grid in _prior_chunks(args, pi1_size, pi2_axis, order):
-        pi1_txt = [f"{v:.6g}" for v in grid.pi1[:, 0].tolist()]
+        pi1_txt = [f"{v:.6g}" for v in grid.pi1[:, 0, 0].tolist()]
         if two_d:
-            pi2_txt = [f"{v:.6g}" for v in grid.pi2[0].tolist()]
+            pi2_txt = [f"{v:.6g}" for v in grid.pi2[0, :, 0].tolist()]
             points = [(a, b) for a in pi1_txt for b in pi2_txt]
         else:
             points = [(a,) for a in pi1_txt]
-        qbs = np.stack(
-            [qb_from_word_counts(w, grid, d.factors) for w, d in zip(counts, designs)], axis=-1
-        ).reshape(len(points), len(designs))
+        # every design's QB in one pass, on the chunk's trailing axis
+        qbs = qb_from_word_counts(counts, grid, factors).reshape(len(points), len(designs))
         qmin = qbs.min(axis=1, keepdims=True)
         rel = np.divide(qmin, qbs, out=np.ones_like(qbs), where=qbs != qmin)
         lines = [

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,13 +141,15 @@ def prior_sums(prior: Prior, m: int) -> PriorSums:
     return PriorSums(terms=terms, p0=p0, pij=pij)
 
 
-def qb_coefficients(prior: Prior, m: int) -> tuple[float | np.ndarray, ...]:
+def qb_coefficients(prior: Prior, m: int | np.ndarray) -> tuple[float | np.ndarray, ...]:
     """Word-count weights (w_1, ..., w_kmax) such that QB = sum_k w_k b_k.
 
     One weight per word count the maximal model uses: b_1, b_2 for first
     order and b_1..b_4 for second order, never more than m (no k-subsets
     exist beyond k = m).  Its length is the package's one k_max rule.  For
-    an array prior each weight is an array.
+    an array prior each weight is an array.  m may be an array of factor
+    counts that broadcasts against the prior: every weight is then taken at
+    each m, and there are weights up to the largest m.
     """
     xi10, xi20, xi21, xi31, xi32, xi42 = xi_weights(prior)
     if prior.order is ModelOrder.FIRST_ORDER:
@@ -159,17 +161,32 @@ def qb_coefficients(prior: Prior, m: int) -> tuple[float | np.ndarray, ...]:
             6 * xi31,
             6 * xi42,
         )
-    return coeff[:m]
+    return coeff[: np.max(m)]
 
 
-def qb_from_word_counts(w: WordCounts, prior: Prior, m: int) -> float | np.ndarray:
+def qb_from_word_counts(
+    w: WordCounts | Sequence[WordCounts], prior: Prior, m: int | Sequence[int]
+) -> float | np.ndarray:
     """QB = sum_k w_k b_k over the weights of qb_coefficients(prior, m).
 
     The package's one QB evaluator: the optimizer, evaluate and sweep all
     report through it.  An array prior gives an array of QB.
+
+    A sequence of D word counts, with the sequence of their designs' factor
+    counts as m, gives every design's QB in one pass, on a trailing axis of
+    length D that the prior's arrays broadcast against.  Each value has the
+    bits of its design's QB taken alone: b_k = S_k / N^2 is the same Python
+    int division, each weight the same float, and a design with fewer than
+    k_max factors adds c * 0.0 for its missing b_k, which leaves its
+    non-negative sum as it was.
     """
-    n2 = w.runs * w.runs
-    return sum(c * (w.s(k) / n2) for k, c in enumerate(qb_coefficients(prior, m), start=1))
+    if isinstance(w, WordCounts):
+        coeff = qb_coefficients(prior, m)
+        b = [w.s(k) / (w.runs * w.runs) for k in range(1, len(coeff) + 1)]
+    else:
+        coeff = qb_coefficients(prior, np.asarray(m))
+        b = [np.array([x.s(k) / (x.runs * x.runs) for x in w]) for k in range(1, len(coeff) + 1)]
+    return sum(c * bk for c, bk in zip(coeff, b))
 
 
 def qb_general(im: InfoMatrix, ps: PriorSums) -> float:

@@ -63,8 +63,9 @@ class Design:
             raise InvalidDesignError(f"design needs at least 2 runs, got {n}")
         if m < 1:
             raise InvalidDesignError("design needs at least 1 factor")
-        if not np.isin(a, (-1, 1)).all():
-            bad = np.argwhere(~np.isin(a, (-1, 1)))[0]
+        binary = np.abs(a) == 1
+        if not binary.all():
+            bad = np.argwhere(~binary)[0]
             raise NonBinaryEntryError(int(bad[0]) + 1, int(bad[1]) + 1)
         a = a.copy()
         a.setflags(write=False)
@@ -104,37 +105,50 @@ class BalanceProfile:
         object.__setattr__(self, "n_unbalanced", sum(1 for v in self.imbalances if v != 0))
 
 
+# The spellings of a level that parse without int(); any other token is
+# read by int() and must give -1 or 1 ("01" and "+01" do).
+_LEVELS = {"1": 1, "-1": -1, "+1": 1}
+
+
 def parse_design(text: str) -> Design:
     """Parse a design from whitespace- or comma-separated +-1 rows.
 
     A single leading header line of non-numeric factor labels is skipped.
     Raises EmptyDesignError, RaggedRowsError, or NonBinaryEntryError with
-    1-based row/column positions.
+    1-based row/column positions, for the first fault in reading order:
+    rows top to bottom, a row's length before its entries, entries left
+    to right.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if lines and _is_header(lines[0]):
         lines = lines[1:]
     if not lines:
         raise EmptyDesignError("no design rows found")
-    rows: list[list[int]] = []
-    width = None
-    for r, ln in enumerate(lines, start=1):
-        toks = ln.replace(",", " ").split()
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
-            raise RaggedRowsError(r, width, len(toks))
-        row = []
-        for c, tok in enumerate(toks, start=1):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise NonBinaryEntryError(r, c, tok) from None
-            if v not in (-1, 1):
-                raise NonBinaryEntryError(r, c, tok)
-            row.append(v)
-        rows.append(row)
-    return Design(np.array(rows, dtype=np.int64))
+    rows = [ln.replace(",", " ").split() for ln in lines]
+    width = len(rows[0])
+    # entries are read up to the first row of another length, which is the fault
+    # if none comes before it
+    ragged = next((r for r, toks in enumerate(rows) if len(toks) != width), len(rows))
+    tokens = [tok for toks in rows[:ragged] for tok in toks]
+    values = list(map(_LEVELS.get, tokens))
+    if None in values:
+        for i, v in enumerate(values):
+            if v is None:
+                values[i] = _level(tokens[i], i // width + 1, i % width + 1)
+    if ragged < len(rows):
+        raise RaggedRowsError(ragged + 1, width, len(rows[ragged]))
+    return Design(np.array(values, dtype=np.int64).reshape(len(rows), width))
+
+
+def _level(tok: str, row: int, col: int) -> int:
+    """A token the spelling table misses: int(tok), which must be -1 or 1."""
+    try:
+        v = int(tok)
+    except ValueError:
+        raise NonBinaryEntryError(row, col, tok) from None
+    if v not in (-1, 1):
+        raise NonBinaryEntryError(row, col, tok)
+    return v
 
 
 def _is_header(line: str) -> bool:

@@ -12,6 +12,7 @@ projections).  check_fixture verifies every stated expectation exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -103,7 +104,7 @@ def load_fixture(fixture_id: str, manifest: dict[str, dict] | None = None) -> Fi
         if "cols" in entry:
             cols = tuple(int(c) for c in entry["cols"].split(","))
             design = Design(design.entries[:, [c - 1 for c in cols]])
-    xtx = np.loadtxt(entry["xtx"], dtype=np.int64, ndmin=2) if "xtx" in entry else None
+    xtx = _read_xtx(entry["xtx"]) if "xtx" in entry else None
     expected_b = {
         k: Fraction(entry[f"b{k}"]) for k in range(1, 5) if f"b{k}" in entry
     }
@@ -122,6 +123,16 @@ def load_fixture(fixture_id: str, manifest: dict[str, dict] | None = None) -> Fi
         source=_SOURCES.get(fixture_id, ""),
         cols=cols,
     )
+
+
+def _read_xtx(path: Path) -> np.ndarray:
+    """An X'X listing: the integers of a square matrix, row by row, separated by
+    whitespace (one matrix row per line in the corpus files)."""
+    a = np.fromstring(path.read_text(), dtype=np.int64, sep=" ")
+    n = math.isqrt(a.size)
+    if n * n != a.size:
+        raise ValueError(f"X'X listing {path.name} has {a.size} entries, not a square matrix")
+    return a.reshape(n, n)
 
 
 def check_fixture(f: Fixture) -> list[tuple[str, bool, str]]:

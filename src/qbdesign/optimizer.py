@@ -311,9 +311,19 @@ def coordinate_exchange(
     return Design(entries), qb, sweeps
 
 
-def _start(cfg: OptimizerConfig, r: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=r << 128))
-    return rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1
+def _starts(cfg: OptimizerConfig, lo: int, hi: int) -> np.ndarray:
+    """The random starts of restarts lo..hi-1, (R, N, m).  Restart r draws
+    from one Philox of key cfg.seed set to counter r * 2^128, which is
+    [0, 0, r mod 2^64, r >> 64] in 64-bit words, with an empty buffer."""
+    bitgen = np.random.Philox(key=cfg.seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a copy: counter 0, nothing buffered
+    x = np.empty((hi - lo, cfg.runs, cfg.factors), dtype=np.int64)
+    for i, r in enumerate(range(lo, hi)):
+        state["state"]["counter"][2:] = r % 2**64, r >> 64
+        bitgen.state = state
+        x[i] = rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1
+    return x
 
 
 def _run_block(
@@ -321,8 +331,7 @@ def _run_block(
 ) -> tuple[tuple[RestartStat, ...], list[tuple[np.ndarray, WordCounts]]]:
     """Restarts lo..hi-1 through the lockstep kernel: their stats, and their
     final designs with those designs' exact word counts."""
-    x = np.stack([_start(cfg, r) for r in range(lo, hi)])
-    res = _exchange(x, cfg.prior)
+    res = _exchange(_starts(cfg, lo, hi), cfg.prior)
     stats = tuple(RestartStat(r, qb, sw) for r, (_, qb, sw, _) in zip(range(lo, hi), res))
     return stats, [(entries, wc) for entries, _, _, wc in res]
 

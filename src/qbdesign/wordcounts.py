@@ -18,10 +18,13 @@ Krawtchouk polynomial: the product x_rl x_r'l is -1 on the d_rr' factors
 where the runs differ and +1 on the others.  So S_k = sum_d h(d) K_k(d; m)
 over the histogram h of the N x N distance matrix, the number of ordered
 run pairs at each distance d = 0..m: one bincount and one small integer
-matmul, with no intermediate that grows with C(m, k).  The optimizer
-counts the distances once per block of restarts; from then on it keeps
-only S_k and reads the distances of the rows it scores from the designs,
-through the same Krawtchouk table.
+matmul, with no intermediate that grows with C(m, k).  The table of
+K_k(d; m) is not summed from binomials either: the three-term recurrence
+in k (see krawtchouk_table) gives each row from the two before it, for
+every d at once, in exact integers.  The optimizer counts the distances
+once per block of restarts; from then on it keeps only S_k and reads the
+distances of the rows it scores from the designs, through the same
+Krawtchouk table.
 """
 
 from __future__ import annotations
@@ -88,16 +91,23 @@ def j_characteristic(d: Design, subset: Sequence[int]) -> int:
 def krawtchouk_table(m: int, k_max: int, runs: int = 1) -> np.ndarray:
     """K[k, d] = K_k(d; m) for k = 0..k_max and d = 0..m, as exact int64.
 
-    Raises TooLargeError when a sum of runs^2 entries of one row, which is
-    what S_k adds up, could leave the int64 range.
+    Rows come from the three-term recurrence, one row at a time for every d
+    (the coefficients of (1 - z)^d (1 + z)^(m - d), whose derivative gives it):
+
+        K_0 = 1,  K_1(d) = m - 2d,
+        (k + 1) K_{k+1}(d) = (m - 2d) K_k(d) - (m - k + 1) K_{k-1}(d),
+
+    in Python ints, so the division is exact and nothing overflows.  Raises
+    TooLargeError when a sum of runs^2 entries of one row, which is what
+    S_k adds up, could leave the int64 range.
     """
-    rows = [
-        [
-            sum((-1) ** j * math.comb(d, j) * math.comb(m - d, k - j) for j in range(k + 1))
-            for d in range(m + 1)
-        ]
-        for k in range(k_max + 1)
-    ]
+    lin = [m - 2 * d for d in range(m + 1)]
+    rows = [[1] * (m + 1), lin]
+    for k in range(1, k_max):
+        rows.append(
+            [(c * a - (m - k + 1) * b) // (k + 1) for c, a, b in zip(lin, rows[k], rows[k - 1])]
+        )
+    rows = rows[: k_max + 1]
     peak = max(abs(v) for row in rows for v in row)
     if runs * runs * peak >= 2**63:
         raise TooLargeError(

@@ -16,6 +16,7 @@ from qbdesign.criteria import (
     qb_from_word_counts,
 )
 from qbdesign.design import Design, ModelOrder, model_terms
+from qbdesign.errors import EmptyDesignError, NonBinaryEntryError, RaggedRowsError
 from qbdesign.fixtures import load_fixture
 from qbdesign.optimizer import _Block
 from qbdesign.wordcounts import word_counts
@@ -127,6 +128,42 @@ def restart_starts(cfg, restarts=None):
 def krawtchouk(k, d, m):
     """K_k(d; m) = sum_j (-1)^j C(d, j) C(m - d, k - j), as a Python int."""
     return sum((-1) ** j * math.comb(d, j) * math.comb(m - d, k - j) for j in range(k + 1))
+
+
+def token_loop_parse_design(text):
+    """The reference for design.parse_design: int() on every token, row by row."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    header = lines[0].replace(",", " ").split() if lines else []
+    if header and all(_not_int(tok) for tok in header):
+        lines = lines[1:]
+    if not lines:
+        raise EmptyDesignError("no design rows found")
+    rows, width = [], None
+    for r, ln in enumerate(lines, start=1):
+        toks = ln.replace(",", " ").split()
+        if width is None:
+            width = len(toks)
+        elif len(toks) != width:
+            raise RaggedRowsError(r, width, len(toks))
+        row = []
+        for c, tok in enumerate(toks, start=1):
+            try:
+                v = int(tok)
+            except ValueError:
+                raise NonBinaryEntryError(r, c, tok) from None
+            if v not in (-1, 1):
+                raise NonBinaryEntryError(r, c, tok)
+            row.append(v)
+        rows.append(row)
+    return Design(np.array(rows, dtype=np.int64))
+
+
+def _not_int(tok):
+    try:
+        int(tok)
+    except ValueError:
+        return True
+    return False
 
 
 def reference_row_deltas(x, rows, prior, scale=1):

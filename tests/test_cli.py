@@ -11,7 +11,7 @@ import pytest
 
 from qbdesign import cli, optimizer
 from qbdesign.cli import main
-from qbdesign.criteria import Prior
+from qbdesign.criteria import Prior, qb_from_word_counts
 from qbdesign.design import ModelOrder, load_design
 
 from conftest import oracle_restarts, pointwise_sweep
@@ -150,7 +150,34 @@ class TestOptimize:
         assert starts == [f"restart={r}" for r in range(9)]
 
 
+# The evaluate-path calls frozen in tests/expected, by file stem: every
+# pi1 row of the 2-D sweep (667 pi2 points) is split across two chunks, and
+# both sweeps report changes of the best design on stderr
+FROZEN_EVALUATE_PATH = {
+    "fixtures-check": ("fixtures check", "out"),
+    "sweep-order2": (
+        "sweep fixture:case4.d1 fixture:case4.d6 fixture:supp1.d1 --order 2"
+        " --lo 0.5 --hi 0.9 --step 0.2 --pi2-lo 0 --pi2-hi 1 --pi2-step 0.0015",
+        "csv",
+    ),
+    "sweep-order1": (
+        "sweep fixture:supp1.d1 fixture:supp1.d2 fixture:supp1.d3 --lo 0 --hi 1 --step 0.001",
+        "csv",
+    ),
+    "evaluate-supp1.d2": ("evaluate fixture:supp1.d2 --order 2 --pi1 0.3 --pi2 0.5", "out"),
+}
+
+
 class TestFrozenOutputs:
+    @pytest.mark.parametrize("name", FROZEN_EVALUATE_PATH)
+    def test_evaluate_path_bytes(self, capsys, name):
+        argv, ext = FROZEN_EVALUATE_PATH[name]
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0
+        assert out == (EXPECTED / f"{name}.{ext}").read_text()
+        stderr_file = EXPECTED / f"{name}.err"
+        assert err == (stderr_file.read_text() if stderr_file.exists() else "")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", FROZEN_OPTIMIZE)
     def test_optimize_progress_bytes(self, capsys, name, threads):
@@ -551,6 +578,40 @@ class TestSweepGrid:
         argv = ("sweep", *SUPP1, "fixture:supp1.d3", "--lo", "0", "--hi", "0.02", "--step", "0.01")
         out, _ = self.assert_as_oracle(capsys, argv)
         assert out.splitlines()[1] == "0,0,0,0,1,1,1"
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_chunk_cells_bit_equal_to_each_point(self, monkeypatch, tmp_path, order, chunk=7):
+        # designs of 1, 2 and 3 factors have fewer word counts than k_max
+        rng = np.random.Generator(np.random.Philox(key=131))
+        paths = []
+        for n, m in ((5, 1), (6, 2), (7, 3), (12, 14)):
+            path = tmp_path / f"d{n}x{m}.txt"
+            path.write_text("\n".join(" ".join(map(str, r)) for r in rng.choice([-1, 1], (n, m))))
+            paths.append(str(path))
+        grid = ["--lo", "0", "--hi", "1", "--step", "0.01"]
+        if order == "2":
+            grid += ["--pi2-lo", "0", "--pi2-hi", "1", "--pi2-step", "0.1"]
+        seen = []
+
+        def record(counts, prior, factors):
+            qb = qb_from_word_counts(counts, prior, factors)
+            seen.append((counts, prior, factors, qb))
+            return qb
+
+        monkeypatch.setattr(cli, "qb_from_word_counts", record)
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", chunk)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["sweep", *paths, "--order", order, *grid]) == 0
+        cells = 0
+        for counts, prior, factors, qb in seen:
+            pi1, pi2 = np.broadcast_arrays(prior.pi1, prior.pi2)
+            for idx in np.ndindex(pi1.shape[:-1]):
+                point = Prior(float(pi1[idx][0]), float(pi2[idx][0]), prior.order)
+                for t, (w, m) in enumerate(zip(counts, factors)):
+                    alone = np.float64(qb_from_word_counts(w, point, m))
+                    assert qb[idx + (t,)].view(np.int64) == alone.view(np.int64)
+                    cells += 1
+        assert cells == 101 * (11 if order == "2" else 1) * len(paths)
 
     @pytest.mark.parametrize("chunk", [1, 7, 20])
     @pytest.mark.parametrize("argv", [

@@ -166,6 +166,35 @@ class TestPriorGrid:
             ]
             assert qb.tolist() == expected
 
+    @pytest.mark.parametrize("order", [ModelOrder.FIRST_ORDER, SECOND])
+    def test_designs_on_a_trailing_axis_bit_equal(self, fx, order):
+        # every design's QB in one pass has, cell by cell, the bits of that
+        # design's QB at that point alone; m = 1, 2, 3 have fewer word counts
+        # than k_max, and m = 1 a negative b_2 weight at second order
+        rng = np.random.Generator(np.random.Philox(key=127))
+        designs = [Design(rng.choice([-1, 1], size=(n, m))) for n, m in ((5, 1), (6, 2), (7, 3))]
+        designs += [fx(fid).design for fid in ("case4.d1", "had16.proj3", "supp1.d2")]
+        counts = [word_counts(d) for d in designs]
+        factors = [d.factors for d in designs]
+        # S_k past 2^53, where S_k / N^2 taken as an int division and as
+        # float(S_k) / N^2 round apart
+        big = WordCounts(12, (1877008183148886673, 2**60 + 129, 2**55 + 3, 2**58 + 7))
+        assert any(s / 144 != float(s) / 144 for s in big.s_k)
+        counts.append(big)
+        factors.append(30)
+        pi1 = self.PI1[::7]
+        pi2 = self.PI2 if order is SECOND else np.array([0.3])
+        qb = qb_from_word_counts(counts, Prior(pi1[:, None, None], pi2[None, :, None], order), factors)
+        assert qb.shape == (len(pi1), len(pi2), len(counts)) and qb.dtype == np.float64
+        alone = np.array([
+            [
+                [qb_from_word_counts(w, Prior(p1, p2, order), m) for w, m in zip(counts, factors)]
+                for p2 in pi2.tolist()
+            ]
+            for p1 in pi1.tolist()
+        ])
+        assert np.array_equal(qb.view(np.int64), alone.view(np.int64))
+
     def test_axes_checked(self):
         for pi1, pi2, word in (
             ([0.2, 1.5], [0.1], "pi1"),

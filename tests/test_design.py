@@ -19,7 +19,7 @@ from qbdesign.errors import (
     RaggedRowsError,
 )
 
-from conftest import full_factorial, random_designs
+from conftest import full_factorial, random_designs, token_loop_parse_design
 
 
 class TestParse:
@@ -67,6 +67,87 @@ class TestParse:
             again = parse_design(text)
             assert np.array_equal(d.entries, again.entries)
             assert format_design(again) == text
+
+
+# Level spellings of the parser grammar: the three in the spelling table,
+# others int() reads as +-1, and faults (a float, 0, 2, a word, a non-ASCII
+# digit one that int() reads as 1, and a non-ASCII two)
+GOOD = ("1", "+1", "-1")
+OTHER = ("01", "-01", "+01", "\u0661", "-\u0661", "1.0", "0", "2", "x", "\u0662")
+
+
+def grammar_text(rng):
+    """A design text: mostly good levels, sometimes other spellings, commas,
+    a header line, blank lines and ragged rows."""
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+    lines = []
+    if rng.random() < 0.3:
+        lines.append(" ".join(["A", "b", "x1", "y"][: max(m, 1)]))
+    for _ in range(n):
+        width = m + int(rng.choice([-1, 1])) if rng.random() < 0.1 else m
+        toks = [
+            str(rng.choice(OTHER)) if rng.random() < 0.05 else str(rng.choice(GOOD))
+            for _ in range(max(width, 0))
+        ]
+        sep = str(rng.choice([" ", "  ", "\t", ",", ", "]))
+        lines.append(sep.join(toks))
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+    return "\n".join(lines) + str(rng.choice(["", "\n", "\r\n"]))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text).entries.tolist()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+class TestParseOracle:
+    """parse_design reads what the token-by-token int() loop reads, and fails
+    where it fails, with the same exception and message."""
+
+    def test_grammar(self):
+        rng = np.random.Generator(np.random.Philox(key=107))
+        kinds = set()
+        for _ in range(4000):
+            text = grammar_text(rng)
+            got = outcome(parse_design, text)
+            assert got == outcome(token_loop_parse_design, text), repr(text)
+            kinds.add(got[0] if isinstance(got, tuple) else "design")
+        # the grammar reaches every outcome
+        assert kinds == {"design", EmptyDesignError, InvalidDesignError, NonBinaryEntryError,
+                         RaggedRowsError}
+
+    @pytest.mark.parametrize("text", [
+        "01 +01\n-01 1",  # int() spellings of +-1
+        "\u0661 -1\n1 1",  # a non-ASCII digit one
+        "1 1\n1 1 1\n1 x",  # the ragged row comes first
+        "1 1\n1 x\n1 1 1",  # the bad token comes first
+        "1 1 1\n1",  # ragged before its tokens are read
+        "1,1\n,\n-1,-1",  # a line of commas is a row of no entries
+        ",\n,",  # rows of no entries
+        "a,b\n1,-1\n-1,1",
+        "1 2\n1 1",
+        "x y\n",
+    ])
+    def test_cases(self, text):
+        assert outcome(parse_design, text) == outcome(token_loop_parse_design, text)
+
+    def test_design_check_locates_the_first_fault(self):
+        # |a| == 1 finds the entry np.isin(a, (-1, 1)) finds, in row-major order
+        rng = np.random.Generator(np.random.Philox(key=109))
+        for _ in range(200):
+            a = rng.choice(np.array([-1, 1]), size=(int(rng.integers(2, 6)), int(rng.integers(1, 6))))
+            bad = rng.random(a.shape) < 0.1
+            a[bad] = rng.choice(np.array([0, 2, -2, 3, np.iinfo(np.int64).min]), size=bad.sum())
+            if not bad.any():
+                Design(a)
+                continue
+            with pytest.raises(NonBinaryEntryError) as err:
+                Design(a)
+            r, c = np.argwhere(~np.isin(a, (-1, 1)))[0]
+            assert (err.value.row, err.value.col) == (r + 1, c + 1)
 
 
 def products_xtx(x, terms):

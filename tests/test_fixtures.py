@@ -47,6 +47,22 @@ class TestRegistry:
         f = load_fixture("table3.second")
         assert list(f.expected_xtx[0, 1:5]) == [-2, 2, -2, 2]
 
+    def test_xtx_listings_read_as_loadtxt_reads_them(self):
+        # np.loadtxt, which read the listings before, is the reference
+        manifest = fixtures.read_manifest()
+        paths = [entry["xtx"] for entry in manifest.values() if "xtx" in entry]
+        assert len(paths) == 30
+        for path in paths:
+            got = fixtures._read_xtx(path)
+            want = np.loadtxt(path, dtype=np.int64, ndmin=2)
+            assert got.dtype == want.dtype and np.array_equal(got, want), path.name
+
+    def test_xtx_listing_not_square(self, tmp_path):
+        path = tmp_path / "bad_xtx.txt"
+        path.write_text("4 0 2\n0 4 0\n")
+        with pytest.raises(ValueError, match="bad_xtx.txt has 6 entries, not a square matrix"):
+            fixtures._read_xtx(path)
+
     def test_matrix_only_fixture(self):
         f = load_fixture("case5.a")
         assert f.design is None

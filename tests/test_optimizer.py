@@ -617,7 +617,7 @@ class TestBlockBudget:
         def never(*args, **kwargs):
             raise AssertionError("allocated")
 
-        monkeypatch.setattr(optimizer, "_start", never)
+        monkeypatch.setattr(optimizer, "_starts", never)
         monkeypatch.setattr(optimizer, "_run_block", never)
         with pytest.raises(TooLargeError, match="200000x3"):
             multi_restart(self.cfg(200000, 3, restarts=1))
@@ -871,6 +871,19 @@ class TestStarts:
         for n, m in ((2, 1), (12, 14), (64, 30)):
             cfg = OptimizerConfig(runs=n, factors=m, prior=Prior(0.1), restarts=1, seed=seed)
             for r, want in zip(restarts, restart_starts(cfg, restarts)):
-                got = optimizer._start(cfg, r)
+                got = optimizer._starts(cfg, r, r + 1)[0]
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+            # a run of restarts from one generator, each reset to its counter
+            got = optimizer._starts(cfg, 62, 66)
+            assert np.array_equal(got, np.stack(restart_starts(cfg, range(62, 66))))
+
+    @pytest.mark.parametrize("r", [0, 1, 5, 2**64 + 3])
+    def test_reused_generator_draws_as_a_new_one(self, r):
+        # the construction of one Generator per restart, as it stood before
+        # one Philox was reused: equal draws, including past a 64-bit counter word
+        cfg = OptimizerConfig(runs=24, factors=7, prior=Prior(0.1), restarts=1, seed=3)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=r << 128))
+        want = rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1
+        assert np.array_equal(optimizer._starts(cfg, r, r + 1)[0], want)
+        assert np.array_equal(optimizer._starts(cfg, max(r - 1, 0), r + 2)[-2], want)
 

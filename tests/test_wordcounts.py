@@ -17,7 +17,7 @@ from qbdesign.wordcounts import (
     word_counts_from_xtx,
 )
 
-from conftest import enumerated_word_counts, full_factorial, random_designs
+from conftest import enumerated_word_counts, full_factorial, krawtchouk, random_designs
 
 
 class TestJCharacteristic:
@@ -153,6 +153,28 @@ class TestKrawtchoukKernel:
         with pytest.raises(TooLargeError):
             word_counts(d, 32)
         assert word_counts(d, 4).s_k == tuple(9 * math.comb(64, k) for k in range(1, 5))
+
+
+class TestKrawtchoukRecurrence:
+    """The recurrence table against the math.comb sum, entry by entry."""
+
+    def test_equals_comb_sum(self):
+        for m in range(71):
+            top = min(m, 40)
+            oracle = [[krawtchouk(k, d, m) for d in range(m + 1)] for k in range(top + 1)]
+            for k_max in range(top + 1):
+                rows = oracle[: k_max + 1]
+                peak = max(abs(v) for row in rows for v in row)
+                if peak >= 2**63:
+                    with pytest.raises(TooLargeError):
+                        krawtchouk_table(m, k_max)
+                    continue
+                assert krawtchouk_table(m, k_max).tolist() == rows, (m, k_max)
+                # the int64 bound: the most runs whose runs^2 * peak fits, and one more
+                runs = math.isqrt((2**63 - 1) // peak)
+                assert krawtchouk_table(m, k_max, runs).tolist() == rows
+                with pytest.raises(TooLargeError):
+                    krawtchouk_table(m, k_max, runs + 1)
 
 
 class TestInvariances:
