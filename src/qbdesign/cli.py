@@ -87,9 +87,9 @@ def cmd_evaluate(args) -> int:
         label = f"second-order, pi1={_fmt(args.pi1)}, pi2={_fmt(args.pi2)}"
     print(f"QB({label}) = {_fmt(qb, tf)}")
     if d.factors >= 2:
-        e = es2(d)
+        e = es2(d, w)
         print(f"E(s2) = {_fmt(e.value, tf)} (b1_zero={'yes' if e.b1_zero else 'no'})")
-    print(f"UE(s2) = b1+b2 = {ue_s2(d)}")
+    print(f"UE(s2) = b1+b2 = {ue_s2(d, w)}")
     a = as_efficiency(d)
     print(f"As(main effects) = {'not estimable' if a is None else _fmt(a, tf)}")
     if args.subsets is not None:

@@ -170,7 +170,9 @@ def qb_from_word_counts(
     """QB = sum_k w_k b_k over the weights of qb_coefficients(prior, m).
 
     The package's one QB evaluator: the optimizer, evaluate and sweep all
-    report through it.  An array prior gives an array of QB.
+    report through it.  An array prior gives an array of QB, and one word
+    counts with Fraction weights (a prior of Fractions) the exact rational
+    sum_k w_k S_k / N^2.
 
     A sequence of D word counts, with the sequence of their designs' factor
     counts as m, gives every design's QB in one pass, on a trailing axis of
@@ -182,7 +184,8 @@ def qb_from_word_counts(
     """
     if isinstance(w, WordCounts):
         coeff = qb_coefficients(prior, m)
-        b = [w.s(k) / (w.runs * w.runs) for k in range(1, len(coeff) + 1)]
+        exact = all(isinstance(c, Fraction) for c in coeff)
+        b = [w.b(k) if exact else w.b_float(k) for k in range(1, len(coeff) + 1)]
     else:
         coeff = qb_coefficients(prior, np.asarray(m))
         b = [np.array([x.s(k) / (x.runs * x.runs) for x in w]) for k in range(1, len(coeff) + 1)]
@@ -214,18 +217,34 @@ class Es2Result:
     value: float
 
 
-def es2(d: Design) -> Es2Result:
-    """E(s2) = S2 / C(m,2); meaningful as a criterion only when b1 = 0."""
+def _low_word_counts(d: Design, w: WordCounts | None) -> WordCounts:
+    """d's word counts up to k = 2 (fewer with fewer factors): w if it holds them."""
+    k_max = min(2, d.factors)
+    if w is None:
+        return word_counts(d, k_max=k_max)
+    if w.runs != d.runs or w.k_max < k_max:
+        raise ValueError(f"word counts up to k = {k_max} of an N = {d.runs} design needed")
+    return w
+
+
+def es2(d: Design, w: WordCounts | None = None) -> Es2Result:
+    """E(s2) = S2 / C(m,2); meaningful as a criterion only when b1 = 0.
+
+    w, d's word counts up to k >= 2, saves counting them again.
+    """
     if d.factors < 2:
         raise ValueError("E(s2) needs at least 2 factors")
-    w = word_counts(d, k_max=2)
+    w = _low_word_counts(d, w)
     n_pairs = d.factors * (d.factors - 1) // 2
     return Es2Result(b1_zero=w.s(1) == 0, value=w.s(2) / n_pairs)
 
 
-def ue_s2(d: Design) -> Fraction:
-    """b1 + b2 as an exact rational (the unbalanced E(s2) objective)."""
-    w = word_counts(d, k_max=min(2, d.factors))
+def ue_s2(d: Design, w: WordCounts | None = None) -> Fraction:
+    """b1 + b2 as an exact rational (the unbalanced E(s2) objective).
+
+    w, d's word counts up to k = min(2, m) or beyond, saves counting them again.
+    """
+    w = _low_word_counts(d, w)
     return w.b(1) + w.b(2)
 
 

@@ -9,43 +9,48 @@ f-factor projections of the second-order model space.
 Scoring is batched.  The centered Grams of a stack of f-subsets are built at
 once, an (S, q, q) array with q = f + C(f,2): design.model_gram forms each
 subset's intercept, mains and pairs and their Gram, and design.schur_center
-centers it.  Each model's Gram is the p x p block (p = f + t) of
-its subset's Gram on the f mains and its t pairs.  Levels t are taken in
-increasing order.  Within a level the choices of pairs are unranked in
-chunks, for one subset or for a group of subsets that share a chunk, and
-the models a chunk leaves go to eigvalsh in windows.  Two steps keep most
-models away from eigvalsh:
+centers it.  Each model's Gram is the p x p block (p = f + t) of its
+subset's Gram on the f mains and its t pairs.  Levels t are taken in
+increasing order.  Three steps make the work scale with the distinct subset
+Grams, the models that may be estimable and the distinct blocks:
 
-- Superset screen.  Dropping one pair from a model leaves a model of level
+- Subset groups.  The subsets of a stack are grouped by the bytes of their
+  centered Grams, and only one representative per group is scored; every
+  member takes its values and counts, in subset order.
+- Levels by a join.  Dropping one pair from a model leaves a model of level
   t - 1 whose Gram is a principal submatrix of the model's Gram.  By Cauchy
   interlacing the model's smallest eigenvalue is at most the submodel's and
   its largest at least the submodel's, so in exact arithmetic its
   reciprocal condition is no larger, and a model with a non-estimable
   one-pair-less submodel is not estimable either.  When level t - 1 of the
-  stack was scored, such a model is counted non-estimable without a call.
-  Each subset keeps one flag per choice of level t - 1, and a model finds
-  its submodels' flags by the combinatorial ranks of its dropped-one
-  choices.  In floating point the eigenvalues only approximate this order:
-  that every screened model is non-estimable under one eigvalsh call per
-  model is checked by the oracle tests on the paper's designs and on random
-  ones, not proved.  With a level missing below t (t_values such as
-  {5: [8]}), level t is scored without the screen.
-- Dedup of identical blocks.  The blocks of a window are gathered and
-  sorted by their bytes.  Each run of byte-identical blocks goes to
-  eigvalsh once, in one call per window, and every model takes its run's
-  result.
+  stack was scored, level t is built from its estimable models alone, by
+  Apriori candidate generation (Agrawal & Srikant, VLDB 1994; see _joined),
+  and the other models are counted non-estimable ("screened") without
+  being built.  In floating point the eigenvalues only approximate this
+  order: that every screened model is non-estimable under one eigvalsh call
+  per model is checked by the oracle tests on the paper's designs and on
+  random ones, not proved.  With a level missing below t (t_values such as
+  {5: [8]}), every choice of level t is enumerated and scored.
+- Dedup per slice.  The models of a slice of a level are keyed by their
+  blocks' entries as small integers (see _keys) and sorted once.  Only the
+  first block of each run of equal keys is gathered in float and goes to
+  eigvalsh, and every model takes its run's result.
 
-Memory is bounded by a byte budget, not by the number of models: a chunk's
-pair rows and ranks, and a window's blocks, each take at most WINDOW_BYTES
-(a window holds max(1, WINDOW_BYTES // (8 p^2)) models), and the flags of a
-level at most FLAG_BYTES per stack, down to one subset per stack.
+Memory is bounded by byte budgets, not by the number of models: a slice
+holds at most max(FLAG_BYTES // (8 (p + t)), C(f,2)) candidates, the key
+temporaries and the blocks of one eigvalsh call take at most WINDOW_BYTES
+(a call gets max(1, WINDOW_BYTES // (8 p^2)) blocks), and the flags of a
+level at most FLAG_BYTES per stack, down to one subset per stack.  The
+estimable models of a level are kept for the join while the next level is
+scored: an index and a byte per pair each (two bytes past q = 255).
 
 Byte-equal input gives the same LAPACK output however the blocks are
 batched, so each model's eigenvalues and efficiency are the bits a
 one-model-at-a-time loop computes, and the per-model values come out in the
 same (subset, choice) order.  The cell mean is math.fsum over the estimable
 values, correctly rounded in any order.  So the per-model values and the
-report, CSV included, do not depend on the screen, the dedup or the budgets.
+report, CSV included, do not depend on the groups, the join, the dedup or
+the budgets.
 """
 
 from __future__ import annotations
@@ -61,14 +66,15 @@ from .criteria import as_from_eigenvalues
 from .design import Design, model_gram, schur_center
 from .errors import TooLargeError
 
-# Bytes of a chunk's pair rows and ranks and of a window's blocks, and
-# f-subsets per stack of centered Grams.  Both only bound memory: a window of
-# 16 x 16 blocks holds 64 models, and its distinct blocks take one eigvalsh
-# call.
+# Bytes of the blocks of one eigvalsh call and of the key temporaries, and
+# f-subsets per stack of centered Grams.  Both only bound memory: a call
+# takes up to 64 blocks of 16 x 16.
 WINDOW_BYTES = 2**17
 SUBSETS_PER_STACK = 1024
-# Bytes of one level's flags, one per model of a stack; a stack is cut to
-# fit, but never below one subset.
+# Bytes of one level's flags, one per model of a stack (a stack is cut to
+# fit, but never below one subset), and of a slice of a level's candidates,
+# about 8 (p + t) each.  A slice is deduped at once: wider slices send fewer
+# blocks to eigvalsh.
 FLAG_BYTES = 2**20
 # A level may have fewer choices of pairs than this, so that ranks fit int64.
 _CHOICES_CAP = 2**62
@@ -85,14 +91,21 @@ class ProjectionRow:
 
 @dataclass(frozen=True)
 class ProjectionCounts:
-    """Work done for one (f, t) cell; screened + scored == models."""
+    """Work done for one (f, t) cell; screened + scored == models.
+
+    Every member of a subset group counts its representative's models, so
+    models, screened, scored and no_est do not depend on the groups.
+    distinct and eigvalsh_calls are the work done: blocks are distinct
+    within a slice of one stack's level.
+    """
 
     models: int
-    screened: int  # counted non-estimable by the superset screen
+    screened: int  # counted non-estimable, never built: a submodel is not estimable
     scored: int  # models that took an eigvalsh result
     distinct: int  # distinct blocks sent to eigvalsh
     no_est: int
     eigvalsh_calls: int
+    subsets: int  # representatives scored: distinct subset Grams per stack
 
 
 @dataclass(frozen=True)
@@ -114,69 +127,152 @@ class ProjectionReport:
         return "\n".join(lines) + "\n"
 
 
-def _choice_chunks(f: int, n_pairs: int, t: int, size: int, screen: bool):
-    """Runs of at most `size` choices of t of the P = n_pairs pairs, in lexicographic order.
+def _all_choices(f: int, q: int, t: int, reps: np.ndarray, size: int):
+    """Every choice of t pairs for each of `reps`, in (rep, choice) order.
 
-    Yields (start, rows, ranks) with one column per choice: rows[:, c], shape
-    (f + t, k), holds the Gram rows of choice start + c (the f mains, then
-    its pairs), and ranks[j, c], when `screen` is set, the lexicographic rank
-    among the choices of t - 1 pairs of that choice with its j-th pair
-    dropped.
-
-    Choices are unranked in the combinatorial number system: with
-    x = C(P, t) - rank, the i-th pair is P - w for the smallest w with
-    C(w, t - i) >= x, and x then drops by a_i = C(w - 1, t - i), ending at 1.
-    A choice c_0 < ... < c_{r-1} has rank C(P, r) - 1 - sum_i C(P - 1 - c_i,
-    r - i).  With c_j dropped (r = t - 1) the pairs before j keep their
-    place, giving b_i = C(w - 1, t - 1 - i), and the pairs after it move up
-    one, giving a_i; so the rank is C(P, t - 1) - x + sum_{i<=j} a_i -
-    sum_{i<j} b_i, with x taken before the first step.
+    Yields (reps, rows) runs of at most max(size, 1) models; rows[k] holds
+    the Gram rows (f + pair index) of model k's pairs.
     """
-    # every x, a_i and b_i is below C(P, t) or C(P, t - 1), so a larger C(w, u)
-    # may be stored as the cap
-    comb = np.array(
-        [[min(math.comb(w, u), _CHOICES_CAP) for w in range(n_pairs + 1)] for u in range(t + 1)]
-    )
-    n_choices = math.comb(n_pairs, t)
-    for start in range(0, n_choices, size):
-        k = min(size, n_choices - start)
-        x = n_choices - np.arange(start, start + k)
-        rows = np.empty((f + t, k), dtype=np.intp)
-        rows[:f] = np.arange(f)[:, None]
-        ranks = np.empty((t, k), dtype=np.int64) if screen else None
-        if screen:
-            acc = math.comb(n_pairs, t - 1) - x
-        for i in range(t):
-            w = np.searchsorted(comb[t - i], x)
-            rows[f + i] = f + n_pairs - w
-            a = comb[t - i].take(w - 1)
-            x -= a
-            if screen:
-                acc += a
-                ranks[i] = acc
-                acc -= comb[t - 1 - i].take(w - 1)
-        yield start, rows, ranks
+    n_choices = math.comb(q - f, t)
+    if n_choices <= size:  # a group of reps shares one array of every choice
+        rows = _choices(itertools.combinations(range(f, q), t), t, n_choices)
+        group = size // n_choices
+        for r0 in range(0, len(reps), group):
+            g = reps[r0 : r0 + group]
+            yield np.repeat(g, n_choices), np.tile(rows, (len(g), 1))
+        return
+    for r in reps:
+        combos = itertools.combinations(range(f, q), t)
+        for c0 in range(0, n_choices, size):
+            k = min(size, n_choices - c0)
+            yield np.full(k, r), _choices(combos, t, k)
 
 
-def _score_blocks(gram: np.ndarray, off: np.ndarray, n: int):
-    """As efficiencies of the blocks at flat positions off (L, p, p) of the Gram stack.
+def _choices(combos, t: int, k: int) -> np.ndarray:
+    """The next k choices of t pairs of an itertools.combinations iterator, shape (k, t)."""
+    flat = itertools.chain.from_iterable(itertools.islice(combos, k))
+    return np.fromiter(flat, dtype=np.intp, count=k * t).reshape(k, t)
 
-    Byte-identical blocks are scored once: the blocks are sorted by their
-    bytes, each run of equal neighbours goes to eigvalsh as its first block,
-    and every block takes its run's result.  Returns (efficiencies, NaN where
-    not estimable; distinct blocks), from one eigvalsh call.
+
+def _joined(reps: np.ndarray, rows: np.ndarray, ok: np.ndarray, f: int, comb: np.ndarray,
+            size: int):
+    """Level-t models whose every one-pair-less submodel is estimable, in (rep, choice) order.
+
+    reps and rows are the estimable models of level t - 1 >= 1, in (rep,
+    choice) order, and ok[r, rank] flags them by lexicographic rank.  Two of
+    them of one rep that share their first t - 2 pairs, A before B, make the
+    candidate A + B's last pair, whose submodels without its last two pairs
+    are A and B (Apriori candidate generation).  The others, without pair j
+    < t - 2, are looked up in ok: a choice c_0 < ... < c_{r-1} of the P pairs
+    has rank C(P, r) - 1 - sum_i C(P - 1 - c_i, r - i), so with c_j dropped
+    the rank is C(P, t - 1) - 1 - sum_{i<j} C(P - 1 - c_i, t - 1 - i) -
+    sum_{i>j} C(P - 1 - c_i, t - i), a prefix and a suffix sum.  Yields
+    (reps, rows) runs of at most about `size` candidates, pruned.
     """
-    blocks = gram.take(off)
-    bits = blocks.reshape(len(off), -1).view(np.uint64)
-    order = bits.view(np.dtype((np.void, blocks[0].nbytes))).ravel().argsort(kind="stable")
-    ordered = bits[order]
-    starts = np.ones(len(order), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    first = order[starts]  # the earliest of each run of equal blocks
+    e, t = rows.shape[0], rows.shape[1] + 1
+    n_pairs = comb.shape[1] - 1
+    # runs of models of one rep that share their first t - 2 pairs
+    last = np.empty(e, dtype=bool)
+    last[-1:] = True
+    last[:-1] = reps[1:] != reps[:-1]
+    last[:-1] |= (rows[1:, : t - 2] != rows[:-1, : t - 2]).any(axis=1)
+    run_last = np.flatnonzero(last)
+    later = run_last[np.searchsorted(run_last, np.arange(e))] - np.arange(e)  # each one's B's
+    ends = later.cumsum()
+    i0 = 0
+    while i0 < e:
+        i1 = max(i0 + 1, int(np.searchsorted(ends, ends[i0] - later[i0] + size, side="right")))
+        cnt = later[i0:i1]
+        a = np.repeat(np.arange(i0, i1), cnt)
+        b = a + 1 + np.arange(len(a)) - np.repeat(cnt.cumsum() - cnt, cnt)
+        i0 = i1
+        rep = reps[a]
+        cand = np.empty((len(a), t), dtype=np.intp)
+        cand[:, :-1] = rows[a]
+        cand[:, -1] = rows[b, -1]
+        if t > 2:  # the rank without c_0 is a suffix sum; each j moves c_{j-1} to the prefix
+            d = n_pairs - 1 - (cand - f)
+            rank = math.comb(n_pairs, t - 1) - 1 - comb[t - np.arange(1, t), d[:, 1:]].sum(axis=1)
+            keep = ok[rep, rank]
+            for j in range(1, t - 2):
+                rank += comb[t - j].take(d[:, j]) - comb[t - j].take(d[:, j - 1])
+                keep &= ok[rep, rank]
+            rep, cand = rep[keep], cand[keep]
+        yield rep, cand
+
+
+def _group(a: np.ndarray):
+    """(first, inverse) of the rows of a 2-D array, grouped by their bytes.
+
+    first[g] is the earliest row of group g and inverse[i] is row i's group;
+    groups are numbered in byte order.
+    """
+    order = a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().argsort(kind="stable")
+    ordered = a[order]
+    starts = np.empty(len(a), dtype=bool)
+    starts[:1] = True
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=starts[1:])
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    eff = as_from_eigenvalues(np.linalg.eigvalsh(blocks[first]), n)
-    return eff[inverse], len(first)
+    inverse[order] = starts.cumsum() - 1
+    return order[starts], inverse
+
+
+def _keys(gram: np.ndarray, f: int):
+    """Tables of a stack's block keys: (head, row, ids), in one small dtype.
+
+    ids[r] is Gram r with each entry's index among the stack's distinct
+    values (by bits), head[r] the group of its f x f mains block, and
+    row[r, c] the group of pair c's entries on the mains and its diagonal
+    entry.  A model's block is symmetric, and eigvalsh reads one triangle,
+    so its key is head, the row of each of its pairs and the ids between
+    its pairs: equal keys, byte-equal blocks.
+    """
+    n_reps, q = gram.shape[:2]
+    ids = _group(gram.view(np.uint64).reshape(-1, 1))[1].reshape(gram.shape)
+    head = _group(ids[:, :f, :f].reshape(n_reps, -1))[1]
+    diag = ids.diagonal(axis1=1, axis2=2)[:, f:, None]
+    row = _group(np.concatenate([ids[:, f:, :f], diag], axis=2).reshape(-1, f + 1))[1]
+    dtype = np.min_scalar_type(max(ids.max(), len(head), len(row)))
+    return head.astype(dtype), row.astype(dtype).reshape(n_reps, q - f), ids.astype(dtype)
+
+
+def _pairs(k: int) -> np.ndarray:
+    """Positions (a, b), a < b, of the C(k, 2) pairs of k items, in lexicographic order."""
+    return np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2)
+
+
+def _score_models(gram, keys, reps, rows, f: int, n: int):
+    """As efficiencies, NaN where not estimable, of the models (reps, rows).
+
+    The models are sorted by their keys (see _keys), and the first block of
+    each run of equal keys is gathered in float and goes to eigvalsh,
+    WINDOW_BYTES of blocks per call.  Returns (efficiencies, distinct
+    blocks, eigvalsh calls).
+    """
+    head, row, ids = keys
+    k, t = rows.shape
+    q = gram.shape[-1]
+    below = _pairs(t)
+    key = np.empty((k, 1 + t + len(below)), dtype=head.dtype)
+    step = max(1, WINDOW_BYTES // (8 * key.shape[1]))
+    for k0 in range(0, k, step):
+        rp, rw = reps[k0 : k0 + step, None], rows[k0 : k0 + step]
+        part = key[k0 : k0 + step]
+        part[:, 0] = head.take(rp[:, 0])
+        part[:, 1 : 1 + t] = row.take(rp * row.shape[1] + (rw - f))
+        part[:, 1 + t :] = ids.take((rp * q + rw[:, below[:, 1]]) * q + rw[:, below[:, 0]])
+    first, inverse = _group(key)
+    p = f + t
+    eff = np.empty(len(first))
+    window = max(1, WINDOW_BYTES // (8 * p * p))
+    for w0 in range(0, len(first), window):
+        w = first[w0 : w0 + window]
+        r = np.empty((len(w), p), dtype=np.intp)
+        r[:, :f] = np.arange(f)
+        r[:, f:] = rows[w]
+        off = (reps[w] * (q * q))[:, None, None] + r[:, :, None] * q + r[:, None, :]
+        eff[w0 : w0 + window] = as_from_eigenvalues(np.linalg.eigvalsh(gram.take(off)), n)
+    return eff[inverse], len(first), -(-len(first) // window)
 
 
 def _score_subsets(
@@ -188,7 +284,7 @@ def _score_subsets(
     a subset by choice of pairs in lexicographic order.
     """
     n, m = x.shape
-    pair_pos = np.array(list(itertools.combinations(range(f), 2)), dtype=np.intp).reshape(-1, 2)
+    pair_pos = _pairs(f)
     n_pairs = len(pair_pos)
     q = f + n_pairs
     levels = sorted(set(wanted))
@@ -196,49 +292,65 @@ def _score_subsets(
     counts = {t: dict.fromkeys(ProjectionCounts.__dataclass_fields__, 0) for t in levels}
     widest = max((math.comb(n_pairs, t) for t in levels), default=1)
     per_stack = min(SUBSETS_PER_STACK, max(1, FLAG_BYTES // widest))
+    # comb[u, w] = C(w, u); any entry a rank sums is below C(P, t) < _CHOICES_CAP
+    comb = np.array([[min(math.comb(w, u), _CHOICES_CAP) for w in range(n_pairs + 1)]
+                     for u in range(max(levels, default=0) + 1)])
+    small = np.min_scalar_type(q)  # the dtype of kept Gram rows
     xf = x.astype(float)  # every +-1 product and sum is exact
     subsets = itertools.combinations(range(m), f)
     while stack := list(itertools.islice(subsets, per_stack)):
         fs = np.array(stack, dtype=np.intp)
-        gram = schur_center(model_gram(xf, fs, fs[:, pair_pos]), n)  # (S, q, q)
-        flags = {}  # t -> (S, C(P, t)), True where not estimable: the screen of level t + 1
+        gram = schur_center(model_gram(xf, fs, fs[:, pair_pos]), n)
+        # one representative per group of byte-equal Grams; member[s] is s's group
+        first, member = _group(gram.reshape(len(fs), -1).view(np.uint64))
+        gram = gram[first]
+        keys = _keys(gram, f)
+        n_reps = len(first)
+        est = ok = None  # the estimable models of the level below and their flags by rank
         for t in levels:
-            p = f + t
             n_choices = math.comb(n_pairs, t)
-            screen = t - 1 in flags
-            prev = flags.pop(t - 1, None)
-            bad_t = np.empty((len(stack), n_choices), dtype=bool) if t + 1 in wanted else None
-            chunk = max(1, WINDOW_BYTES // (8 * (p + t)))  # choices: their rows and ranks
-            window = max(1, WINDOW_BYTES // (8 * p * p))  # models: their blocks
-            group = max(1, chunk // n_choices)  # subsets that share one chunk
+            size = max(1, FLAG_BYTES // (8 * (f + 2 * t)))  # 8 (p + t) bytes each
+            if est is None:  # no level below: every model is scored
+                source = _all_choices(f, q, t, np.arange(n_reps), size)
+            elif t == 1:  # the mains-only model of each rep is the one submodel
+                source = _all_choices(f, q, t, est[0], size)
+            else:
+                source = _joined(*est, ok, f, comb, size)
+            keep = t + 1 in wanted
+            next_reps, next_rows = [np.empty(0, np.intp)], [np.empty((0, t), small)]
+            next_ok = np.zeros((n_reps, n_choices), dtype=bool) if keep else None
+            scored = np.zeros(n_reps, dtype=np.intp)
+            good = np.zeros(n_reps, dtype=np.intp)
+            kept = [np.empty(0)]
             cell = counts[t]
-            for s0 in range(0, len(stack), group):
-                g = min(group, len(stack) - s0)
-                for c0, rows, ranks in _choice_chunks(f, n_pairs, t, chunk, screen):
-                    k = rows.shape[1]
-                    if screen:
-                        bad = prev[s0 : s0 + g][:, ranks].any(axis=1)
-                    else:
-                        bad = np.zeros((g, k), dtype=bool)
-                    si, ci = np.nonzero(~bad)
-                    cell["models"] += g * k
-                    cell["screened"] += g * k - len(si)
-                    cell["scored"] += len(si)
-                    for w0 in range(0, len(si), window):
-                        ws, wc = si[w0 : w0 + window], ci[w0 : w0 + window]
-                        r = rows[:, wc].T
-                        off = (s0 + ws)[:, None, None] * (q * q) + r[:, :, None] * q
-                        eff, distinct = _score_blocks(gram, off + r[:, None, :], n)
-                        cell["distinct"] += distinct
-                        cell["eigvalsh_calls"] += 1
-                        singular = np.isnan(eff)
-                        bad[ws, wc] = singular
-                        vals[t].append(eff[~singular])
-                    cell["no_est"] += int(bad.sum())
-                    if bad_t is not None:
-                        bad_t[s0 : s0 + g, c0 : c0 + k] = bad
-            if bad_t is not None:
-                flags[t] = bad_t
+            for reps, rows in source:
+                if not len(reps):
+                    continue
+                eff, distinct, calls = _score_models(gram, keys, reps, rows, f, n)
+                cell["distinct"] += distinct
+                cell["eigvalsh_calls"] += calls
+                scored += np.bincount(reps, minlength=n_reps)
+                fine = ~np.isnan(eff)
+                reps, rows = reps[fine], rows[fine]
+                good += np.bincount(reps, minlength=n_reps)
+                kept.append(eff[fine])
+                if keep:
+                    next_reps.append(reps)
+                    next_rows.append(rows.astype(small))
+                    rank = n_choices - 1 - comb[t - np.arange(t), n_pairs - 1 - (rows - f)].sum(1)
+                    next_ok[reps, rank] = True
+            # each member takes its representative's values and counts, in subset order
+            n_good = good[member]
+            at = np.repeat(good.cumsum()[member] - n_good.cumsum(), n_good)
+            vals[t].append(np.concatenate(kept)[at + np.arange(len(at))])
+            n_scored = int(scored[member].sum())
+            cell["models"] += len(stack) * n_choices
+            cell["scored"] += n_scored
+            cell["screened"] += len(stack) * n_choices - n_scored
+            cell["no_est"] += len(stack) * n_choices - len(at)
+            cell["subsets"] += n_reps
+            est = (np.concatenate(next_reps), np.concatenate(next_rows)) if keep else None
+            ok = next_ok
     return {
         t: (np.concatenate(vals[t]) if vals[t] else np.empty(0), ProjectionCounts(**counts[t]))
         for t in levels

@@ -13,6 +13,7 @@ from qbdesign import cli, optimizer
 from qbdesign.cli import main
 from qbdesign.criteria import Prior, qb_from_word_counts
 from qbdesign.design import ModelOrder, load_design
+from qbdesign.wordcounts import word_counts
 
 from conftest import oracle_restarts, pointwise_sweep
 
@@ -69,6 +70,23 @@ class TestEvaluate:
         assert code == 0
         for frag in ("b1 = 0", "b2 = 0", "b3 = 4/9", "b4 = 1/9"):
             assert frag in out
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_word_counts_counted_once(self, capsys, monkeypatch, order):
+        from qbdesign import criteria
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return word_counts(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "word_counts", counting)
+        monkeypatch.setattr(criteria, "word_counts", counting)
+        code, out, _ = run(capsys, "evaluate", "fixture:supp1.d2", "--order", order,
+                           "--pi1", "0.3", "--pi2", "0.5")
+        assert code == 0 and "UE(s2) = b1+b2 = 7/3" in out
+        assert len(calls) == 1
 
     def test_empty_file(self, capsys, tmp_path):
         p = tmp_path / "empty.txt"
@@ -177,6 +195,12 @@ class TestFrozenOutputs:
         assert out == (EXPECTED / f"{name}.{ext}").read_text()
         stderr_file = EXPECTED / f"{name}.err"
         assert err == (stderr_file.read_text() if stderr_file.exists() else "")
+
+    def test_project_had16_f4_bytes(self, capsys):
+        # 1,365 subsets with few distinct Grams: subset groups at scale
+        code, out, err = run(capsys, "project", "fixture:had16", "--f", "4", "--t-max", "10")
+        assert code == 0 and err == ""
+        assert out == (EXPECTED / "project-had16-f4.csv").read_text()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", FROZEN_OPTIMIZE)

@@ -312,6 +312,20 @@ class TestQbSecondOrder:
         pr = Prior(0.9, 0.9, ModelOrder.SECOND_ORDER)
         assert qb_from_word_counts(w, pr, 2) == 0.0
 
+    @pytest.mark.parametrize(
+        "order,runs,factors", [(ModelOrder.FIRST_ORDER, 12, 6), (SECOND, 12, 6), (SECOND, 8, 3)]
+    )
+    def test_fraction_prior_exact(self, order, runs, factors):
+        # 8 x 3 at second order has fewer factors than k_max = 4
+        pr = Prior(Fraction(3, 10), Fraction(1, 2), order)
+        weights = qb_coefficients(pr, factors)
+        w = word_counts(random_design(runs, factors, 4), len(weights))
+        assert len(weights) == min(factors, 2 if order is ModelOrder.FIRST_ORDER else 4)
+        qb = qb_from_word_counts(w, pr, factors)
+        assert isinstance(qb, Fraction)
+        assert qb == sum(c * Fraction(w.s(k), runs * runs) for k, c in enumerate(weights, 1))
+        assert float(qb) == pytest.approx(qb_from_word_counts(w, Prior(0.3, 0.5, order), factors))
+
 
 class TestQbGeneral:
     def test_orthogonal_design_zero(self):
@@ -381,6 +395,12 @@ class TestEs2:
     def test_d2_not_balanced(self, fx):
         assert not es2(fx("supp1.d2").design).b1_zero
 
+    def test_given_word_counts(self, fx):
+        d = fx("supp1.d2").design
+        assert es2(d, word_counts(d, 4)) == es2(d)
+        with pytest.raises(ValueError, match="k = 2"):
+            es2(d, word_counts(d, 1))
+
 
 class TestUeS2:
     def test_corpus_values(self, fx):
@@ -390,6 +410,14 @@ class TestUeS2:
 
     def test_full_factorial(self):
         assert ue_s2(full_factorial(4)) == 0
+
+    def test_given_word_counts(self, fx):
+        d = fx("supp1.d1").design
+        assert ue_s2(d, word_counts(d, 4)) == ue_s2(d, word_counts(d, 2)) == Fraction(8, 3)
+        one = Design(np.array([[1], [-1], [1], [1]]))
+        assert ue_s2(one, word_counts(one, 1)) == ue_s2(one)
+        with pytest.raises(ValueError, match="N = 12"):
+            ue_s2(d, word_counts(full_factorial(2), 2))
 
 
 class TestAsEfficiency:

@@ -386,9 +386,9 @@ def as_tiebreak_oracle(cfg):
     runs = oracle_restarts(cfg)
     p = cfg.prior
     exact = Prior(Fraction(repr(p.pi1)), Fraction(repr(p.pi2)), p.order)
-    weights = qb_coefficients(exact, cfg.factors)
-    s_k = [enumerated_word_counts(x, len(weights)) for x, _, _ in runs]
-    qbs = [sum(w * Fraction(s, cfg.runs**2) for w, s in zip(weights, sk)) for sk in s_k]
+    k_max = len(qb_coefficients(exact, cfg.factors))
+    s_k = [enumerated_word_counts(x, k_max) for x, _, _ in runs]
+    qbs = [qb_from_word_counts(WordCounts(cfg.runs, sk), exact, cfg.factors) for sk in s_k]
     qb_min = min(qbs)
     tied = [r for r, qb in enumerate(qbs) if qb == qb_min]
     eff = {r: as_efficiency(Design(runs[r][0])) for r in tied}

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import tracemalloc
 from contextlib import redirect_stdout
@@ -148,6 +149,24 @@ class TestBatchedScoring:
         assert_matches_enumeration(fx("case4.d6").design.entries, 4)
         assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
 
+    @pytest.mark.parametrize(
+        "budget,value",
+        [("FLAG_BYTES", 1), ("FLAG_BYTES", 997), ("FLAG_BYTES", 12345),
+         ("WINDOW_BYTES", 1), ("WINDOW_BYTES", 1237)],
+    )
+    def test_budget_boundaries(self, fx, monkeypatch, budget, value):
+        # slices of one candidate and stacks of one subset, join slices cut
+        # inside a run of one prefix, stacks of a few subsets, and key steps
+        # and eigvalsh calls of one model or of a few, at sizes that divide
+        # nothing evenly
+        argv = ["project", "fixture:had16", "--f", "3", "4", "--t-max", "10"]
+        want = cli_stdout(argv)
+        monkeypatch.setattr(projection, budget, value)
+        assert cli_stdout(argv) == want
+        assert_matches_enumeration(fx("had16").design.entries, 3)
+        assert_matches_enumeration(fx("case4.d6").design.entries, 5)
+        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
+
     def test_one_subset_per_stack(self, monkeypatch):
         # flags of a wide level cut a stack down to one subset
         monkeypatch.setattr(projection, "FLAG_BYTES", 1)
@@ -221,31 +240,31 @@ class TestCounts:
                 assert c.distinct <= c.scored
                 assert (c.distinct > 0) <= c.eigvalsh_calls <= c.distinct
 
-    # per t = 1..10: (t, models, screened, scored, distinct, no_est, eigvalsh_calls)
+    # per t = 1..10: (t, models, screened, scored, distinct, no_est, eigvalsh_calls, subsets)
     PINNED = {
         "case4.d1": [
-            (1, 15, 0, 15, 1, 0, 1),
-            (2, 105, 0, 105, 2, 9, 1),
-            (3, 455, 115, 340, 2, 115, 2),
-            (4, 1365, 645, 720, 5, 645, 5),
-            (5, 3003, 2091, 912, 9, 2091, 9),
-            (6, 5005, 4365, 640, 7, 4365, 7),
-            (7, 6435, 6243, 192, 8, 6243, 8),
-            (8, 6435, 6435, 0, 0, 6435, 0),
-            (9, 5005, 5005, 0, 0, 5005, 0),
-            (10, 3003, 3003, 0, 0, 3003, 0),
+            (1, 15, 0, 15, 1, 0, 1, 1),
+            (2, 105, 0, 105, 2, 9, 1, 1),
+            (3, 455, 115, 340, 1, 115, 1, 1),
+            (4, 1365, 645, 720, 1, 645, 1, 1),
+            (5, 3003, 2091, 912, 1, 2091, 1, 1),
+            (6, 5005, 4365, 640, 1, 4365, 1, 1),
+            (7, 6435, 6243, 192, 1, 6243, 1, 1),
+            (8, 6435, 6435, 0, 0, 6435, 0, 1),
+            (9, 5005, 5005, 0, 0, 5005, 0, 1),
+            (10, 3003, 3003, 0, 0, 3003, 0, 1),
         ],
         "case4.d6": [
-            (1, 15, 0, 15, 7, 0, 1),
-            (2, 105, 0, 105, 41, 0, 1),
-            (3, 455, 0, 455, 235, 10, 3),
-            (4, 1365, 114, 1251, 805, 115, 9),
-            (5, 3003, 603, 2400, 1760, 603, 19),
-            (6, 5005, 1873, 3132, 2488, 1873, 30),
-            (7, 6435, 3775, 2660, 2221, 3775, 31),
-            (8, 6435, 5115, 1320, 1148, 5115, 21),
-            (9, 5005, 4717, 288, 252, 4717, 7),
-            (10, 3003, 3003, 0, 0, 3003, 0),
+            (1, 15, 0, 15, 7, 0, 1, 1),
+            (2, 105, 0, 105, 41, 0, 1, 1),
+            (3, 455, 0, 455, 192, 10, 1, 1),
+            (4, 1365, 114, 1251, 592, 115, 4, 1),
+            (5, 3003, 603, 2400, 1340, 603, 10, 1),
+            (6, 5005, 1873, 3132, 2035, 1873, 19, 1),
+            (7, 6435, 3775, 2660, 1954, 3775, 21, 1),
+            (8, 6435, 5115, 1320, 1067, 5115, 13, 1),
+            (9, 5005, 4717, 288, 252, 4717, 4, 1),
+            (10, 3003, 3003, 0, 0, 3003, 0, 1),
         ],
     }
 
@@ -259,6 +278,43 @@ class TestCounts:
     def test_counts_not_in_csv(self, fx):
         rep = projection_report(fx("case4.d1").design, [3])
         assert rep.to_csv().splitlines()[0] == "f,t,n_models,no_est,mean_as"
+
+
+def subset_gram_bytes(x, f):
+    """The bytes of each f-subset's centered Gram, built as the oracle builds it."""
+    x = np.asarray(x)
+    out = []
+    for fs in itertools.combinations(range(x.shape[1]), f):
+        cols = [x[:, j] for j in fs] + [x[:, a] * x[:, b] for a, b in itertools.combinations(fs, 2)]
+        dm = np.column_stack(cols).astype(float)
+        csum = dm.sum(axis=0)
+        out.append((dm.T @ dm - np.outer(csum, csum) / x.shape[0]).tobytes())
+    return out
+
+
+class TestSubsetGroups:
+    """One representative per distinct subset Gram; members take its values."""
+
+    @pytest.mark.parametrize(
+        "fid,f", [("had16", 3)] + [(f"case4.d{x}", f) for x in (1, 3, 6) for f in (3, 4, 5)]
+    )
+    def test_distinct_subsets(self, fx, fid, f):
+        want = len(np.unique(np.array(subset_gram_bytes(fx(fid).design.entries, f), dtype=object)))
+        rep = projection_report(fx(fid).design, [f], {f: [1, 2]})
+        assert [c.subsets for c in rep.counts] == [want, want]
+
+    def test_had16_grams(self, fx):
+        # 455 subsets in 4 groups at f = 3; at f = 4 the 1,365 subsets take
+        # two stacks, and each groups its own
+        x = fx("had16").design.entries
+        assert len(set(subset_gram_bytes(x, 3))) == 4
+        assert len(set(subset_gram_bytes(x, 4))) == 33
+        rep = projection_report(fx("had16").design, [4], {4: [1]})
+        assert 33 <= rep.counts[0].subsets <= 2 * 33
+
+    def test_groups_across_stack_boundaries(self, fx, monkeypatch):
+        monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 7)
+        assert_matches_enumeration(fx("had16").design.entries, 3)
 
 
 class TestWork:
