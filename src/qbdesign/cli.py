@@ -221,36 +221,40 @@ def cmd_sweep(args) -> int:
     header = (["pi1", "pi2"] if two_d else ["pi1"])
     header += [f"qb:{n}" for n in names] + [f"releff:{n}" for n in names]
     print(",".join(header))
-    # "%.6g" is the same C conversion as f"{v:.6g}", and faster per cell
-    cells_fmt = ",".join(["%.6g"] * (2 * len(designs))) + "\n"
+    # every cell is "%.6g", a chunk at a time (see csvcells); imported here,
+    # since only sweep prints cells in bulk
+    from .csvcells import csv_rows
+
     prev_argmin = None
     for grid in _prior_chunks(args, pi1_size, pi2_axis, order):
-        pi1_txt = [f"{v:.6g}" for v in grid.pi1[:, 0, 0].tolist()]
-        if two_d:
-            pi2_txt = [f"{v:.6g}" for v in grid.pi2[0, :, 0].tolist()]
-            points = [(a, b) for a in pi1_txt for b in pi2_txt]
-        else:
-            points = [(a,) for a in pi1_txt]
         # every design's QB in one pass, on the chunk's trailing axis
-        qbs = qb_from_word_counts(counts, grid, factors).reshape(len(points), len(designs))
+        qbs = qb_from_word_counts(counts, grid, factors).reshape(-1, len(designs))
+        pi1 = grid.pi1.ravel()
+        pis = [np.repeat(pi1, len(qbs) // len(pi1))]
+        if two_d:
+            pis.append(np.tile(grid.pi2.ravel(), len(pi1)))
         qmin = qbs.min(axis=1, keepdims=True)
         rel = np.divide(qmin, qbs, out=np.ones_like(qbs), where=qbs != qmin)
-        lines = [
-            ",".join(p) + "," + cells_fmt % tuple(v)
-            for p, v in zip(points, np.hstack([qbs, rel]).tolist())
-        ]
+        text = csv_rows(np.column_stack([*pis, qbs, rel]))
         # argmin is the first minimal design, as list.index gives it; each
         # change is reported right after its row
-        argmin = qbs.argmin(axis=1).tolist()
-        before = [argmin[0] if prev_argmin is None else prev_argmin] + argmin[:-1]
-        done = 0
-        for i, (a, b) in enumerate(zip(before, argmin)):
-            if a != b:
-                sys.stdout.write("".join(lines[done : i + 1]))
-                done = i + 1
-                at = f"pi1={points[i][0]}" + (f" pi2={points[i][1]}" if two_d else "")
-                print(f"argmin change at {at}: {names[a]} -> {names[b]}", file=sys.stderr)
-        sys.stdout.write("".join(lines[done:]))
+        argmin = qbs.argmin(axis=1)
+        before = np.concatenate(([argmin[0] if prev_argmin is None else prev_argmin], argmin[:-1]))
+        changes = np.flatnonzero(argmin != before)
+        if len(changes):
+            # row i of the text is text[ends[i] : ends[i + 1]]
+            ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n"))
+            ends = [0] + (ends + 1).tolist()
+            done = 0
+            for i in changes.tolist():
+                sys.stdout.write(text[done : ends[i + 1]])
+                done = ends[i + 1]
+                point = text[ends[i] : done].split(",")[: len(pis)]
+                at = " ".join(f"{k}={v}" for k, v in zip(("pi1", "pi2"), point))
+                change = f"{names[before[i]]} -> {names[argmin[i]]}"
+                print(f"argmin change at {at}: {change}", file=sys.stderr)
+            text = text[done:]
+        sys.stdout.write(text)
         prev_argmin = argmin[-1]
     return 0
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdesign import cli
+from qbdesign import cli, csvcells
 from qbdesign.criteria import (
     RCOND_SINGULAR,
     Prior,
@@ -32,6 +32,20 @@ def fx():
         return cache[fixture_id]
 
     return get
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The cell values `csvcells` sends to its "%.6g" fallback, in order."""
+    seen = []
+    fallback = csvcells.fallback
+
+    def counted(values):
+        seen.extend(values)
+        return fallback(values)
+
+    monkeypatch.setattr(csvcells, "fallback", counted)
+    return seen
 
 
 def full_factorial(m):

@@ -183,6 +183,12 @@ FROZEN_EVALUATE_PATH = {
         "csv",
     ),
     "evaluate-supp1.d2": ("evaluate fixture:supp1.d2 --order 2 --pi1 0.3 --pi2 0.5", "out"),
+    # a subnormal pi1, then QB cells down to 5e-12: exponent notation
+    "sweep-tiny": (
+        "sweep fixture:supp1.d1 fixture:supp1.d2 fixture:supp1.d3"
+        " --lo 5e-324 --hi 1e-5 --step 1e-6",
+        "csv",
+    ),
 }
 
 
@@ -545,6 +551,16 @@ ORACLE_SWEEPS = {
         "--lo", "0", "--hi", "0.5", "--step", "0.01",
         "--pi2-lo", "0", "--pi2-hi", "1", "--pi2-step", "0.25",
     ),
+    # cells in exponent notation, and subnormal, underflowed and tiny cells
+    # that the vectorised formatter leaves to "%.6g"
+    "tiny-first-order": (
+        "sweep", *SUPP1, "fixture:supp1.d3", "--lo", "5e-324", "--hi", "1e-5", "--step", "1e-6",
+    ),
+    "tiny-order2": (
+        "sweep", "fixture:case4.d1", "fixture:case4.d6", "fixture:supp1.d1", "--order", "2",
+        "--lo", "1e-300", "--hi", "1e-5", "--step", "1e-6",
+        "--pi2-lo", "1e-300", "--pi2-hi", "1", "--pi2-step", "0.25",
+    ),
 }
 
 
@@ -591,11 +607,14 @@ class TestSweepGrid:
             ("0.95", "0.2"): ["0.586444", "0.905388", "1.22433"],
         }),
     ])
-    def test_tie_cells(self, capsys, argv, cells):
+    def test_tie_cells(self, capsys, fallbacks, argv, cells):
         out, _ = self.assert_as_oracle(capsys, argv)
         rows = {tuple(ln.split(",")[:2]): ln.split(",")[2:] for ln in out.splitlines()[1:]}
         for point, qbs in cells.items():
             assert rows[point][: len(qbs)] == qbs
+        # tie cells are printed by Python's "%.6g", not the vectorised path
+        tied = {q for qbs in cells.values() for q in qbs}
+        assert tied & {"%.6g" % v for v in fallbacks}
 
     def test_pi1_zero(self, capsys):
         # every QB is 0 at pi1 = 0, so every releff takes the 1.0 branch
