@@ -43,8 +43,8 @@ MAX_GRID_POINTS = 10**6
 SWEEP_CHUNK_POINTS = 512
 
 
-def _fmt(x: float, table: bool = False) -> str:
-    return f"{x:.3f}" if table else f"{x:.6g}"
+def _fmt(x: float) -> str:
+    return f"{x:.6g}"
 
 
 def _order(arg: int) -> ModelOrder:
@@ -72,42 +72,34 @@ def cmd_evaluate(args) -> int:
     k_max = len(qb_coefficients(prior, d.factors))
     w = word_counts(d, k_max)
     prof = balance_profile(d)
-    tf = args.table_format
     print(f"design: {args.design} (N={d.runs}, m={d.factors})")
     print(
         f"level-balanced factors: {prof.n_balanced}/{d.factors}"
         f" (imbalances: {' '.join(str(v) for v in prof.imbalances)})"
     )
     for k in range(1, k_max + 1):
-        print(f"b{k} = {w.b(k)} ({_fmt(w.b_float(k), tf)})")
+        print(f"b{k} = {w.b(k)} ({_fmt(w.b_float(k))})")
     qb = qb_from_word_counts(w, prior, d.factors)
     if order is ModelOrder.FIRST_ORDER:
         label = f"first-order, pi1={_fmt(args.pi1)}"
     else:
         label = f"second-order, pi1={_fmt(args.pi1)}, pi2={_fmt(args.pi2)}"
-    print(f"QB({label}) = {_fmt(qb, tf)}")
+    print(f"QB({label}) = {_fmt(qb)}")
     if d.factors >= 2:
         e = es2(d, w)
-        print(f"E(s2) = {_fmt(e.value, tf)} (b1_zero={'yes' if e.b1_zero else 'no'})")
+        print(f"E(s2) = {_fmt(e.value)} (b1_zero={'yes' if e.b1_zero else 'no'})")
     print(f"UE(s2) = b1+b2 = {ue_s2(d, w)}")
     a = as_efficiency(d)
-    print(f"As(main effects) = {'not estimable' if a is None else _fmt(a, tf)}")
+    print(f"As(main effects) = {'not estimable' if a is None else _fmt(a)}")
     if args.subsets is not None:
         for line in subset_diagnostics(d, args.subsets):
             print(line)
     return 0
 
 
-def _threads(args) -> int:
-    """--threads, else QBDESIGN_THREADS (unset or empty means 1); both must be >= 1."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
-    raw = os.environ.get("QBDESIGN_THREADS") or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"QBDESIGN_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _check_writable(path: str) -> None:
@@ -123,14 +115,13 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_optimize(args) -> int:
-    threads = _threads(args)
+    _check_threads(args)
     cfg = OptimizerConfig(
         runs=args.runs,
         factors=args.factors,
         prior=Prior(args.pi1, args.pi2, _order(args.order)),
         restarts=args.restarts,
         seed=args.seed,
-        tiebreak_as=not args.no_tiebreak_as,
     )
 
     if args.output:
@@ -143,7 +134,7 @@ def cmd_optimize(args) -> int:
                 file=sys.stderr,
             )
 
-    res = multi_restart(cfg, threads=threads, on_block=progress if args.progress else None)
+    res = multi_restart(cfg, threads=args.threads, on_block=progress if args.progress else None)
     if args.output:
         save_design(res.best, args.output)
     print(f"best QB = {_fmt(res.qb)}")
@@ -260,7 +251,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_project(args) -> int:
-    _threads(args)
+    _check_threads(args)
     if args.t_max is not None and args.t_max < 1:
         raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     d = _load(args.design)
@@ -350,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.add_argument("--pi1", type=float, required=True)
     p.add_argument("--pi2", type=float, default=0.0)
-    p.add_argument("--table-format", action="store_true", help="3-decimal table output")
     p.add_argument("--subsets", type=int, metavar="K", help="dump per-subset J diagnostics for size K")
     p.set_defaults(func=cmd_evaluate)
 
@@ -362,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi2", type=float, default=0.0)
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-tiebreak-as", action="store_true")
     p.add_argument("--output", "-o")
-    p.add_argument("--threads", type=int, help="worker processes (default: QBDESIGN_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument(
         "--progress", action="store_true", help="per-restart log on stderr, as restarts finish"
     )
@@ -389,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
+        default=1,
         help="accepted for compatibility; has no effect (scoring is batched in one process)",
     )
     p.set_defaults(func=cmd_project)

@@ -248,40 +248,16 @@ def ue_s2(d: Design, w: WordCounts | None = None) -> Fraction:
     return w.b(1) + w.b(2)
 
 
-def centered_gram(d: Design, terms: tuple[Term, ...] | list[Term]) -> np.ndarray:
-    """D'Q0 D for the model columns given by `terms` (0-based factor tuples).
+def as_efficiency(d: Design) -> float | None:
+    """As efficiency p / (N * trace((D'Q0 D)^-1)) of the full main-effects model.
 
-    Terms are main effects (j,) and two-factor interactions (a, b), in any
-    order.  It is the Schur complement of N in the Gram of the intercept and
-    these columns (design.schur_center).  Every entry of that Gram is an
-    exact integer dot product of +-1 columns, so the bytes are those of
-    centering the columns first, whatever the order of the sums.
+    D'Q0 D is the Schur complement of N in the Gram of the intercept and the
+    main-effect columns, by the model_gram and schur_center that projection
+    uses.  Returns None when it is singular (the model is not estimable).
     """
-    if any(len(t) not in (1, 2) for t in terms):
-        raise ValueError("terms must be main effects or two-factor interactions")
-    mains = [t for t in terms if len(t) == 1]
-    pairs = [t for t in terms if len(t) == 2]
-    g = model_gram(
-        d.entries.astype(float),
-        np.array(mains, dtype=np.intp).reshape(-1),
-        np.array(pairs, dtype=np.intp).reshape(-1, 2),
-    )
-    # model_gram puts the intercept first, then mains, then pairs; put the
-    # rows and columns back in the order of `terms`
-    position = {t: i for i, t in enumerate(mains + pairs, start=1)}
-    idx = np.array([0] + [position[t] for t in terms])
-    return schur_center(g.take(idx, axis=0).take(idx, axis=1), d.runs)
-
-
-def as_efficiency(d: Design, terms: tuple[Term, ...] | list[Term] | None = None) -> float | None:
-    """As efficiency p / (N * trace((D'Q0 D)^-1)) for the given non-intercept terms.
-
-    Defaults to the full main-effects model.  Returns None when the centered
-    information matrix is singular (the model is not estimable).
-    """
-    if terms is None:
-        terms = [(j,) for j in range(d.factors)]
-    a = as_from_eigenvalues(np.linalg.eigvalsh(centered_gram(d, terms)), d.runs)
+    x = d.entries.astype(float)
+    g = model_gram(x, np.arange(d.factors), np.empty((0, 2), dtype=np.intp))
+    a = as_from_eigenvalues(np.linalg.eigvalsh(schur_center(g, d.runs)), d.runs)
     return None if np.isnan(a) else float(a)
 
 

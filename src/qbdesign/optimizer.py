@@ -4,8 +4,8 @@ A random start is improved by scanning coordinates in row-major order and
 flipping the sign of any entry whose flip strictly improves QB, sweep after
 sweep, until N*m coordinates in a row are rejected: the design is then a
 local optimum.  Restarts from independent random starts guard against
-local optima, with the As efficiency of the full main-effects fit as an
-optional tie-breaker among equal-QB results.
+local optima, and the As efficiency of the full main-effects fit breaks
+ties among equal-QB results.
 
 The criterion is maintained incrementally and exactly through the
 distance form of the word counts (see `wordcounts`):
@@ -87,7 +87,6 @@ class OptimizerConfig:
     prior: Prior
     restarts: int = 100
     seed: int = 0
-    tiebreak_as: bool = True
 
     def __post_init__(self):
         if self.runs < 2:
@@ -113,7 +112,7 @@ class OptResult:
     word_counts: WordCounts
     restart_log: tuple[RestartStat, ...]
     n_level_balanced: int
-    as_main: float | None = None
+    as_main: float | None  # the As of the tie-break, None if not estimable
 
 
 class _Block:
@@ -390,8 +389,8 @@ def multi_restart(
     `on_block`, when given, receives each block's restart stats in restart
     order as soon as that block and every earlier one are done.  Only the
     final designs whose QB equals the least in the restart log are kept;
-    among them the larger main-effects As efficiency wins (when tiebreak_as
-    is set), then the lower restart index.
+    among them the larger main-effects As efficiency wins, a non-estimable
+    fit last, then the lower restart index.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -411,14 +410,10 @@ def multi_restart(
 
     # (stat, design, word counts) of each tie, in restart order
     ties = [(st, Design(x), wc) for st, (x, wc) in tied.items()]
-    best_as: float | None = None
-    if cfg.tiebreak_as:
-        # the largest As wins, a non-estimable fit last; min keeps the first
-        # of equals, the lowest restart index
-        scored = [(tie, as_efficiency(tie[1])) for tie in ties]
-        (st, best, wc), best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
-    else:
-        st, best, wc = ties[0]
+    # the largest As wins, a non-estimable fit last; min keeps the first of
+    # equals, the lowest restart index
+    scored = [(tie, as_efficiency(tie[1])) for tie in ties]
+    (st, best, wc), best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
     n_lb = int((best.column_sums() == 0).sum())
     return OptResult(
         best=best,
@@ -426,5 +421,5 @@ def multi_restart(
         word_counts=wc,
         restart_log=log,
         n_level_balanced=n_lb,
-        as_main=best_as if cfg.tiebreak_as else as_efficiency(best),
+        as_main=best_as,
     )

@@ -20,9 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .criteria import Prior, xi_weights
+from .criteria import Prior, qb_from_word_counts
 from .design import Design, ModelOrder, information_matrix
 from .errors import BadCongruenceError
+from .wordcounts import WordCounts
 
 
 @dataclass(frozen=True)
@@ -92,13 +93,17 @@ def qb_block_value(n_runs: int, m: int, n1: int, pi1):
     tie checks at interval endpoints are possible.  n1 may range over 0..m
     for argmin sweeps even though the pattern itself is only constructible
     for n1 >= ceil(m/2).
+
+    The pattern has |a| = 2 on the k = m - n1 non-balanced intercept entries
+    and on the C(k, 2) + C(n1, 2) same-block pairs, 0 elsewhere, so S_1 = 4k
+    and S_2 = 2 (k^2 + n1^2 - m), scored by the package's one QB formula.
     """
     _require_n_mod_4(n_runs)
     if not 0 <= n1 <= m:
         raise ValueError(f"n1 must be in 0..{m}, got {n1}")
     k = m - n1
-    xi = xi_weights(Prior(pi1))
-    return (4 * xi.xi10 * k + 4 * xi.xi20 * (k * k + n1 * n1 - m)) / (n_runs * n_runs)
+    w = WordCounts(n_runs, (4 * k, 2 * (k * k + n1 * n1 - m)))
+    return qb_from_word_counts(w, Prior(pi1), m)
 
 
 def block_feasible_range(m: int) -> tuple[int, int]:

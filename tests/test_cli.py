@@ -189,6 +189,12 @@ FROZEN_EVALUATE_PATH = {
         " --lo 5e-324 --hi 1e-5 --step 1e-6",
         "csv",
     ),
+    # the interval table, the optimal split's QB and a pattern check
+    "theory-14x10": (
+        "theory --runs 14 --factors 10 --pi1 0.3 --design fixture:supp3.i4",
+        "out",
+    ),
+    "theory-22x15": ("theory --runs 22 --factors 15 --pi1 0.0458", "out"),
 }
 
 
@@ -385,56 +391,6 @@ class TestFixturesCommand:
         code, out, _ = run(capsys, "fixtures", "check")
         assert code == 0
         assert "FAIL" not in out
-
-
-class TestThreadsEnv:
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("QBDESIGN_THREADS", "2")
-        code, out1, _ = run(
-            capsys,
-            "optimize",
-            "--runs", "6", "--factors", "3", "--pi1", "0.2",
-            "--restarts", "4", "--seed", "8",
-        )
-        assert code == 0
-        monkeypatch.delenv("QBDESIGN_THREADS")
-        code, out2, _ = run(
-            capsys,
-            "optimize",
-            "--runs", "6", "--factors", "3", "--pi1", "0.2",
-            "--restarts", "4", "--seed", "8",
-        )
-        assert out1 == out2  # worker count never changes the result
-
-    def test_empty_env_means_one_worker(self, capsys, monkeypatch):
-        monkeypatch.setenv("QBDESIGN_THREADS", "")
-        code, _, err = run(
-            capsys,
-            "optimize", "--runs", "6", "--factors", "3", "--pi1", "0.2", "--restarts", "2",
-        )
-        assert code == 0 and err == ""
-
-    def test_bad_env_rejected(self, capsys, monkeypatch):
-        commands = (
-            ("optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3", "--restarts", "3"),
-            ("project", "fixture:had16", "--f", "3"),
-        )
-        for value in ("0", "-2", "abc", "1.5"):
-            monkeypatch.setenv("QBDESIGN_THREADS", value)
-            for argv in commands:
-                code, out, err = run(capsys, *argv)
-                assert code == 1
-                assert out == ""
-                assert err == f"error: QBDESIGN_THREADS must be an integer >= 1, got {value!r}\n"
-
-    def test_flag_overrides_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QBDESIGN_THREADS", "abc")
-        code, _, _ = run(
-            capsys,
-            "optimize", "--runs", "6", "--factors", "3", "--pi1", "0.2",
-            "--restarts", "2", "--threads", "1",
-        )
-        assert code == 0
 
 
 class TestOptimizeBenchmarks:
@@ -742,7 +698,7 @@ class TestInputErrors:
                 "optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3",
                 "--restarts", "3", "--threads", threads,
             )
-            assert "--threads" in err
+            assert err == f"error: --threads must be >= 1, got {threads}\n"
 
     def test_optimize_restarts_below_one(self, capsys):
         for restarts in ("0", "-3"):
@@ -755,7 +711,21 @@ class TestInputErrors:
     def test_project_threads_below_one(self, capsys):
         for threads in ("0", "-1"):
             err = self.check(capsys, "project", "fixture:had16", "--f", "3", "--threads", threads)
-            assert "--threads" in err
+            assert err == f"error: --threads must be >= 1, got {threads}\n"
+
+    def test_threads_env_not_read(self, capsys, monkeypatch):
+        # --threads alone sets the workers: no environment variable is a
+        # second source, nor can one fail a run
+        commands = (
+            ("optimize", "--runs", "8", "--factors", "4", "--pi1", "0.3", "--restarts", "3"),
+            ("project", "fixture:had16", "--f", "3"),
+        )
+        for argv in commands:
+            monkeypatch.delenv("QBDESIGN_THREADS", raising=False)
+            code, want, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            monkeypatch.setenv("QBDESIGN_THREADS", "abc")
+            assert run(capsys, *argv) == (0, want, "")
 
     def test_optimize_bad_sizes_and_epsilon(self, capsys):
         base = ("optimize", "--pi1", "0.3", "--restarts", "3")

@@ -7,7 +7,6 @@ import pytest
 from qbdesign.criteria import (
     Prior,
     as_efficiency,
-    centered_gram,
     es2,
     prior_sums,
     qb_coefficients,
@@ -20,7 +19,9 @@ from qbdesign.design import (
     Design,
     ModelOrder,
     information_matrix,
+    model_gram,
     random_design,
+    schur_center,
 )
 from qbdesign.errors import DimensionMismatchError
 from qbdesign.wordcounts import WordCounts, word_counts
@@ -427,33 +428,23 @@ class TestAsEfficiency:
     def test_supersaturated_not_estimable(self, fx):
         assert as_efficiency(fx("supp1.d1").design) is None
 
-    def test_interaction_terms(self, fx):
-        d = full_factorial(3)
-        terms = [(0,), (1,), (2,), (0, 1)]
-        assert as_efficiency(d, terms) == pytest.approx(1.0, abs=1e-12)
-
-    def test_centered_gram_keeps_term_order(self):
-        d = random_design(12, 5, 8)
-        terms = [(3, 4), (1,), (0, 2), (4,), (2,)]
-        x = d.entries.astype(float)
-        dm = np.column_stack([x[:, list(t)].prod(axis=1) for t in terms])
-        csum = dm.sum(axis=0)
-        want = dm.T @ dm - np.outer(csum, csum) / 12
-        assert np.array_equal(centered_gram(d, terms), want)
-        with pytest.raises(ValueError):
-            centered_gram(d, [(0,), (0, 1, 2)])
-
     def test_centered_gram_random_terms(self):
-        # the Schur complement of N gives the bytes of centering the columns first
+        # the Schur complement of N gives the bytes of centering the columns
+        # first, on Grams laid out as as_efficiency and projection build
+        # them: mains, then pairs, each in canonical order
         for d, rng in random_designs(200, seed=59, m_lo=1):
             m = d.factors
-            pool = [(j,) for j in range(m)] + list(itertools.combinations(range(m), 2))
-            pick = rng.permutation(len(pool))[: int(rng.integers(1, len(pool) + 1))]
-            terms = [pool[i] for i in pick]
+            mains = np.flatnonzero(rng.integers(0, 2, m))
+            pool = list(itertools.combinations(range(m), 2))
+            pairs = [pool[i] for i in np.flatnonzero(rng.integers(0, 2, len(pool)))]
+            if not len(mains) and not pairs:
+                mains = np.array([int(rng.integers(m))])
+            terms = [(int(j),) for j in mains] + pairs
             x = d.entries.astype(float)
             dm = np.column_stack([x[:, list(t)].prod(axis=1) for t in terms])
             csum = dm.sum(axis=0)
-            got = centered_gram(d, terms)
+            g = model_gram(x, mains, np.array(pairs, dtype=np.intp).reshape(-1, 2))
+            got = schur_center(g, d.runs)
             want = dm.T @ dm - np.outer(csum, csum) / d.runs
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

@@ -267,25 +267,6 @@ class TestMultiRestart:
         assert back == res.restart_log
         assert all(type(st) is optimizer.RestartStat for st in back)
 
-    def test_tiebreak_prefers_larger_as(self):
-        # N=10, m=9 has many QB-ties; the As tiebreak must never pick a
-        # design that a no-tiebreak run beats on As
-        cfg = OptimizerConfig(
-            runs=10, factors=9, prior=Prior(0.3), restarts=40, seed=3, tiebreak_as=True
-        )
-        with_tb = multi_restart(cfg)
-        cfg_no = OptimizerConfig(
-            runs=10, factors=9, prior=Prior(0.3), restarts=40, seed=3, tiebreak_as=False
-        )
-        without = multi_restart(cfg_no)
-        assert with_tb.qb == pytest.approx(without.qb, abs=1e-9)
-        from qbdesign.criteria import as_efficiency
-
-        a_with = with_tb.as_main
-        a_without = as_efficiency(without.best)
-        if a_with is not None and a_without is not None:
-            assert a_with >= a_without - 1e-12
-
     def test_supersaturated_target(self):
         cfg = OptimizerConfig(
             runs=12, factors=14, prior=Prior(0.1), restarts=60, seed=1
@@ -327,10 +308,16 @@ class TestMultiRestart:
 
 
 def assert_matches_oracle(res, expected):
+    """res has the oracle's restart log, and its best design is the one the
+    tie-break picks from the oracle's restarts: among those whose QB is ==
+    the least, the largest As, a non-estimable fit last, then the lowest index."""
     assert [(st.qb, st.sweeps) for st in res.restart_log] == [(qb, sw) for _, qb, sw in expected]
     qb_min = min(qb for _, qb, _ in expected)
-    first = next(x for x, qb, _ in expected if qb == qb_min)
-    assert np.array_equal(res.best.entries, first)
+    tied = [(r, x, as_efficiency(Design(x)))
+            for r, (x, qb, _) in enumerate(expected) if qb == qb_min]
+    _, winner, eff = max(tied, key=lambda t: (-np.inf if t[2] is None else t[2], -t[0]))
+    assert np.array_equal(res.best.entries, winner)
+    assert res.as_main == eff
 
 
 # Shapes of the lockstep tests: the benchmark's, the smallest there are, and
@@ -442,16 +429,12 @@ class TestLockstep:
 
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES)
     def test_matches_serial_oracle(self, monkeypatch, n, m, prior):
-        cfg = OptimizerConfig(
-            runs=n, factors=m, prior=prior, restarts=9, seed=13, tiebreak_as=False
-        )
+        cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=9, seed=13)
         self.check_every_window(monkeypatch, cfg)
 
     @pytest.mark.parametrize("n, m, prior, restarts", WINDOW_SHAPES)
     def test_every_window_matches_serial_oracle(self, monkeypatch, n, m, prior, restarts):
-        cfg = OptimizerConfig(
-            runs=n, factors=m, prior=prior, restarts=restarts, seed=13, tiebreak_as=False
-        )
+        cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=restarts, seed=13)
         self.check_every_window(monkeypatch, cfg)
 
     @pytest.mark.parametrize("per_block", [1, 3, 7, 64])
@@ -459,10 +442,8 @@ class TestLockstep:
     def test_blocks_and_workers(self, monkeypatch, per_block, threads):
         monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
         for cfg in (
-            OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=10, seed=2,
-                            tiebreak_as=False),
-            OptimizerConfig(runs=24, factors=7, prior=Prior(0.8, 0.5, SECOND), restarts=8,
-                            seed=5, tiebreak_as=False),
+            OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=10, seed=2),
+            OptimizerConfig(runs=24, factors=7, prior=Prior(0.8, 0.5, SECOND), restarts=8, seed=5),
         ):
             blocks = []
             res = multi_restart(cfg, threads=threads, on_block=blocks.append)
@@ -676,7 +657,7 @@ class TestBlockBudget:
         assert peak <= 32 * 8 * restarts * n * m
 
     def test_budget_splits_blocks_without_changing_results(self, monkeypatch):
-        cfg = self.cfg(12, 14, restarts=10, seed=2, tiebreak_as=False)
+        cfg = self.cfg(12, 14, restarts=10, seed=2)
         reference = multi_restart(cfg)
         monkeypatch.setattr(optimizer, "BLOCK_BYTES", 3 * 8 * 12 * (12 + 2 * 14 + 1))
         blocks = []
@@ -856,12 +837,10 @@ class TestCarriedWordCounts:
         monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
         for n, m, prior in LOCKSTEP_SHAPES:
             k_max = len(qb_coefficients(prior, m))
-            for tiebreak in (True, False):
-                cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=7, seed=m,
-                                      tiebreak_as=tiebreak)
-                res = multi_restart(cfg, threads=threads)
-                assert res.word_counts == word_counts(res.best, k_max)
-                assert res.qb == qb_from_word_counts(res.word_counts, prior, m)
+            cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=7, seed=m)
+            res = multi_restart(cfg, threads=threads)
+            assert res.word_counts == word_counts(res.best, k_max)
+            assert res.qb == qb_from_word_counts(res.word_counts, prior, m)
 
 
 class TestStarts:
