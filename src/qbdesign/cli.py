@@ -301,9 +301,9 @@ def cmd_theory(args) -> int:
 def cmd_fixtures(args) -> int:
     manifest = fixture_registry.read_manifest()
     ids = [args.id] if args.id else fixture_registry.list_fixtures(manifest)
+    selection = fixture_registry.load_fixtures(ids, manifest)  # a bad file fails before any output
     if args.action == "list":
-        for fid in ids:
-            f = fixture_registry.load_fixture(fid, manifest)
+        for f in selection:
             parts = [f"N={f.runs}", f"m={f.factors}", f"order={f.order.value}"]
             if f.design is not None:
                 parts.append("design")
@@ -313,14 +313,13 @@ def cmd_fixtures(args) -> int:
                 parts.append(
                     " ".join(f"b{k}={v}" for k, v in sorted(f.expected_b.items()))
                 )
-            print(f"{fid}: {' '.join(parts)} -- {f.source}")
+            print(f"{f.id}: {' '.join(parts)} -- {f.source}")
         return 0
     failures = 0
-    for fid in ids:
-        f = fixture_registry.load_fixture(fid, manifest)
-        for name, ok, detail in fixture_registry.check_fixture(f):
+    for f, rows in zip(selection, fixture_registry.check_fixtures(selection)):
+        for name, ok, detail in rows:
             status = "pass" if ok else "FAIL"
-            print(f"{fid} {name}: {status} ({detail})")
+            print(f"{f.id} {name}: {status} ({detail})")
             failures += 0 if ok else 1
     if failures:
         print(f"{failures} fixture check(s) failed", file=sys.stderr)

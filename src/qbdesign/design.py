@@ -4,9 +4,11 @@ A design is an N x m matrix with entries in {-1, +1}.  Model columns are an
 intercept column of ones, the main-effect columns, and, for the
 second-order maximal model, one column per two-factor interaction in
 lexicographic order (1,2), (1,3), ..., (m-1,m).  `model_gram` is the one
-builder of those columns and their Gram C'C, for one design or for a stack
-of factor subsets; `information_matrix` is X'X of a design's maximal model,
-and `schur_center` the one centering formula.  All Gram arithmetic on +-1
+builder of those columns and their Gram C'C, for one design or a stack of
+designs, and for one factor subset or a stack of them; `maximal_gram` is
+X'X of the maximal model of one design's entries or a stack of them,
+`information_matrix` the same for a Design, and `schur_center` the one
+centering formula.  All Gram arithmetic on +-1
 columns is exact: 64-bit integers for X'X, and integers well below 2^53 in
 floats, which at desk scale (N, m up to a few tens) is nowhere near overflow.
 """
@@ -178,15 +180,21 @@ def save_design(d: Design, path: str | Path) -> None:
 def model_gram(x: np.ndarray, mains: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Gram C'C of the model columns: intercept, x[:, j] per main, x[:, a] * x[:, b] per pair.
 
-    `mains` holds factor indices, shape (..., a), and `pairs` factor-index
-    pairs, shape (..., b, 2), with the same leading shape.  The result has
-    shape (..., 1 + a + b, 1 + a + b) and the dtype of x, rows and columns in
-    the order intercept, mains, pairs: plain indices give one design's Gram,
-    and a stack of S factor subsets an (S, 1 + a + b, 1 + a + b) stack.
+    x is one design (N, m) or a stack of designs (..., N, m).  `mains` holds
+    factor indices, shape (..., a), and `pairs` factor-index pairs, shape
+    (..., b, 2), with the same leading shape.  The result has shape
+    x.shape[:-2] + mains.shape[:-1] + (1 + a + b, 1 + a + b) and the dtype
+    of x, rows and columns in the order intercept, mains, pairs: one design
+    and plain indices give one Gram, a stack of S factor subsets an
+    (S, 1 + a + b, 1 + a + b) stack, and a stack of G designs with plain
+    indices a (G, 1 + a + b, 1 + a + b) stack.
     """
-    rows = x.T  # C' is built row by row: one row of N entries per term
-    ones = np.ones(mains.shape[:-1] + (1, len(x)), dtype=x.dtype)
-    c = np.concatenate([ones, rows[mains], rows[pairs[..., 0]] * rows[pairs[..., 1]]], axis=-2)
+    rows = np.swapaxes(x, -1, -2)  # C' is built row by row: one row of N entries per term
+    ones = np.ones(x.shape[:-2] + mains.shape[:-1] + (1, x.shape[-2]), dtype=x.dtype)
+    c = np.concatenate(
+        [ones, rows[..., mains, :], rows[..., pairs[..., 0], :] * rows[..., pairs[..., 1], :]],
+        axis=-2,
+    )
     return c @ np.swapaxes(c, -1, -2)
 
 
@@ -199,12 +207,19 @@ def schur_center(g: np.ndarray, runs: int) -> np.ndarray:
     return g[..., 1:, 1:] - g[..., 1:, :1] * g[..., :1, 1:] / runs
 
 
+def maximal_gram(x: np.ndarray, order: ModelOrder) -> np.ndarray:
+    """Exact X'X of the maximal model, in model_terms order, for the +-1 entries
+    x of one design (N, m) or of a stack of designs (..., N, m)."""
+    m = x.shape[-1]
+    pairs = np.array(model_terms(m, order)[1 + m :], dtype=np.intp).reshape(-1, 2)
+    return model_gram(x, np.arange(m), pairs)
+
+
 def information_matrix(d: Design, order: ModelOrder) -> InfoMatrix:
     """X'X of the design's maximal model in exact integer arithmetic, in model_terms order."""
-    terms = model_terms(d.factors, order)
-    pairs = np.array(terms[1 + d.factors :], dtype=np.intp).reshape(-1, 2)
-    a = model_gram(d.entries, np.arange(d.factors), pairs)
-    return InfoMatrix(a=a, runs=d.runs, terms=terms)
+    return InfoMatrix(
+        a=maximal_gram(d.entries, order), runs=d.runs, terms=model_terms(d.factors, order)
+    )
 
 
 def random_design(n_runs: int, n_factors: int, seed: int) -> Design:

@@ -7,22 +7,37 @@ exact word counts it is known to have.  The manifest is line oriented:
 
 `path` is "-" for matrix-only fixtures; `cols` derives the design from the
 1-based columns of another fixture's design file (used for the Hadamard
-projections).  check_fixture verifies every stated expectation exactly.
+projections).  load_fixtures loads a whole selection first, reading and
+parsing each design file once, so a bad file stops a command before it
+prints anything, with an error that names the file.  check_fixtures then
+verifies every stated expectation exactly, by shape rather than fixture by
+fixture: one stacked X'X reproduction per (N, m, order), one structure
+check and one word_counts_from_xtx per listing size and m, and one
+Krawtchouk sum per (N, m, k_max) for the designs' word counts.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..design import Design, ModelOrder, information_matrix, parse_design
-from ..errors import UnknownFixtureError
-from ..wordcounts import word_counts, word_counts_from_xtx
+from ..design import Design, ModelOrder, maximal_gram, parse_design
+from ..errors import BadSubsetError, QbDesignError, UnknownFixtureError
+from ..wordcounts import (
+    WordCounts,
+    krawtchouk_sums,
+    krawtchouk_table,
+    word_counts_from_xtx,
+)
+
+Row = tuple[str, bool, str]  # (check, ok, detail)
 
 _SOURCES = {
     "supp1.d1": "E(s2)-optimal supersaturated design, N=12, m=14",
@@ -92,15 +107,30 @@ def list_fixtures(manifest: dict[str, dict] | None = None) -> tuple[str, ...]:
     return tuple(sorted(read_manifest() if manifest is None else manifest))
 
 
+def load_fixtures(ids: Sequence[str], manifest: dict[str, dict] | None = None) -> list[Fixture]:
+    """The fixtures `ids`, in order.  Each design file is read and parsed once,
+    however many fixtures take their columns from it (the Hadamard projections)."""
+    manifest = read_manifest() if manifest is None else manifest
+    designs: dict[Path, Design] = {}
+    return [_load(fid, manifest, designs) for fid in ids]
+
+
 def load_fixture(fixture_id: str, manifest: dict[str, dict] | None = None) -> Fixture:
-    entry = (read_manifest() if manifest is None else manifest).get(fixture_id)
+    return load_fixtures([fixture_id], manifest)[0]
+
+
+def _load(fixture_id: str, manifest: dict[str, dict], designs: dict[Path, Design]) -> Fixture:
+    entry = manifest.get(fixture_id)
     if entry is None:
         raise UnknownFixtureError(f"unknown fixture id {fixture_id!r}")
     order = ModelOrder(int(entry.get("order", 1)))
     cols = None
     design = None
-    if entry["path"] is not None:
-        design = parse_design(entry["path"].read_text())
+    path = entry["path"]
+    if path is not None:
+        if path not in designs:
+            designs[path] = _read_design(path)
+        design = designs[path]
         if "cols" in entry:
             cols = tuple(int(c) for c in entry["cols"].split(","))
             design = Design(design.entries[:, [c - 1 for c in cols]])
@@ -125,48 +155,136 @@ def load_fixture(fixture_id: str, manifest: dict[str, dict] | None = None) -> Fi
     )
 
 
+def _read_design(path: Path) -> Design:
+    try:
+        return parse_design(path.read_text())
+    except QbDesignError as exc:
+        raise QbDesignError(f"design file {path.name}: {exc}") from exc
+
+
 def _read_xtx(path: Path) -> np.ndarray:
     """An X'X listing: the integers of a square matrix, row by row, separated by
     whitespace (one matrix row per line in the corpus files)."""
-    a = np.fromstring(path.read_text(), dtype=np.int64, sep=" ")
+    text = path.read_text()
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 warns at a token that is not an integer, where numpy 2 raises
+            warnings.simplefilter("error", DeprecationWarning)
+            a = np.fromstring(text, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        raise ValueError(f"X'X listing {path.name} holds a token that is not an integer") from None
     n = math.isqrt(a.size)
     if n * n != a.size:
         raise ValueError(f"X'X listing {path.name} has {a.size} entries, not a square matrix")
     return a.reshape(n, n)
 
 
-def check_fixture(f: Fixture) -> list[tuple[str, bool, str]]:
+def check_fixture(f: Fixture) -> list[Row]:
     """Verify every expectation of a fixture; returns (check, ok, detail) rows."""
-    results: list[tuple[str, bool, str]] = []
-    if f.design is not None and f.expected_xtx is not None:
-        got = information_matrix(f.design, f.order).a
-        ok = got.shape == f.expected_xtx.shape and np.array_equal(got, f.expected_xtx)
-        results.append(("xtx-reproduction", ok, f"{got.shape[0]}x{got.shape[1]}"))
-    if f.expected_xtx is not None:
-        a = f.expected_xtx
-        ok = (
-            np.array_equal(a, a.T)
-            and (np.diag(a) == f.runs).all()
-            and (a % 2 == f.runs % 2).all()
-            and (np.abs(a) <= f.runs).all()
-        )
-        results.append(
-            ("xtx-structure", bool(ok), "symmetric, diagonal N, parity, |a| <= N")
-        )
-        try:
-            wc = word_counts_from_xtx(a, f.runs, f.factors)
-            results.append(("xtx-consistency", True, "J values consistent"))
-        except ValueError as exc:
-            wc = None
-            results.append(("xtx-consistency", False, str(exc)))
-        if wc is not None and f.expected_b:
-            for k, frac in sorted(f.expected_b.items()):
-                if k <= wc.k_max:
-                    ok = wc.b(k) == frac
-                    results.append((f"b{k}-from-xtx", ok, f"{wc.b(k)} vs {frac}"))
-    if f.design is not None and f.expected_b:
-        wc = word_counts(f.design, max(f.expected_b))
-        for k, frac in sorted(f.expected_b.items()):
-            ok = wc.b(k) == frac
-            results.append((f"b{k}", ok, f"{wc.b(k)} vs {frac}"))
+    return check_fixtures([f])[0]
+
+
+def check_fixtures(fixtures: Sequence[Fixture]) -> list[list[Row]]:
+    """Verify every expectation of each fixture, by shape; one list of rows per fixture.
+
+    A fixture's rows, in this order: xtx-reproduction (with a design and a
+    listing); xtx-structure, xtx-consistency and b<k>-from-xtx for each
+    expected b_k with k up to the listing's largest subset size (with a
+    listing); b<k> for each expected b_k (with a design).  Each kind of
+    check runs once per shape, over the stack of fixtures that have it.
+    """
+    reproduced: dict[int, tuple[bool, str]] = {}
+    for (_, _, order, shape), idx in _groups(fixtures, _reproduction_shape).items():
+        got = maximal_gram(np.stack([fixtures[i].design.entries for i in idx]), order)
+        if got.shape[1:] == shape:
+            want = np.stack([fixtures[i].expected_xtx for i in idx])
+            ok = (got == want).all(axis=(1, 2)).tolist()
+        else:
+            ok = [False] * len(idx)
+        detail = f"{got.shape[1]}x{got.shape[2]}"
+        reproduced.update((i, (o, detail)) for i, o in zip(idx, ok))
+
+    structure: dict[int, bool] = {}
+    from_xtx: dict[int, WordCounts | ValueError] = {}
+    for (shape, m), idx in _groups(fixtures, _listing_shape).items():
+        a = np.stack([fixtures[i].expected_xtx for i in idx])
+        runs = [fixtures[i].runs for i in idx]
+        structure.update(zip(idx, _structure_ok(a, runs)))
+        from_xtx.update(zip(idx, word_counts_from_xtx(a, runs, m)))
+
+    designed: dict[int, WordCounts] = {}
+    for (n, m, k_max), idx in _groups(fixtures, _word_count_shape).items():
+        if not 1 <= k_max <= m:
+            raise BadSubsetError(f"k_max must be in 1..{m}, got {k_max}")
+        x = np.stack([fixtures[i].design.entries for i in idx])
+        s_k = krawtchouk_sums(x, krawtchouk_table(m, k_max, n)[1:])
+        for i, row in zip(idx, s_k.tolist()):
+            designed[i] = WordCounts(runs=n, s_k=tuple(row))
+
+    results = []
+    for i, f in enumerate(fixtures):
+        rows: list[Row] = []
+        if i in reproduced:
+            rows.append(("xtx-reproduction", *reproduced[i]))
+        if i in structure:
+            rows.append(("xtx-structure", structure[i], "symmetric, diagonal N, parity, |a| <= N"))
+            wc = from_xtx[i]
+            if isinstance(wc, ValueError):
+                rows.append(("xtx-consistency", False, str(wc)))
+            else:
+                rows.append(("xtx-consistency", True, "J values consistent"))
+                rows.extend(_b_rows(wc, f.expected_b, "-from-xtx"))
+        if i in designed:
+            rows.extend(_b_rows(designed[i], f.expected_b, ""))
+        results.append(rows)
     return results
+
+
+def _groups(fixtures: Sequence[Fixture], key: Callable[[Fixture], Hashable]) -> dict:
+    """Indices of the fixtures by key, in first-seen order; a key of None leaves one out."""
+    groups: dict = {}
+    for i, f in enumerate(fixtures):
+        k = key(f)
+        if k is not None:
+            groups.setdefault(k, []).append(i)
+    return groups
+
+
+def _reproduction_shape(f: Fixture):
+    if f.design is not None and f.expected_xtx is not None:
+        return f.runs, f.factors, f.order, f.expected_xtx.shape
+    return None
+
+
+def _listing_shape(f: Fixture):
+    return None if f.expected_xtx is None else (f.expected_xtx.shape, f.factors)
+
+
+def _word_count_shape(f: Fixture):
+    if f.design is not None and f.expected_b:
+        return f.runs, f.factors, max(f.expected_b)
+    return None
+
+
+def _structure_ok(a: np.ndarray, runs: list[int]) -> list[bool]:
+    """Per listing of the (L, d, d) stack: symmetric, diagonal N, every entry of
+    N's parity and at most N in absolute value."""
+    if a.shape[1] != a.shape[2]:
+        return [False] * len(a)
+    n = np.array(runs).reshape(-1, 1, 1)
+    ok = (
+        (a == np.swapaxes(a, 1, 2)).all(axis=(1, 2))
+        & (np.diagonal(a, axis1=1, axis2=2) == n[:, 0]).all(axis=1)
+        & (a % 2 == n % 2).all(axis=(1, 2))
+        & (np.abs(a) <= n).all(axis=(1, 2))
+    )
+    return ok.tolist()
+
+
+def _b_rows(wc: WordCounts, expected_b: dict[int, Fraction], suffix: str) -> list[Row]:
+    rows = []
+    for k, frac in sorted(expected_b.items()):
+        if k <= wc.k_max:
+            b = wc.b(k)
+            rows.append((f"b{k}{suffix}", b == frac, f"{b} vs {frac}"))
+    return rows

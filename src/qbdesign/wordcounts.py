@@ -159,7 +159,9 @@ def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
     return WordCounts(runs=d.runs, s_k=tuple(s_k.tolist()))
 
 
-def word_counts_from_xtx(a: np.ndarray, n_runs: int, m: int) -> WordCounts:
+def word_counts_from_xtx(
+    a: np.ndarray, n_runs: int | Sequence[int], m: int
+) -> WordCounts | list[WordCounts | ValueError]:
     """Recover word counts from the X'X of a first- or second-order maximal model.
 
     Rows and columns are in model_terms order, and the order is read from the
@@ -170,31 +172,72 @@ def word_counts_from_xtx(a: np.ndarray, n_runs: int, m: int) -> WordCounts:
     every subset of up to 4 factors, most of them several times; repeated
     occurrences of the same subset must agree, which doubles as a
     transcription consistency check on tabulated matrices.  As for
-    word_counts, no k_max exceeds m.
+    word_counts, no k_max exceeds m: it is the largest subset size shown.
+
+    `a` is one listing (dim, dim) with its run count, or a stack of L
+    listings (L, dim, dim) of one size, with one run count each.  One
+    listing gives its WordCounts, or raises the ValueError that names its
+    first fault.  A stack gives a list with one WordCounts or ValueError
+    per listing, so one faulty listing does not stop the others.  The
+    subset layout (which upper-triangle entries show which subset, and
+    where each subset is first shown) is built once per call, and every
+    listing of the stack is read through it in one pass; nothing is kept
+    between calls.  A conflict is reported at its first entry in row-major
+    upper-triangle order, against the subset's first occurrence.
     """
     a = np.asarray(a)
-    dim = a.shape[0]
-    if a.shape != (dim, dim) or not np.array_equal(a, a.T):
-        raise ValueError("information matrix must be square and symmetric")
+    asymmetric = "information matrix must be square and symmetric"
+    if a.ndim != 3:  # one listing
+        if a.ndim != 2:
+            raise ValueError(asymmetric)
+        (wc,) = word_counts_from_xtx(a[None], [n_runs], m)
+        if isinstance(wc, ValueError):
+            raise wc
+        return wc
+    runs = list(n_runs)
+    dim = a.shape[2]
+    if a.shape[1] != dim:
+        return [ValueError(asymmetric) for _ in runs]
+    faults = [
+        None if sym else asymmetric
+        for sym in (a == np.swapaxes(a, 1, 2)).all(axis=(1, 2)).tolist()
+    ]
     if dim == m + 1:
         terms = model_terms(m, ModelOrder.FIRST_ORDER)
     elif dim == 1 + m + m * (m - 1) // 2:
         terms = model_terms(m, ModelOrder.SECOND_ORDER)
     else:
-        raise ValueError(f"matrix size {dim} fits neither model order for m={m}")
-    bits = [sum(1 << j for j in t) for t in terms]  # each term's factor set
-    rows = a.astype(np.int64, copy=False).tolist()
-    j_val: dict[int, int] = {}  # symmetric difference, as bits -> its J
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            subset, value = bits[i] ^ bits[j], rows[i][j]
-            if j_val.setdefault(subset, value) != value:
-                named = tuple(f for f in range(m) if subset >> f & 1)
-                raise ValueError(f"inconsistent J for subset {named}: {j_val[subset]} vs {value}")
-    s_k = [0] * max((s.bit_count() for s in j_val), default=0)
-    for subset, value in j_val.items():
-        s_k[subset.bit_count() - 1] += value * value
-    return WordCounts(runs=n_runs, s_k=tuple(s_k))
+        size = f"matrix size {dim} fits neither model order for m={m}"
+        return [ValueError(fault or size) for fault in faults]
+
+    # The layout, in row-major upper-triangle order: each entry's subset, as
+    # factor bits, its flat index, and the flat index of the first entry that
+    # shows the same subset (zipped in reverse, so the first one is kept).
+    bits = [sum(1 << f for f in t) for t in terms]  # each term's factor set
+    subsets = [b ^ c for i, b in enumerate(bits) for c in bits[i + 1 :]]
+    at = np.flatnonzero(np.arange(dim)[:, None] < np.arange(dim))
+    first = dict(zip(reversed(subsets), reversed(at.tolist())))
+    ref = np.fromiter(map(first.__getitem__, subsets), np.intp, len(subsets))
+    sizes = np.array([s.bit_count() for s in first], dtype=np.intp)
+    k_max = int(sizes.max(initial=0))
+
+    flat = a.reshape(len(a), -1).astype(np.int64, copy=False)
+    v = flat[:, at]  # (L, P) entries
+    conflict = v != flat[:, ref]
+    j = flat[:, np.fromiter(first.values(), np.intp, len(first))]  # (L, U): each subset's J
+    # S_k sums J^2 in int64 while no sum can leave its range, else in Python ints
+    peak = max(-int(j.min(initial=0)), int(j.max(initial=0)))
+    if peak * peak * len(first) >= 2**63:
+        j = j.astype(object)
+    s_k = (j * j) @ (sizes[:, None] == np.arange(1, k_max + 1)).astype(j.dtype)
+    out: list[WordCounts | ValueError] = []
+    for i, (fault, bad, row) in enumerate(zip(faults, conflict.any(axis=1).tolist(), s_k.tolist())):
+        if fault is None and bad:
+            p = int(conflict[i].argmax())
+            named = tuple(f for f in range(m) if subsets[p] >> f & 1)
+            fault = f"inconsistent J for subset {named}: {flat[i, ref[p]]} vs {v[i, p]}"
+        out.append(WordCounts(runs=runs[i], s_k=tuple(row)) if fault is None else ValueError(fault))
+    return out
 
 
 def subset_diagnostics(d: Design, k: int) -> Iterator[str]:

@@ -15,11 +15,11 @@ from qbdesign.criteria import (
     qb_coefficients,
     qb_from_word_counts,
 )
-from qbdesign.design import Design, ModelOrder, model_terms
+from qbdesign.design import Design, ModelOrder, information_matrix, model_terms
 from qbdesign.errors import EmptyDesignError, NonBinaryEntryError, RaggedRowsError
 from qbdesign.fixtures import load_fixture
 from qbdesign.optimizer import _Block
-from qbdesign.wordcounts import word_counts
+from qbdesign.wordcounts import WordCounts, word_counts
 
 
 @pytest.fixture(scope="session")
@@ -359,3 +359,104 @@ def pointwise_sweep(argv):
                 )
             prev_argmin = argmin
     return out.getvalue(), err.getvalue()
+
+
+def loop_word_counts_from_xtx(a, n_runs, m):
+    """The reference for wordcounts.word_counts_from_xtx on one listing: a
+    Python scan of the upper triangle, row by row, that keeps each subset's
+    first J in a dict and raises at the first entry that disagrees with it."""
+    a = np.asarray(a)
+    dim = a.shape[0]
+    if a.shape != (dim, dim) or not np.array_equal(a, a.T):
+        raise ValueError("information matrix must be square and symmetric")
+    if dim == m + 1:
+        terms = model_terms(m, ModelOrder.FIRST_ORDER)
+    elif dim == 1 + m + m * (m - 1) // 2:
+        terms = model_terms(m, ModelOrder.SECOND_ORDER)
+    else:
+        raise ValueError(f"matrix size {dim} fits neither model order for m={m}")
+    bits = [sum(1 << j for j in t) for t in terms]  # each term's factor set
+    rows = a.astype(np.int64, copy=False).tolist()
+    j_val = {}  # symmetric difference, as bits -> its J
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            subset, value = bits[i] ^ bits[j], rows[i][j]
+            if j_val.setdefault(subset, value) != value:
+                named = tuple(f for f in range(m) if subset >> f & 1)
+                raise ValueError(f"inconsistent J for subset {named}: {j_val[subset]} vs {value}")
+    s_k = [0] * max((s.bit_count() for s in j_val), default=0)
+    for subset, value in j_val.items():
+        s_k[subset.bit_count() - 1] += value * value
+    return WordCounts(runs=n_runs, s_k=tuple(s_k))
+
+
+def loop_or_error(a, n_runs, m):
+    """loop_word_counts_from_xtx's WordCounts, or the message of its ValueError."""
+    try:
+        return loop_word_counts_from_xtx(a, n_runs, m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def oracle_check_fixture(f):
+    """The reference for fixtures.check_fixtures: one fixture at a time, through
+    information_matrix, word_counts and the loop word counts of its listing."""
+    results = []
+    if f.design is not None and f.expected_xtx is not None:
+        got = information_matrix(f.design, f.order).a
+        ok = got.shape == f.expected_xtx.shape and np.array_equal(got, f.expected_xtx)
+        results.append(("xtx-reproduction", ok, f"{got.shape[0]}x{got.shape[1]}"))
+    if f.expected_xtx is not None:
+        a = f.expected_xtx
+        ok = (
+            np.array_equal(a, a.T)
+            and (np.diag(a) == f.runs).all()
+            and (a % 2 == f.runs % 2).all()
+            and (np.abs(a) <= f.runs).all()
+        )
+        results.append(
+            ("xtx-structure", bool(ok), "symmetric, diagonal N, parity, |a| <= N")
+        )
+        try:
+            wc = loop_word_counts_from_xtx(a, f.runs, f.factors)
+            results.append(("xtx-consistency", True, "J values consistent"))
+        except ValueError as exc:
+            wc = None
+            results.append(("xtx-consistency", False, str(exc)))
+        if wc is not None and f.expected_b:
+            for k, frac in sorted(f.expected_b.items()):
+                if k <= wc.k_max:
+                    ok = wc.b(k) == frac
+                    results.append((f"b{k}-from-xtx", ok, f"{wc.b(k)} vs {frac}"))
+    if f.design is not None and f.expected_b:
+        wc = word_counts(f.design, max(f.expected_b))
+        for k, frac in sorted(f.expected_b.items()):
+            ok = wc.b(k) == frac
+            results.append((f"b{k}", ok, f"{wc.b(k)} vs {frac}"))
+    return results
+
+
+def listing_edits(a, runs):
+    """Single-entry edits of an X'X listing, by the fault each one makes."""
+    last = len(a) - 1
+
+    def edited(change):
+        b = np.array(a)
+        change(b)
+        return b
+
+    def both(i, j, value):
+        def change(b):
+            b[i, j] = b[j, i] = value
+
+        return change
+
+    return {
+        "asymmetric": edited(lambda b: b.__setitem__((0, last), b[0, last] + 2)),
+        "diagonal": edited(lambda b: b.__setitem__((last, last), runs - 2)),
+        "parity": edited(both(0, last, a[0, last] + 1)),
+        "bound": edited(both(0, last, runs + 2)),
+        # (0, 1) is the first entry of subset {0}, which a second-order listing shows again
+        "j-conflict": edited(both(0, 1, a[0, 1] + 2)),
+        "size": np.array(a[:-1, :-1]),
+    }

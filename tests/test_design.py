@@ -7,6 +7,7 @@ from qbdesign.design import (
     balance_profile,
     format_design,
     information_matrix,
+    maximal_gram,
     model_gram,
     model_terms,
     parse_design,
@@ -195,6 +196,21 @@ class TestModelMatrix:
             assert np.array_equal(model_gram(x, fs[s], pairs[s]), want)
         as_float = model_gram(x.astype(float), fs, pairs)
         assert as_float.dtype == np.float64 and np.array_equal(as_float, stacked)
+
+    def test_stack_of_designs(self):
+        # a leading design axis gives each design's own Gram, before any subset axes
+        xs = np.stack([random_design(10, 6, seed).entries for seed in range(3)])
+        for order in ModelOrder:
+            stacked = maximal_gram(xs, order)
+            assert stacked.shape == (3,) + information_matrix(Design(xs[0]), order).a.shape
+            for x, got in zip(xs, stacked):
+                assert np.array_equal(got, information_matrix(Design(x), order).a)
+        fs = np.array([[0, 2, 5], [1, 3, 4]])
+        pairs = fs[:, [[0, 1], [0, 2], [1, 2]]]
+        both = model_gram(xs, fs, pairs)
+        assert both.shape == (3, 2, 7, 7)
+        for x, got in zip(xs, both):
+            assert np.array_equal(got, model_gram(x, fs, pairs))
 
     def test_table3_first_xtx(self, fx):
         f = fx("table3.first")

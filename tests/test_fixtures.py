@@ -1,4 +1,8 @@
+import dataclasses
+import warnings
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,22 @@ from qbdesign import fixtures
 from qbdesign.cli import main
 from qbdesign.design import ModelOrder, information_matrix
 from qbdesign.errors import UnknownFixtureError
-from qbdesign.fixtures import check_fixture, list_fixtures, load_fixture
+from qbdesign.fixtures import (
+    check_fixture,
+    check_fixtures,
+    list_fixtures,
+    load_fixture,
+    load_fixtures,
+)
+
+from conftest import listing_edits, oracle_check_fixture
+
+FROZEN_CHECK = Path(__file__).resolve().parent / "expected" / "fixtures-check.out"
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return load_fixtures(list_fixtures())
 
 
 class TestRegistry:
@@ -129,3 +148,124 @@ class TestManifestReads:
                 assert getattr(a, field) == getattr(b, field)
             assert (a.design is None) == (b.design is None)
             assert a.design is None or np.array_equal(a.design.entries, b.design.entries)
+
+
+class TestReadsPerFile:
+    @pytest.mark.parametrize("action", ["check", "list"])
+    def test_each_data_file_read_once(self, capsys, monkeypatch, action):
+        # had16.txt backs six fixtures and is read and parsed once
+        manifest = fixtures.read_manifest()
+        files = {e[key].name for e in manifest.values() for key in ("path", "xtx") if e.get(key)}
+        assert len(files) == 57
+        reads = Counter()
+        read_text = Path.read_text
+        def counted(self, *args, **kwargs):
+            reads.update([self.name])
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        assert main(["fixtures", action]) == 0
+        assert capsys.readouterr().out
+        assert reads == Counter(files | {"manifest.txt"})
+
+
+class TestStackedChecks:
+    """check_fixtures against the one-fixture-at-a-time oracle."""
+
+    def test_whole_corpus(self, corpus):
+        assert check_fixtures(corpus) == [oracle_check_fixture(f) for f in corpus]
+
+    def test_each_fixture_alone(self, corpus):
+        for f in corpus:
+            want = oracle_check_fixture(f)
+            assert check_fixtures([f]) == [want], f.id
+            assert check_fixture(f) == want, f.id
+
+    def test_mixed_shape_subsets(self, corpus):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        for _ in range(40):
+            picked = [corpus[i] for i in rng.integers(0, len(corpus), size=rng.integers(1, 12))]
+            assert check_fixtures(picked) == [oracle_check_fixture(f) for f in picked]
+
+    def test_single_entry_edits_of_every_listing(self, corpus):
+        listed = [f for f in corpus if f.expected_xtx is not None]
+        assert len(listed) == 30
+        edited = {
+            (f.id, kind): dataclasses.replace(f, expected_xtx=a)
+            for f in listed
+            for kind, a in listing_edits(f.expected_xtx, f.runs).items()
+        }
+        # the edited listings share their stacks with the whole corpus
+        got = check_fixtures(corpus + list(edited.values()))[len(corpus) :]
+        for (fid, kind), rows in zip(edited, got):
+            want = oracle_check_fixture(edited[fid, kind])
+            assert rows == want, (fid, kind)
+            failed = {name for name, ok, _ in rows if not ok}
+            if kind == "j-conflict":
+                second_order = edited[fid, kind].order is ModelOrder.SECOND_ORDER
+                assert ("xtx-consistency" in failed) == second_order
+            else:
+                assert failed, (fid, kind)
+
+    def test_wrong_b(self, corpus):
+        wrong = [
+            dataclasses.replace(f, expected_b={**f.expected_b, k: f.expected_b[k] + Fraction(1, 7)})
+            for f in corpus
+            for k in f.expected_b
+        ]
+        assert len(wrong) == 48
+        got = check_fixtures(wrong)
+        assert got == [oracle_check_fixture(f) for f in wrong]
+        assert all(any(not ok for _, ok, _ in rows) for rows in got)
+
+
+class TestCheckCommand:
+    def test_one_wrong_b_fails_one_row(self, capsys, monkeypatch):
+        manifest = fixtures.read_manifest()
+        manifest["had16.proj1"]["b3"] = "1/2"
+        monkeypatch.setattr(fixtures, "read_manifest", lambda: manifest)
+        frozen = FROZEN_CHECK.read_text()
+        want = frozen.replace("had16.proj1 b3: pass (0 vs 0)", "had16.proj1 b3: FAIL (0 vs 1/2)")
+        assert want != frozen
+        assert main(["fixtures", "check"]) == 1
+        assert capsys.readouterr() == (want, "1 fixture check(s) failed\n")
+
+    @pytest.mark.parametrize("action", ["check", "list"])
+    def test_listing_with_a_bad_token(self, capsys, monkeypatch, tmp_path, action):
+        manifest = fixtures.read_manifest()
+        entry = manifest["supp3.i1"]
+        entry["xtx"] = tmp_path / entry["xtx"].name
+        entry["xtx"].write_text((fixtures.read_manifest()["supp3.i1"]["xtx"]).read_text() + "x\n")
+        monkeypatch.setattr(fixtures, "read_manifest", lambda: manifest)
+        assert main(["fixtures", action]) == 1
+        assert capsys.readouterr() == (
+            "", "error: X'X listing supp3_i1_xtx.txt holds a token that is not an integer\n"
+        )
+
+    @pytest.mark.parametrize("action", ["check", "list"])
+    def test_design_file_with_a_bad_entry(self, capsys, monkeypatch, tmp_path, action):
+        manifest = fixtures.read_manifest()
+        entry = manifest["supp1.d3"]
+        rows = [ln.split() for ln in entry["path"].read_text().splitlines()]
+        rows[2][1] = "x"
+        entry["path"] = tmp_path / entry["path"].name
+        entry["path"].write_text("\n".join(" ".join(r) for r in rows) + "\n")
+        monkeypatch.setattr(fixtures, "read_manifest", lambda: manifest)
+        assert main(["fixtures", action]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: design file supp1_d3.txt: entry at row 3, column 2 is not -1 or 1 (got 'x')\n",
+        )
+
+    def test_listing_read_where_numpy_only_warns(self, monkeypatch, tmp_path):
+        # numpy < 2 warns at the first token that is not an integer and returns what it read
+        path = tmp_path / "old_xtx.txt"
+        path.write_text("4 0\n0 4 x\n")
+
+        def fromstring(text, dtype, sep):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([4, 0, 0, 4], dtype=dtype)
+
+        monkeypatch.setattr(fixtures.np, "fromstring", fromstring)
+        with pytest.raises(ValueError, match="old_xtx.txt holds a token that is not an integer"):
+            fixtures._read_xtx(path)

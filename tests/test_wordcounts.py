@@ -7,6 +7,7 @@ import pytest
 
 from qbdesign.design import Design, ModelOrder, information_matrix, random_design
 from qbdesign.errors import BadSubsetError, TooLargeError
+from qbdesign.fixtures import list_fixtures, load_fixtures
 from qbdesign.wordcounts import (
     j_characteristic,
     krawtchouk_sums,
@@ -17,7 +18,20 @@ from qbdesign.wordcounts import (
     word_counts_from_xtx,
 )
 
-from conftest import enumerated_word_counts, full_factorial, krawtchouk, random_designs
+from conftest import (
+    enumerated_word_counts,
+    full_factorial,
+    krawtchouk,
+    listing_edits,
+    loop_or_error,
+    loop_word_counts_from_xtx,
+    random_designs,
+)
+
+
+def outcome(wc):
+    """A stacked result as loop_or_error gives it: WordCounts, or the message."""
+    return str(wc) if isinstance(wc, ValueError) else wc
 
 
 class TestJCharacteristic:
@@ -254,6 +268,66 @@ class TestXtxExtraction:
                 a[j, i] += delta
                 with pytest.raises(ValueError, match=r"inconsistent J for subset \(\d"):
                     word_counts_from_xtx(a, f.runs, f.factors)
+
+
+class TestXtxStack:
+    """The stacked word_counts_from_xtx against the loop reference."""
+
+    def test_corpus_listings_and_their_edits(self):
+        by_shape = {}
+        for f in load_fixtures(list_fixtures()):
+            if f.expected_xtx is not None:
+                for a in [f.expected_xtx, *listing_edits(f.expected_xtx, f.runs).values()]:
+                    by_shape.setdefault((a.shape, f.factors), []).append((a, f.runs))
+        assert len(by_shape) == 14  # 7 listing shapes, each also one row and column short
+        for (_, m), items in by_shape.items():
+            got = word_counts_from_xtx(np.stack([a for a, _ in items]), [n for _, n in items], m)
+            assert [outcome(w) for w in got] == [loop_or_error(a, n, m) for a, n in items]
+
+    @pytest.mark.parametrize("fid", ["supp1.d1", "table3.first", "case4.d1", "case5.a"])
+    def test_every_single_entry_edit_in_one_stack(self, fx, fid):
+        # second order: each edit is a conflict, named at its first entry in
+        # row-major order against the subset's first J, as the loop names it
+        f = fx(fid)
+        base = f.expected_xtx
+        edits = []
+        for i, j in zip(*np.triu_indices(len(base), 1)):
+            for delta in (2, -2):
+                a = base.copy()
+                a[i, j] += delta
+                a[j, i] += delta
+                edits.append(a)
+        got = word_counts_from_xtx(np.stack(edits), [f.runs] * len(edits), f.factors)
+        want = [loop_or_error(a, f.runs, f.factors) for a in edits]
+        assert [outcome(w) for w in got] == want
+        conflicts = sum(isinstance(w, str) for w in want)
+        assert conflicts == (len(edits) if f.order is ModelOrder.SECOND_ORDER else 0)
+
+    def test_one_faulty_listing_leaves_the_others(self, fx):
+        f = fx("case4.d1")
+        bad = f.expected_xtx.copy()
+        bad[0, 1] += 2
+        got = word_counts_from_xtx(np.stack([f.expected_xtx, bad, f.expected_xtx]), [16] * 3, 6)
+        assert got[0] == got[2] == word_counts(f.design, 4)
+        assert str(got[1]) == "information matrix must be square and symmetric"
+        with pytest.raises(ValueError, match="square and symmetric"):
+            word_counts_from_xtx(bad, 16, 6)
+
+    def test_faults_of_the_whole_stack(self):
+        square = "information matrix must be square and symmetric"
+        not_square = word_counts_from_xtx(np.zeros((2, 3, 4)), [1, 1], 2)
+        assert [str(w) for w in not_square] == [square] * 2
+        sized = word_counts_from_xtx(np.zeros((2, 5, 5)), [1, 1], 2)
+        assert [str(w) for w in sized] == ["matrix size 5 fits neither model order for m=2"] * 2
+        with pytest.raises(ValueError, match=square):
+            word_counts_from_xtx(np.zeros(4), 1, 2)
+
+    def test_sums_beyond_int64_are_exact(self):
+        big = 2**40
+        a = np.array([[3, big, -big], [big, 3, big], [-big, big, 3]])
+        w = word_counts_from_xtx(a, 3, 2)
+        assert w == loop_word_counts_from_xtx(a, 3, 2)
+        assert w.s_k == (2 * big * big, big * big)
 
 
 class TestDiagnostics:
