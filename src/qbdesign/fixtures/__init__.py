@@ -1,19 +1,22 @@
 """Benchmark design corpus: published designs with frozen expectations.
 
 Each fixture pairs a design file (and/or an expected X'X listing) with the
-exact word counts it is known to have.  The manifest is line oriented:
+exact word counts it is known to have.  The manifest, data/manifest.txt, is
+the one place that defines a fixture, one per line:
 
-    id path [n=N] [m=M] [order=1|2] [cols=c1,c2,...] [bK=p/q ...] [xtx=path]
+    id path [n=N] [m=M] [order=1|2] [cols=c1,c2,...] [bK=p/q ...] [xtx=path] -- source
 
-`path` is "-" for matrix-only fixtures; `cols` derives the design from the
-1-based columns of another fixture's design file (used for the Hadamard
-projections).  load_fixtures loads a whole selection first, reading and
-parsing each design file once, so a bad file stops a command before it
-prints anything, with an error that names the file.  check_fixtures then
-verifies every stated expectation exactly, by shape rather than fixture by
-fixture: one stacked X'X reproduction per (N, m, order), one structure
-check and one word_counts_from_xtx per listing size and m, and one
-Krawtchouk sum per (N, m, k_max) for the designs' word counts.
+`path` is "-" for matrix-only fixtures, which give n and m; `cols` derives
+the design from distinct 1-based columns of another fixture's design file
+(used for the Hadamard projections); the source after " -- " is what
+`fixtures list` prints.  load_fixtures loads a whole selection first,
+reading and parsing each design file once, so a bad file or a bad manifest
+entry stops a command before it prints anything, with an error that names
+the file or the entry.  check_fixtures then verifies every stated
+expectation exactly, by shape rather than fixture by fixture: one stacked
+X'X reproduction per (N, m, order), one structure check and one
+word_counts_from_xtx per listing size and m, and one stacked_word_counts
+per (N, m, k_max) for the designs' word counts.
 """
 
 from __future__ import annotations
@@ -29,45 +32,10 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from ..design import Design, ModelOrder, maximal_gram, parse_design
-from ..errors import BadSubsetError, QbDesignError, UnknownFixtureError
-from ..wordcounts import (
-    WordCounts,
-    krawtchouk_sums,
-    krawtchouk_table,
-    word_counts_from_xtx,
-)
+from ..errors import QbDesignError, UnknownFixtureError
+from ..wordcounts import WordCounts, stacked_word_counts, word_counts_from_xtx
 
 Row = tuple[str, bool, str]  # (check, ok, detail)
-
-_SOURCES = {
-    "supp1.d1": "E(s2)-optimal supersaturated design, N=12, m=14",
-    "supp1.d2": "UE(s2)-optimal supersaturated design, N=12, m=14",
-    "supp1.d3": "UE(s2)-optimal supersaturated design, N=12, m=14",
-    "supp1.d4": "coordinate-exchange supersaturated design, N=12, m=14",
-    "supp1.d5": "coordinate-exchange supersaturated design, N=12, m=14",
-    "table3.first": "12-run four-factor Hadamard submatrix",
-    "table3.second": "coordinate-exchange 12-run four-factor design",
-    "had16": "Hadamard matrix of order 16, normalized column removed",
-    "case4.d6": "coordinate-exchange second-order design, N=16, m=6",
-    "case5.a": "X'X of a coordinate-exchange second-order design, N=24, m=7",
-    "case5.b": "X'X of a coordinate-exchange second-order design, N=24, m=7",
-    "supp3.n22a": "X'X of a coordinate-exchange design, N=22, m=15",
-    "supp3.n22b": "X'X of a coordinate-exchange design, N=22, m=15",
-}
-for _k in range(1, 6):
-    _SOURCES[f"supp2.i{_k}.conf"] = (
-        f"conference-matrix-derived saturated design, N=10, m=9, prior interval {_k}"
-    )
-    _SOURCES[f"supp2.i{_k}.alg"] = (
-        f"coordinate-exchange saturated design, N=10, m=9, prior interval {_k}"
-    )
-for _k in range(1, 7):
-    _SOURCES[f"supp3.i{_k}"] = f"coordinate-exchange design, N=14, prior interval {_k}"
-for _k in range(1, 6):
-    _SOURCES[f"had16.proj{_k}"] = (
-        f"six-column projection class {_k} of the order-16 Hadamard matrix"
-    )
-
 
 @dataclass(frozen=True)
 class Fixture:
@@ -79,11 +47,11 @@ class Fixture:
     runs: int
     factors: int
     source: str
-    cols: tuple[int, ...] | None = None
 
 
 def read_manifest() -> dict[str, dict]:
-    """The corpus manifest, id -> entry, with every file named as a full path.
+    """The corpus manifest, id -> entry, with every file named as a full path
+    and the fixture's source under "source".
 
     Commands that load many fixtures read it once and pass it to
     list_fixtures and load_fixture.
@@ -94,12 +62,20 @@ def read_manifest() -> dict[str, dict]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        toks = line.split()
-        entry: dict = {"path": None if toks[1] == "-" else data / toks[1]}
-        for tok in toks[2:]:
+        fields, _, source = line.partition(" -- ")
+        fid, *toks = fields.split()
+        if not toks:
+            raise QbDesignError(f"manifest.txt entry {fid}: has no path")
+        if fid in entries:
+            raise QbDesignError(f"manifest.txt entry {fid}: is defined twice")
+        entry: dict = {"path": None if toks[0] == "-" else data / toks[0]}
+        entry["source"] = source.strip()
+        for tok in toks[1:]:
             key, _, val = tok.partition("=")
+            if key in entry:
+                raise QbDesignError(f"manifest.txt entry {fid}: {key} is given twice")
             entry[key] = data / val if key == "xtx" else val
-        entries[toks[0]] = entry
+        entries[fid] = entry
     return entries
 
 
@@ -123,8 +99,23 @@ def _load(fixture_id: str, manifest: dict[str, dict], designs: dict[Path, Design
     entry = manifest.get(fixture_id)
     if entry is None:
         raise UnknownFixtureError(f"unknown fixture id {fixture_id!r}")
-    order = ModelOrder(int(entry.get("order", 1)))
-    cols = None
+
+    def bad(key: str, what: str) -> QbDesignError:
+        return QbDesignError(f"manifest.txt entry {fixture_id}: {key}={entry.get(key, '')} {what}")
+
+    def count(key: str) -> int:
+        val = entry.get(key, "")
+        if not (val.isdecimal() and int(val) > 0):
+            raise bad(key, "is not a positive integer")
+        return int(val)
+
+    known = {"path", "source", "n", "m", "order", "cols", "xtx", "b1", "b2", "b3", "b4"}
+    unknown = [key for key in entry if key not in known]
+    if unknown:
+        raise bad(unknown[0], "is not a manifest key")
+    order = entry.get("order", "1")
+    if order not in ("1", "2"):
+        raise bad("order", "is not 1 or 2")
     design = None
     path = entry["path"]
     if path is not None:
@@ -132,26 +123,33 @@ def _load(fixture_id: str, manifest: dict[str, dict], designs: dict[Path, Design
             designs[path] = _read_design(path)
         design = designs[path]
         if "cols" in entry:
-            cols = tuple(int(c) for c in entry["cols"].split(","))
-            design = Design(design.entries[:, [c - 1 for c in cols]])
-    xtx = _read_xtx(entry["xtx"]) if "xtx" in entry else None
-    expected_b = {
-        k: Fraction(entry[f"b{k}"]) for k in range(1, 5) if f"b{k}" in entry
-    }
-    if design is not None:
+            cols = entry["cols"].split(",")
+            idx = [int(c) - 1 for c in cols if c.isdecimal()]
+            if len(set(idx)) != len(cols) or not all(0 <= i < design.factors for i in idx):
+                raise bad("cols", f"does not name distinct columns in 1..{design.factors}")
+            design = Design(design.entries[:, idx])
         runs, factors = design.runs, design.factors
+    elif "cols" in entry:
+        raise bad("cols", "takes columns of a design file, and there is none")
     else:
-        runs, factors = int(entry["n"]), int(entry["m"])
+        runs, factors = count("n"), count("m")
+    xtx = _read_xtx(entry["xtx"]) if "xtx" in entry else None
+    expected_b = {}
+    for k in range(1, 5):
+        if f"b{k}" in entry:
+            try:
+                expected_b[k] = Fraction(entry[f"b{k}"])
+            except (ValueError, ZeroDivisionError):
+                raise bad(f"b{k}", "is not a rational number") from None
     return Fixture(
         id=fixture_id,
         design=design,
-        order=order,
+        order=ModelOrder(int(order)),
         expected_xtx=xtx,
         expected_b=expected_b,
         runs=runs,
         factors=factors,
-        source=_SOURCES.get(fixture_id, ""),
-        cols=cols,
+        source=entry["source"],
     )
 
 
@@ -177,11 +175,6 @@ def _read_xtx(path: Path) -> np.ndarray:
     if n * n != a.size:
         raise ValueError(f"X'X listing {path.name} has {a.size} entries, not a square matrix")
     return a.reshape(n, n)
-
-
-def check_fixture(f: Fixture) -> list[Row]:
-    """Verify every expectation of a fixture; returns (check, ok, detail) rows."""
-    return check_fixtures([f])[0]
 
 
 def check_fixtures(fixtures: Sequence[Fixture]) -> list[list[Row]]:
@@ -213,13 +206,9 @@ def check_fixtures(fixtures: Sequence[Fixture]) -> list[list[Row]]:
         from_xtx.update(zip(idx, word_counts_from_xtx(a, runs, m)))
 
     designed: dict[int, WordCounts] = {}
-    for (n, m, k_max), idx in _groups(fixtures, _word_count_shape).items():
-        if not 1 <= k_max <= m:
-            raise BadSubsetError(f"k_max must be in 1..{m}, got {k_max}")
+    for (_, _, k_max), idx in _groups(fixtures, _word_count_shape).items():
         x = np.stack([fixtures[i].design.entries for i in idx])
-        s_k = krawtchouk_sums(x, krawtchouk_table(m, k_max, n)[1:])
-        for i, row in zip(idx, s_k.tolist()):
-            designed[i] = WordCounts(runs=n, s_k=tuple(row))
+        designed.update(zip(idx, stacked_word_counts(x, k_max)))
 
     results = []
     for i, f in enumerate(fixtures):

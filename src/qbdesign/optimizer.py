@@ -52,6 +52,8 @@ a few array passes, none larger than the window.
 No quantity mixes restarts, and every decision rests on integer t_k and
 on the same float expression per restart, so the results do not depend
 on the block size, the window width or the number of worker processes.
+The tests hold the oracle of the incremental state: their exact_state
+fixture compares each flipped restart's S_k with a count from scratch.
 """
 
 from __future__ import annotations
@@ -221,15 +223,7 @@ def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
     return float(delta[0, 0, j])
 
 
-def _check_state(block: _Block, r: int, prior: Prior) -> None:
-    """Assert restart r's incremental state equals a from-scratch rebuild."""
-    fresh = _Block(block.x[r : r + 1].astype(np.int64), prior)
-    assert np.array_equal(block.s[r], fresh.s[0])
-
-
-def _exchange(
-    x: np.ndarray, prior: Prior, debug: bool = False
-) -> list[tuple[np.ndarray, float, int, WordCounts]]:
+def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int, WordCounts]]:
     """Coordinate exchange from each start in the int64 (R, N, m) stack x, in lockstep.
 
     Every iteration scores a window of rows from each running restart's
@@ -272,9 +266,6 @@ def _exchange(
         if at.size:
             l, j = np.divmod(c[at], m)
             block.flip(at, rows[at, l], j, t[at, l, :, j])
-            if debug:
-                for r in at:
-                    _check_state(block, r, prior)
         # past the flip, or the window, up to the certificate: that covers every
         # coordinate against this state, so no window has a flip beyond it
         pos -= col
@@ -293,20 +284,18 @@ def _exchange(
     return out
 
 
-def coordinate_exchange(
-    start: Design, prior: Prior, debug: bool = False
-) -> tuple[Design, float, int]:
+def coordinate_exchange(start: Design, prior: Prior) -> tuple[Design, float, int]:
     """Greedy first-improvement coordinate exchange from a given start.
 
     Sweeps the N*m coordinates row-major, accepting a flip iff it decreases
     QB by more than IMPROVE_TOL, and stops once N*m coordinates in a row
     have been rejected.  Returns (design, qb, sweeps), sweeps counting the
     sweeps begun: the same count as scanning on to the end of the first
-    sweep that accepts nothing.  With debug=True the incremental state is checked
-    against a from-scratch recomputation after every accepted flip.  This is
-    the lockstep kernel run on a block of one.
+    sweep that accepts nothing.  This is the lockstep kernel run on a block
+    of one; the tests' exact_state oracle checks its S_k against a count from
+    scratch after every accepted flip.
     """
-    [(entries, qb, sweeps, _)] = _exchange(start.entries[None].copy(), prior, debug)
+    [(entries, qb, sweeps, _)] = _exchange(start.entries[None].copy(), prior)
     return Design(entries), qb, sweeps
 
 

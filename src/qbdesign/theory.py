@@ -106,11 +106,6 @@ def qb_block_value(n_runs: int, m: int, n1: int, pi1):
     return qb_from_word_counts(w, Prior(pi1), m)
 
 
-def block_feasible_range(m: int) -> tuple[int, int]:
-    """n1 range on which the block pattern is constructible."""
-    return ((m + 1) // 2, m) if m % 2 == 1 else (m // 2, m)
-
-
 def verify_block_pattern(d: Design) -> PatternReport:
     """Check a design's first-order X'X against the block-diagonal optimal form.
 

@@ -148,15 +148,21 @@ def word_counts(d: Design, k_max: int | None = None) -> WordCounts:
     """S_k and b_k for k = 1..k_max from the run distances (see module docstring).
 
     k_max defaults to min(4, m): the second-order criterion needs b_1..b_4
-    only; higher k is available on request for diagnostics.
+    only; higher k is available on request for diagnostics.  This is
+    stacked_word_counts of a stack of one.
     """
-    m = d.factors
-    if k_max is None:
-        k_max = min(4, m)
+    (wc,) = stacked_word_counts(d.entries[None], min(4, d.factors) if k_max is None else k_max)
+    return wc
+
+
+def stacked_word_counts(x: np.ndarray, k_max: int) -> list[WordCounts]:
+    """The word counts of each design of the (L, N, m) +-1 stack x for k = 1..k_max,
+    from one Krawtchouk table and one krawtchouk_sums over the stack."""
+    n, m = x.shape[1:]
     if not 1 <= k_max <= m:
         raise BadSubsetError(f"k_max must be in 1..{m}, got {k_max}")
-    s_k = krawtchouk_sums(d.entries, krawtchouk_table(m, k_max, d.runs)[1:])
-    return WordCounts(runs=d.runs, s_k=tuple(s_k.tolist()))
+    s_k = krawtchouk_sums(x, krawtchouk_table(m, k_max, n)[1:])
+    return [WordCounts(runs=n, s_k=tuple(row)) for row in s_k.tolist()]
 
 
 def word_counts_from_xtx(

@@ -19,7 +19,7 @@ from qbdesign.design import Design, ModelOrder, information_matrix, model_terms
 from qbdesign.errors import EmptyDesignError, NonBinaryEntryError, RaggedRowsError
 from qbdesign.fixtures import load_fixture
 from qbdesign.optimizer import _Block
-from qbdesign.wordcounts import WordCounts, word_counts
+from qbdesign.wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table, word_counts
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +46,30 @@ def fallbacks(monkeypatch):
 
     monkeypatch.setattr(csvcells, "fallback", counted)
     return seen
+
+
+def check_exact_state(block, at):
+    """Assert that the S_k of each restart `at` of an optimizer block equals a
+    count from scratch: krawtchouk_sums of that restart's design."""
+    kraw = krawtchouk_table(block.m, block.k_max, block.n)[1:]
+    assert np.array_equal(block.s[at], krawtchouk_sums(block.x[at].astype(np.int64), kraw))
+
+
+@pytest.fixture
+def exact_state(monkeypatch):
+    """The oracle of the optimizer's incremental state: _Block.flip, wrapped so
+    that every accepted flip is followed by check_exact_state of the restarts
+    it flipped.  The list it gives grows by those restarts at each flip."""
+    checked = []
+    flip = _Block.flip
+
+    def checked_flip(block, at, rows, cols, t):
+        flip(block, at, rows, cols, t)
+        check_exact_state(block, at)
+        checked.extend(at.tolist())
+
+    monkeypatch.setattr(_Block, "flip", checked_flip)
+    return checked
 
 
 def full_factorial(m):

@@ -23,7 +23,7 @@ from qbdesign.design import (
     information_matrix,
     random_design,
 )
-from qbdesign.fixtures import check_fixture, list_fixtures
+from qbdesign.fixtures import check_fixtures, list_fixtures
 from qbdesign.optimizer import IMPROVE_TOL, OptimizerConfig, multi_restart, qb_delta
 from qbdesign.projection import projection_report
 from qbdesign.theory import balance_intervals, qb_block_value, verify_block_pattern
@@ -96,7 +96,7 @@ def test_criterion_2_xtx_reproduction(fx):
                 # structural checks plus exact word counts recovered from the
                 # printed entries
                 results = dict()
-                for name, ok, detail in check_fixture(f):
+                for name, ok, detail in check_fixtures([f])[0]:
                     results[name] = ok
                     assert ok, (fid, name, detail)
                 assert results.get("xtx-consistency"), fid

@@ -173,6 +173,7 @@ class TestOptimize:
 # both sweeps report changes of the best design on stderr
 FROZEN_EVALUATE_PATH = {
     "fixtures-check": ("fixtures check", "out"),
+    "fixtures-list": ("fixtures list", "out"),
     "sweep-order2": (
         "sweep fixture:case4.d1 fixture:case4.d6 fixture:supp1.d1 --order 2"
         " --lo 0.5 --hi 0.9 --step 0.2 --pi2-lo 0 --pi2-hi 1 --pi2-step 0.0015",

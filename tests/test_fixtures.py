@@ -11,13 +11,7 @@ from qbdesign import fixtures
 from qbdesign.cli import main
 from qbdesign.design import ModelOrder, information_matrix
 from qbdesign.errors import UnknownFixtureError
-from qbdesign.fixtures import (
-    check_fixture,
-    check_fixtures,
-    list_fixtures,
-    load_fixture,
-    load_fixtures,
-)
+from qbdesign.fixtures import check_fixtures, list_fixtures, load_fixture, load_fixtures
 
 from conftest import listing_edits, oracle_check_fixture
 
@@ -92,7 +86,7 @@ class TestRegistry:
 class TestExpectations:
     def test_every_fixture_checks_out(self):
         for fid in list_fixtures():
-            results = check_fixture(load_fixture(fid))
+            [results] = check_fixtures([load_fixture(fid)])
             bad = [(n, d) for n, ok, d in results if not ok]
             assert not bad, f"{fid}: {bad}"
 
@@ -144,7 +138,7 @@ class TestManifestReads:
         assert list_fixtures(manifest) == list_fixtures()
         for fid in ("had16.proj3", "case5.a", "supp1.d1"):
             a, b = load_fixture(fid, manifest), load_fixture(fid)
-            for field in ("runs", "factors", "cols", "expected_b", "source", "order"):
+            for field in ("runs", "factors", "expected_b", "source", "order"):
                 assert getattr(a, field) == getattr(b, field)
             assert (a.design is None) == (b.design is None)
             assert a.design is None or np.array_equal(a.design.entries, b.design.entries)
@@ -179,7 +173,6 @@ class TestStackedChecks:
         for f in corpus:
             want = oracle_check_fixture(f)
             assert check_fixtures([f]) == [want], f.id
-            assert check_fixture(f) == want, f.id
 
     def test_mixed_shape_subsets(self, corpus):
         rng = np.random.Generator(np.random.Philox(key=5))
@@ -269,3 +262,49 @@ class TestCheckCommand:
         monkeypatch.setattr(fixtures.np, "fromstring", fromstring)
         with pytest.raises(ValueError, match="old_xtx.txt holds a token that is not an integer"):
             fixtures._read_xtx(path)
+
+
+class TestManifestEntries:
+    def test_every_entry_has_a_source(self, corpus):
+        assert len(corpus) == 36
+        assert all(f.source for f in corpus)
+
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            ("had16", "had16: has no path"),
+            ("had16 had16.txt -- again", "had16: is defined twice"),
+            ("new.a had16.txt b3=0 b3=1 -- x", "new.a: b3 is given twice"),
+            ("new.b had16.txt path=had16.txt -- x", "new.b: path is given twice"),
+        ],
+    )
+    def test_bad_line(self, capsys, monkeypatch, tmp_path, line, fault):
+        text = (Path(fixtures.__file__).parent / "data" / "manifest.txt").read_text()
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.txt").write_text(text + line + "\n")
+        monkeypatch.setattr(fixtures.resources, "files", lambda package: tmp_path)
+        assert main(["fixtures", "list"]) == 1
+        assert capsys.readouterr() == ("", f"error: manifest.txt entry {fault}\n")
+
+    @pytest.mark.parametrize(
+        "fid, key, value, fault",
+        [
+            ("had16.proj1", "cols", "1,2,99", "does not name distinct columns in 1..15"),
+            ("had16.proj1", "cols", "0,2,4,8,11,13", "does not name distinct columns in 1..15"),
+            ("had16.proj1", "cols", "1,2,2,8,11,13", "does not name distinct columns in 1..15"),
+            ("case5.a", "cols", "1,2", "takes columns of a design file, and there is none"),
+            ("had16.proj1", "b3", "x", "is not a rational number"),
+            ("had16.proj1", "b4", "1/0", "is not a rational number"),
+            ("case5.a", "n", "24x", "is not a positive integer"),
+            ("case5.a", "m", "0", "is not a positive integer"),
+            ("table3.first", "order", "3", "is not 1 or 2"),
+            ("had16.proj1", "b9", "3", "is not a manifest key"),
+        ],
+    )
+    def test_bad_entry(self, capsys, monkeypatch, fid, key, value, fault):
+        manifest = fixtures.read_manifest()
+        manifest[fid][key] = value
+        monkeypatch.setattr(fixtures, "read_manifest", lambda: manifest)
+        assert main(["fixtures", "check"]) == 1
+        error = f"error: manifest.txt entry {fid}: {key}={value} {fault}\n"
+        assert capsys.readouterr() == ("", error)

@@ -20,6 +20,7 @@ from qbdesign.wordcounts import WordCounts, krawtchouk_table, word_counts
 
 from conftest import (
     block_of_one,
+    check_exact_state,
     enumerated_word_counts,
     flip_one,
     full_factorial,
@@ -667,50 +668,58 @@ class TestBlockBudget:
         assert np.array_equal(res.best.entries, reference.best.entries)
 
 
-class TestDebugMode:
-    def test_debug_asserts_state(self):
-        start = random_design(8, 4, seed=17)
-        best, qb, _ = coordinate_exchange(start, Prior(0.4), debug=True)
-        plain, qb2, _ = coordinate_exchange(start, Prior(0.4))
-        assert np.array_equal(best.entries, plain.entries)
-        assert qb == qb2
+class TestExactState:
+    """The exact_state oracle: after every accepted flip, each flipped restart's
+    S_k equals a count from scratch."""
 
-    def test_debug_on_a_block(self, monkeypatch):
-        checks, widths = [], set()
-        check_state, row_deltas = optimizer._check_state, optimizer._Block.row_deltas
+    def test_coordinate_exchange(self, exact_state):
+        best, qb, _ = coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
+        assert exact_state and set(exact_state) == {0}
+        assert qb == qb_from_word_counts(word_counts(best), Prior(0.4), 4)
 
-        def counted(block, r, prior):
-            checks.append(r)
-            check_state(block, r, prior)
+    @pytest.mark.parametrize("work", [0, optimizer.WINDOW_WORK])
+    def test_exchange_in_windows(self, monkeypatch, exact_state, work):
+        # one row per restart, then the default lookahead windows
+        widths = set()
+        row_deltas = optimizer._Block.row_deltas
 
         def scored(block, rows):
             widths.add(rows.shape[1])
             return row_deltas(block, rows)
 
-        monkeypatch.setattr(optimizer, "_check_state", counted)
         monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
+        monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
         prior = Prior(0.7, 0.4, SECOND)
         cfg = OptimizerConfig(runs=10, factors=5, prior=prior, restarts=6, seed=19)
         starts = np.stack(restart_starts(cfg))
-        # one row per restart, then the default lookahead windows
-        for work in (0, optimizer.WINDOW_WORK):
-            monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
-            checks.clear()
-            widths.clear()
-            debugged = optimizer._exchange(starts.copy(), prior, debug=True)
-            plain = optimizer._exchange(starts.copy(), prior)
-            assert len(checks) > len(starts)
-            assert (max(widths) > 1) == (work > 0)
-            for (x, qb, sw, wc), (x0, qb0, sw0, wc0) in zip(debugged, plain, strict=True):
-                assert np.array_equal(x, x0)
-                assert (qb, sw, wc) == (qb0, sw0, wc0)
+        assert len(optimizer._exchange(starts, prior)) == len(starts)
+        assert len(exact_state) > len(starts)
+        assert (max(widths) > 1) == (work > 0)
 
-    def test_debug_catches_a_broken_state(self):
-        prior = Prior(0.4)
-        block = optimizer._Block(random_design(8, 4, seed=17).entries[None].copy(), prior)
+    def test_multi_restart_of_several_blocks(self, monkeypatch, exact_state):
+        monkeypatch.setattr(optimizer, "BLOCK_BYTES", 3 * 8 * 12 * (12 + 2 * 14 + 1))
+        blocks = []
+        cfg = OptimizerConfig(12, 14, Prior(0.1), restarts=10, seed=2)
+        multi_restart(cfg, on_block=blocks.append)
+        assert [len(b) for b in blocks] == [3, 3, 3, 1]
+        assert set(exact_state) == {0, 1, 2}
+
+    def test_oracle_reports_a_broken_state(self, monkeypatch, exact_state):
+        row_deltas = optimizer._Block.row_deltas
+
+        def terms_off_by_one(block, rows):
+            # the same flips, each adding 4 too much to every S_k
+            delta, t = row_deltas(block, rows)
+            return delta, t + 1
+
+        monkeypatch.setattr(optimizer._Block, "row_deltas", terms_off_by_one)
+        with pytest.raises(AssertionError):
+            coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
+        block = optimizer._Block(random_design(8, 4, seed=17).entries[None].copy(), Prior(0.4))
+        check_exact_state(block, np.array([0]))
         block.s[0, 1] += 4
         with pytest.raises(AssertionError):
-            optimizer._check_state(block, 0, prior)
+            check_exact_state(block, np.array([0]))
 
 
 class TestSecondOrderBenchmark:

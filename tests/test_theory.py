@@ -8,7 +8,6 @@ from qbdesign.criteria import Prior, qb_from_word_counts
 from qbdesign.errors import BadCongruenceError
 from qbdesign.theory import (
     balance_intervals,
-    block_feasible_range,
     qb_block_value,
     verify_block_pattern,
     verify_block_pattern_xtx,
@@ -105,8 +104,11 @@ class TestQbBlockValue:
                 )
 
     def test_feasible_range(self):
-        assert block_feasible_range(9) == (5, 9)
-        assert block_feasible_range(12) == (6, 12)
+        # the block pattern needs at least ceil(m/2) level-balanced factors:
+        # the first interval has all m, the last, up to pi1 = 1, ceil(m/2)
+        for m, fewest in ((9, 5), (12, 6)):
+            intervals = balance_intervals(14, m).intervals()
+            assert (intervals[0][3], intervals[-1][3]) == (m, fewest)
 
 
 class TestVerifyBlockPattern:
