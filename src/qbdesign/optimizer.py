@@ -7,8 +7,8 @@ local optimum.  Restarts from independent random starts guard against
 local optima, and the As efficiency of the full main-effects fit breaks
 ties among equal-QB results.
 
-The criterion is maintained incrementally and exactly through the
-distance form of the word counts (see `wordcounts`):
+Each flip is scored exactly through the distance form of the word counts
+(see `wordcounts`):
 
     S_k = sum_{r, r'} K_k(d_rr'; m).
 
@@ -17,7 +17,7 @@ sg_r = x_ij * x_rj = +-1 (0 for r = i).  So
 
     S_k' - S_k = 2 * sum_r [K_k(d_ir + sg_r; m) - K_k(d_ir; m)] = 4 t_k,
 
-with t_k an integer, and S_k stays exact along the whole search.  With the
+with t_k an integer, scored from the design alone.  With the
 difference tables U = Dp - Dm and V = Dp + Dm, where Dp(d) = K_k(d + 1) -
 K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
 2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d).  A block holds its designs in
@@ -31,20 +31,25 @@ weights by 4, both powers of two, so t_k comes out as the exact integer
 and each QB change is the same float as 4 (w_1 t_1 + w_2 t_2 + ...) / N^2
 summed left to right.  The sums are exact, as a block refuses a table
 whose partial sums could reach 2^53 (at the int64 check's largest m,
-N = 2, they stay under 0.29 * 2^53).  The designs and S_k are the whole
-state; the N x N distances are counted once.
+N = 2, they stay under 0.29 * 2^53).  No decision reads S_k itself, so the
+designs are the whole state: a block counts the word counts of its final
+designs once, in one stacked_word_counts, and each QB is
+qb_from_word_counts of those exact integers.
 
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
-whose build fits BLOCK_BYTES, stacks designs and S_k along a leading axis,
-and each restart has one cursor: pos, the coordinates it has scanned over
-all sweeps, and lim, N*m past its last flip.  One iteration scores a
+whose final count fits BLOCK_BYTES, stacks the designs along a leading
+axis, and each restart has one cursor: pos, the coordinates it has scanned
+over all sweeps, and lim, N*m past its last flip.  One iteration scores a
 window of rows from the cursor of every running restart: one row in a full
-block, more in the slots a small block or a block's tail leaves idle,
-within WINDOW_WORK multiply-adds.  Each restart takes its first improving
-coordinate at or after the cursor in row-major order, the serial scan's
-choice, since nothing flips between the rows of a window, and moves its
-cursor past it, or past the window.  It leaves the block at the certificate
-pos = lim, N*m rejections in a row; its sweep count is the sweeps begun.
+or half-full block, more in half the slots a small block or a block's tail
+leaves idle, within WINDOW_WORK multiply-adds.  An iteration takes at most
+one flip per restart, so lookahead rows past a flip are scored for nothing:
+half the idle slots cost fewer rows than all of them for a few more
+iterations.  Each restart takes its first improving coordinate at or after
+the cursor in row-major order, the serial scan's choice, since nothing
+flips between the rows of a window, and moves its cursor past it, or past
+the window.  It leaves the block at the certificate pos = lim, N*m
+rejections in a row; its sweep count is the sweeps begun.
 The window rows of each cursor row and the advance past each lane are
 small tables built once per window width, and only the window's first row
 has lanes before the cursor to mask, so the bookkeeping of an iteration is
@@ -52,8 +57,9 @@ a few array passes, none larger than the window.
 No quantity mixes restarts, and every decision rests on integer t_k and
 on the same float expression per restart, so the results do not depend
 on the block size, the window width or the number of worker processes.
-The tests hold the oracle of the incremental state: their exact_state
-fixture compares each flipped restart's S_k with a count from scratch.
+The tests hold the oracle of the row deltas: their exact_state fixture
+checks, at each accepted flip, 4 t_k against S_k counted from scratch
+before and after it.
 """
 
 from __future__ import annotations
@@ -68,15 +74,16 @@ import numpy as np
 from .criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from .design import Design
 from .errors import TooLargeError
-from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table
+from .wordcounts import WordCounts, krawtchouk_table, stacked_word_counts
 
 IMPROVE_TOL = 1e-9  # a flip is taken when it lowers QB by more than this
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
 WINDOW_WORK = 2**16  # multiply-adds one iteration may spend on lookahead rows
-# Bytes of the int64 (R, N, N) run distances and (R, N, m) starts a block's
-# build counts S_k from, and of its float64 (R, N, m + 1) designs; the restarts
-# per block are cut to fit, and a search whose one restart does not fit is
-# refused before anything is allocated.
+# Bytes of a block's int64 (R, N, m) starts beside, during the search, its
+# float64 (R, N, m + 1) designs and, in the final count, its int64 (R, N, m)
+# finals and (R, N, N) run distances; the restarts per block are cut to fit,
+# and a search whose one restart does not fit is refused before anything is
+# allocated.
 BLOCK_BYTES = 2**27
 
 
@@ -118,22 +125,21 @@ class OptResult:
 
 
 class _Block:
-    """Stacked search state of R restarts: designs and exact S_k.
+    """Stacked search state of R restarts: their designs.
 
     xo is float64 (R, N, m + 1), the designs with a trailing column of ones,
-    and x its (R, N, m) view; s is int64 (R, k_max).  Both are owned by the
-    block.  row_deltas and flip are the package's one row-delta and one flip
-    update; qb_delta and coordinate_exchange run a block of one.
+    and x its (R, N, m) view, owned by the block.  row_deltas and flip are
+    the package's one row-delta and one flip; qb_delta and
+    coordinate_exchange run a block of one.
     """
 
     def __init__(self, x: np.ndarray, prior: Prior):
         """x is an int64 (R, N, m) stack of +-1 designs."""
         r, self.n, self.m = x.shape
-        self.prior = prior
         weights = qb_coefficients(prior, self.m)
         self.k_max = len(weights)
+        # refuses word counts past int64 before the search starts
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
-        self.s = krawtchouk_sums(x, kraw)
         self.xo = np.ones((r, self.n, self.m + 1))
         self.xo[..., :-1] = x
         self._at = np.arange(r)[:, None]
@@ -161,14 +167,6 @@ class _Block:
     def x(self) -> np.ndarray:
         """The (R, N, m) designs, a view of xo."""
         return self.xo[..., :-1]
-
-    def word_counts(self, r: int) -> WordCounts:
-        """Restart r's exact word counts."""
-        return WordCounts(runs=self.n, s_k=tuple(self.s[r].tolist()))
-
-    def qb(self, r: int) -> float:
-        """Criterion value of restart r from its exact word counts."""
-        return qb_from_word_counts(self.word_counts(r), self.prior, self.m)
 
     def row_deltas(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """QB changes of sign-switching each entry of rows rows[r, l], for every restart r.
@@ -198,18 +196,14 @@ class _Block:
         delta /= self.n * self.n
         return delta[..., :-1], t.transpose(1, 2, 0, 3)[..., :-1]
 
-    def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: np.ndarray) -> None:
-        """Sign-switch entry (rows[h], cols[h]) of restart at[h], for every h.
-
-        t[h] holds the exact terms (S_k' - S_k) / 4 of that flip.
-        """
+    def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Sign-switch entry (rows[h], cols[h]) of restart at[h], for every h."""
         self.xo[at, rows, cols] *= -1
-        self.s[at] += 4 * t.astype(np.int64)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the restarts where mask is False."""
-        self.xo, self.s = self.xo[mask], self.s[mask]
-        self._at = self._at[: len(self.s)]
+        self.xo = self.xo[mask]
+        self._at = self._at[: len(self.xo)]
 
 
 def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
@@ -231,7 +225,8 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
     after the cursor in row-major order; a restart is done once it has
     scanned N*m coordinates past its last flip.  Returns (entries, qb,
     sweeps, word counts) per start, in input order, with sweeps =
-    ceil(pos / (N*m)) and the exact word counts the search carried.
+    ceil(pos / (N*m)) and the exact word counts of the final designs,
+    counted once for the whole block.
     """
     block = _Block(x, prior)
     n, m = block.n, block.m
@@ -239,12 +234,12 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
     ids = np.arange(len(x))
     pos = np.zeros(len(x), dtype=np.intp)  # coordinates scanned, row-major, over all sweeps
     lim = np.full(len(x), nm, dtype=np.intp)  # pos at the certificate: N*m past the last flip
-    out: list[tuple[np.ndarray, float, int, WordCounts]] = [None] * len(x)
+    finals, sweeps = np.empty(x.shape, dtype=np.int64), np.empty(len(x), dtype=np.intp)
     width, improving, cols = 0, np.ones((0, 0, 0), dtype=bool), np.arange(m)
     while len(ids):
-        # the idle slots' worth of rows, within WINDOW_WORK multiply-adds
+        # half the idle slots' worth of rows, within WINDOW_WORK multiply-adds
         row_work = len(ids) * n * m * block.k_max
-        w = max(1, min(n, RESTARTS_PER_BLOCK // len(ids), WINDOW_WORK // row_work))
+        w = max(1, min(n, RESTARTS_PER_BLOCK // (2 * len(ids)), WINDOW_WORK // row_work))
         if w != width:
             # per cursor row, its window of rows; per lane, the advance past it
             width = w
@@ -256,16 +251,15 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
             improving = np.ones((len(ids), width + 1, m), dtype=bool)
         row, col = np.divmod(pos, m)
         rows = windows.take(row % n, axis=0)
-        delta, t = block.row_deltas(rows)
+        delta, _ = block.row_deltas(rows)
         np.less(delta, -IMPROVE_TOL, out=improving[:, :width])
         # the lanes before the cursor, all in the window's first row, do not count
         improving[:, 0] &= cols >= col[:, None]
         c = improving.reshape(len(ids), -1).argmax(axis=1)
-        hit = c < width * m
-        at = hit.nonzero()[0]
+        at = (c < width * m).nonzero()[0]
         if at.size:
             l, j = np.divmod(c[at], m)
-            block.flip(at, rows[at, l], j, t[at, l, :, j])
+            block.flip(at, rows[at, l], j)
         # past the flip, or the window, up to the certificate: that covers every
         # coordinate against this state, so no window has a flip beyond it
         pos -= col
@@ -275,13 +269,14 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         # N*m rejections in a row, all against one state: a local optimum
         done = (pos == lim).nonzero()[0]
         if done.size:
-            for r in done:
-                sweeps = -(-int(pos[r]) // nm)
-                out[ids[r]] = (block.x[r].astype(np.int64), block.qb(r), sweeps, block.word_counts(r))
+            finals[ids[done]] = block.x[done]
+            sweeps[ids[done]] = -(-pos[done] // nm)
             keep = pos != lim
             ids, pos, lim = ids[keep], pos[keep], lim[keep]
             block.keep(keep)
-    return out
+    wcs = stacked_word_counts(finals, block.k_max)
+    qbs = qb_from_word_counts(wcs, prior, [m] * len(wcs)).tolist()
+    return [(f.copy(), qb, sw, wc) for f, qb, sw, wc in zip(finals, qbs, sweeps.tolist(), wcs)]
 
 
 def coordinate_exchange(start: Design, prior: Prior) -> tuple[Design, float, int]:
@@ -292,8 +287,8 @@ def coordinate_exchange(start: Design, prior: Prior) -> tuple[Design, float, int
     have been rejected.  Returns (design, qb, sweeps), sweeps counting the
     sweeps begun: the same count as scanning on to the end of the first
     sweep that accepts nothing.  This is the lockstep kernel run on a block
-    of one; the tests' exact_state oracle checks its S_k against a count from
-    scratch after every accepted flip.
+    of one; the tests' exact_state oracle checks the t_k of every accepted
+    flip against S_k counted from scratch before and after it.
     """
     [(entries, qb, sweeps, _)] = _exchange(start.entries[None].copy(), prior)
     return Design(entries), qb, sweeps

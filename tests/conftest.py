@@ -48,28 +48,42 @@ def fallbacks(monkeypatch):
     return seen
 
 
-def check_exact_state(block, at):
-    """Assert that the S_k of each restart `at` of an optimizer block equals a
-    count from scratch: krawtchouk_sums of that restart's design."""
-    kraw = krawtchouk_table(block.m, block.k_max, block.n)[1:]
-    assert np.array_equal(block.s[at], krawtchouk_sums(block.x[at].astype(np.int64), kraw))
+def watch_exact_state(monkeypatch):
+    """Install the oracle of the optimizer's row deltas over whatever
+    _Block.row_deltas and _Block.flip are now: at every accepted flip, 4 x
+    the t that the last row_deltas gave that coordinate must equal
+    krawtchouk_sums after the flip minus krawtchouk_sums before it, both
+    counted from scratch.  The list it returns grows by the restarts each
+    flip flipped."""
+    checked = []
+    row_deltas, flip = _Block.row_deltas, _Block.flip
+
+    def scored(block, rows):
+        delta, t = row_deltas(block, rows)
+        block.scored = rows, t
+        return delta, t
+
+    def checked_flip(block, at, rows, cols):
+        kraw = krawtchouk_table(block.m, block.k_max, block.n)[1:]
+        before = krawtchouk_sums(block.x[at].astype(np.int64), kraw)
+        flip(block, at, rows, cols)
+        after = krawtchouk_sums(block.x[at].astype(np.int64), kraw)
+        # each flip's row is in its restart's window once: the window's rows differ
+        window, t = block.scored
+        l = (window[at] == rows[:, None]).argmax(axis=1)
+        assert np.array_equal(4 * t[at, l, :, cols], after - before)
+        checked.extend(at.tolist())
+
+    monkeypatch.setattr(_Block, "row_deltas", scored)
+    monkeypatch.setattr(_Block, "flip", checked_flip)
+    return checked
 
 
 @pytest.fixture
 def exact_state(monkeypatch):
-    """The oracle of the optimizer's incremental state: _Block.flip, wrapped so
-    that every accepted flip is followed by check_exact_state of the restarts
-    it flipped.  The list it gives grows by those restarts at each flip."""
-    checked = []
-    flip = _Block.flip
-
-    def checked_flip(block, at, rows, cols, t):
-        flip(block, at, rows, cols, t)
-        check_exact_state(block, at)
-        checked.extend(at.tolist())
-
-    monkeypatch.setattr(_Block, "flip", checked_flip)
-    return checked
+    """The oracle of the optimizer's row deltas, watch_exact_state over the
+    package's own _Block."""
+    return watch_exact_state(monkeypatch)
 
 
 def full_factorial(m):
@@ -115,12 +129,15 @@ def row_of_one(block, i):
     return delta[0, 0], t[0, 0]
 
 
-def flip_one(block, i, j, t=None):
-    """Sign-switch entry (i, j) of a block of one; t is row_of_one's term
-    matrix for the current state, when the caller already has it."""
-    if t is None:
-        t = row_of_one(block, i)[1]
-    block.flip(np.array([0]), np.array([i]), np.array([j]), t[None, :, j])
+def flip_one(block, i, j):
+    """Sign-switch entry (i, j) of a block of one."""
+    block.flip(np.array([0]), np.array([i]), np.array([j]))
+
+
+def qb_of_one(block, prior):
+    """QB of a block of one's design, from its word counts counted from scratch."""
+    wc = word_counts(Design(block.x[0].astype(np.int64)), block.k_max)
+    return qb_from_word_counts(wc, prior, block.m)
 
 
 def serial_coordinate_exchange(start, prior):
@@ -139,16 +156,16 @@ def serial_coordinate_exchange(start, prior):
         for i in range(block.n):
             j = 0
             while j < block.m:
-                delta, t = row_of_one(block, i)
+                delta = row_of_one(block, i)[0]
                 hits = np.flatnonzero(delta[j:] < -1e-9)
                 if not hits.size:
                     break
                 j += int(hits[0])
-                flip_one(block, i, j, t)
+                flip_one(block, i, j)
                 accepted += 1
                 j += 1
         if not accepted:
-            return block.x[0].copy(), block.qb(0), sweeps
+            return block.x[0].astype(np.int64), qb_of_one(block, prior), sweeps
 
 
 def restart_starts(cfg, restarts=None):

@@ -28,6 +28,8 @@ FROZEN_OPTIMIZE = {
     "24x7-order2": "--runs 24 --factors 7 --order 2 --pi1 0.8 --pi2 0.5 --restarts 130 --seed 3",
     "64x30-order2": "--runs 64 --factors 30 --order 2 --pi1 0.5 --pi2 0.5 --restarts 70 --seed 1",
     "16x6-order2": "--runs 16 --factors 6 --order 2 --pi1 0.6 --pi2 0.4 --restarts 100 --seed 5",
+    # one block of five, where each restart scores the most lookahead rows
+    "24x7-order2-r5": "--runs 24 --factors 7 --order 2 --pi1 0.8 --pi2 0.5 --restarts 5 --seed 20",
 }
 
 

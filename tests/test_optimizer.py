@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbdesign import optimizer
+from qbdesign import optimizer, wordcounts
 from qbdesign.criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from qbdesign.design import Design, ModelOrder, random_design
 from qbdesign.errors import TooLargeError
@@ -20,16 +20,17 @@ from qbdesign.wordcounts import WordCounts, krawtchouk_table, word_counts
 
 from conftest import (
     block_of_one,
-    check_exact_state,
     enumerated_word_counts,
     flip_one,
     full_factorial,
     oracle_restarts,
+    qb_of_one,
     random_designs,
     reference_row_deltas,
     restart_starts,
     row_of_one,
     serial_coordinate_exchange,
+    watch_exact_state,
 )
 
 SECOND = ModelOrder.SECOND_ORDER
@@ -93,19 +94,23 @@ class TestQbDelta:
             qb_delta(full_factorial(2), 4, 0, Prior(0.5))
 
     def test_incremental_state_matches_scratch(self):
+        # S_k carried by the flips' terms 4 t_k equals a count from scratch,
+        # and a flipped block scores every row as a fresh one does
         rng = np.random.Generator(np.random.Philox(key=73))
         d = random_design(10, 5, seed=77)
         prior = Prior(0.6, 0.3, ModelOrder.SECOND_ORDER)
         block = block_of_one(d, prior)
+        s = np.array(word_counts(d, block.k_max).s_k)
         every_row = np.arange(10)[None]
         for _ in range(50):
             i, j = int(rng.integers(10)), int(rng.integers(5))
+            s += 4 * row_of_one(block, i)[1][:, j].astype(np.int64)
             flip_one(block, i, j)
-            fresh = block_of_one(Design(block.x[0]), prior)
-            assert np.array_equal(block.s, fresh.s)
+            now = Design(block.x[0].astype(np.int64))
+            assert tuple(s.tolist()) == word_counts(now, block.k_max).s_k
+            fresh = block_of_one(now, prior)
             for got, want in zip(block.row_deltas(every_row), fresh.row_deltas(every_row)):
                 assert np.array_equal(got, want)
-            assert block.qb(0) == fresh.qb(0)
 
     @pytest.mark.parametrize(
         "n, m, prior",
@@ -116,12 +121,15 @@ class TestQbDelta:
     )
     def test_state_matches_enumeration_after_flips(self, n, m, prior):
         rng = np.random.Generator(np.random.Philox(key=79))
-        block = block_of_one(random_design(n, m, seed=89), prior)
+        d = random_design(n, m, seed=89)
+        block = block_of_one(d, prior)
+        s = np.array(enumerated_word_counts(d.entries, block.k_max))
         for step in range(1, 61):
-            flip_one(block, int(rng.integers(n)), int(rng.integers(m)))
+            i, j = int(rng.integers(n)), int(rng.integers(m))
+            s += 4 * row_of_one(block, i)[1][:, j].astype(np.int64)
+            flip_one(block, i, j)
             if step % 15 == 0:
-                s_k = enumerated_word_counts(block.x[0], block.k_max)
-                assert block.word_counts(0).s_k == s_k
+                assert tuple(s.tolist()) == enumerated_word_counts(block.x[0], block.k_max)
 
     def test_row_terms_match_enumeration(self):
         rng = np.random.Generator(np.random.Philox(key=97))
@@ -151,13 +159,13 @@ class TestCoordinateExchange:
         d = random_design(10, 6, seed=83)
         prior = Prior(0.5)
         block = block_of_one(d, prior)
-        trace = [block.qb(0)]
+        trace = [qb_of_one(block, prior)]
         for _ in range(3):
             for i in range(block.n):
                 for j in range(block.m):
                     if row_of_one(block, i)[0][j] < -1e-9:
                         flip_one(block, i, j)
-                        trace.append(block.qb(0))
+                        trace.append(qb_of_one(block, prior))
         assert all(b < a - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_result_locally_optimal(self):
@@ -189,7 +197,7 @@ class TestCoordinateExchange:
                             accepted = True
             best, qb, n_sweeps = coordinate_exchange(start, prior)
             assert np.array_equal(best.entries, block.x[0])
-            assert (qb, n_sweeps) == (block.qb(0), sweeps)
+            assert (qb, n_sweeps) == (qb_of_one(block, prior), sweeps)
 
 
 class TestMultiRestart:
@@ -545,9 +553,9 @@ class TestCertifiedStop:
             events.append(("rows", rows[0].tolist(), None))
             return row_deltas(block, rows)
 
-        def flipped(block, at, rows, cols, t):
+        def flipped(block, at, rows, cols):
             events.append(("flip", int(rows[0]), int(cols[0])))
-            flip(block, at, rows, cols, t)
+            flip(block, at, rows, cols)
 
         monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
         monkeypatch.setattr(optimizer._Block, "flip", flipped)
@@ -610,19 +618,36 @@ class TestBlockBudget:
 
     @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
     def test_build_stays_within_budget(self, prior):
-        # a one-restart block's distances and design are its budget; building
-        # them, and the S_k sums over them, may add little on top
+        # the build counts nothing: it allocates the float64 design with its
+        # ones column and tables of O(m k), no run distances
         n, m = 1500, 3
         x = random_design(n, m, 4).entries[None].copy()
-        budget = 8 * n * (n + m)
         tracemalloc.start()
         try:
             block = optimizer._Block(x, prior)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 2 * 8 * n * (m + 1)
+        assert np.array_equal(block.x, x)
+
+    @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
+    def test_search_stays_within_budget(self, prior):
+        # the final count allocates the block's run distances beside its
+        # finals: with the build and the search, a one-restart block stays
+        # within its budget, less the start it is given
+        n, m = 1500, 3
+        x = random_design(n, m, 4).entries[None].copy()
+        budget = 8 * n * (n + m + 1)
+        tracemalloc.start()
+        try:
+            [(entries, qb, _, wc)] = optimizer._exchange(x, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 1.1 * budget
-        assert block.word_counts(0) == word_counts(Design(x[0]), block.k_max)
+        assert wc == word_counts(Design(entries), len(qb_coefficients(prior, m)))
+        assert qb == qb_from_word_counts(wc, prior, m)
 
     @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
     def test_block_holds_no_distances(self, prior):
@@ -669,8 +694,8 @@ class TestBlockBudget:
 
 
 class TestExactState:
-    """The exact_state oracle: after every accepted flip, each flipped restart's
-    S_k equals a count from scratch."""
+    """The exact_state oracle: at every accepted flip, each flipped restart's
+    4 t_k equals the change of S_k, counted from scratch before and after."""
 
     def test_coordinate_exchange(self, exact_state):
         best, qb, _ = coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
@@ -704,22 +729,24 @@ class TestExactState:
         assert [len(b) for b in blocks] == [3, 3, 3, 1]
         assert set(exact_state) == {0, 1, 2}
 
-    def test_oracle_reports_a_broken_state(self, monkeypatch, exact_state):
-        row_deltas = optimizer._Block.row_deltas
+    def test_oracle_reports_a_broken_state(self, monkeypatch):
+        row_deltas, flip = optimizer._Block.row_deltas, optimizer._Block.flip
 
         def terms_off_by_one(block, rows):
-            # the same flips, each adding 4 too much to every S_k
+            # the same flips, each term 4 short of its change of S_k
             delta, t = row_deltas(block, rows)
             return delta, t + 1
 
-        monkeypatch.setattr(optimizer._Block, "row_deltas", terms_off_by_one)
-        with pytest.raises(AssertionError):
-            coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
-        block = optimizer._Block(random_design(8, 4, seed=17).entries[None].copy(), Prior(0.4))
-        check_exact_state(block, np.array([0]))
-        block.s[0, 1] += 4
-        with pytest.raises(AssertionError):
-            check_exact_state(block, np.array([0]))
+        def next_column(block, at, rows, cols):
+            # the right terms, for another coordinate than the one flipped
+            flip(block, at, rows, (cols + 1) % block.m)
+
+        for name, broken in (("row_deltas", terms_off_by_one), ("flip", next_column)):
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer._Block, name, broken)
+                watch_exact_state(patch)
+                with pytest.raises(AssertionError):
+                    coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
 
 
 class TestSecondOrderBenchmark:
@@ -838,7 +865,8 @@ class TestFloatRowDeltas:
 
 
 class TestCarriedWordCounts:
-    """multi_restart reports the winner's word counts the search carried."""
+    """multi_restart carries to its result the winner's word counts, as its
+    block counted them once from the block's final designs."""
 
     @pytest.mark.parametrize("per_block", [1, 3, 64])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -850,6 +878,27 @@ class TestCarriedWordCounts:
             res = multi_restart(cfg, threads=threads)
             assert res.word_counts == word_counts(res.best, k_max)
             assert res.qb == qb_from_word_counts(res.word_counts, prior, m)
+
+    @pytest.mark.parametrize("per_block", [1, 3, 64])
+    def test_counted_once_per_block(self, monkeypatch, per_block):
+        # one krawtchouk_sums over each block's final designs, and none while
+        # the search runs
+        counted = []
+        sums = wordcounts.krawtchouk_sums
+
+        def counting(x, kraw):
+            counted.append(x.copy())
+            return sums(x, kraw)
+
+        monkeypatch.setattr(wordcounts, "krawtchouk_sums", counting)
+        monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
+        blocks = []
+        cfg = OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=7, seed=2)
+        res = multi_restart(cfg, threads=1, on_block=blocks.append)
+        assert len(blocks) == -(-7 // per_block)
+        assert [len(x) for x in counted] == [len(b) for b in blocks]
+        # the designs counted are the finals, the winner among them
+        assert any(np.array_equal(x, res.best.entries) for x in np.concatenate(counted))
 
 
 class TestStarts:
