@@ -50,10 +50,13 @@ the cursor in row-major order, the serial scan's choice, since nothing
 flips between the rows of a window, and moves its cursor past it, or past
 the window.  It leaves the block at the certificate pos = lim, N*m
 rejections in a row; its sweep count is the sweeps begun.
-The window rows of each cursor row and the advance past each lane are
-small tables built once per window width, and only the window's first row
-has lanes before the cursor to mask, so the bookkeeping of an iteration is
-a few array passes, none larger than the window.
+The window is set up once per set of running restarts, whose count alone
+sets its width: the window rows of each cursor row, the advance past each
+lane and the buffer of improving lanes.  Only the window's first row has
+lanes before the cursor to mask, so the bookkeeping of an iteration is a
+few array passes, none larger than the window.  The block keeps the
+output buffer of the row deltas' second matmul while its shape, the
+running restarts by the window width, holds.
 No quantity mixes restarts, and every decision rests on integer t_k and
 on the same float expression per restart, so the results do not depend
 on the block size, the window width or the number of worker processes.
@@ -128,8 +131,10 @@ class _Block:
     """Stacked search state of R restarts: their designs.
 
     xo is float64 (R, N, m + 1), the designs with a trailing column of ones,
-    and x its (R, N, m) view, owned by the block.  row_deltas and flip are
-    the package's one row-delta and one flip; qb_delta and
+    and x its (R, N, m) view, owned by the block; the views of xo that
+    row_deltas reads are made at build and again in keep, and its matmul
+    output buffer is kept while the rows' shape holds.  row_deltas and flip
+    are the package's one row-delta and one flip; qb_delta and
     coordinate_exchange run a block of one.
     """
 
@@ -142,7 +147,6 @@ class _Block:
         kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
         self.xo = np.ones((r, self.n, self.m + 1))
         self.xo[..., :-1] = x
-        self._at = np.arange(r)[:, None]
         # Dp(d) = K(d + 1) - K(d) = z[d + 1] and Dm(d) = K(d - 1) - K(d) =
         # -z[d], 0 where the step leaves 0..m, as U = Dp - Dm and V = Dp + Dm
         # side by side
@@ -162,6 +166,15 @@ class _Block:
         # the run itself, U(0) + V(0) = 2 Dp(0), over 4
         self._own = 0.5 * z[:, 1:2, None]
         self._w4 = 4.0 * np.array(weights)[:, None, None, None]
+        self._nn = self.n * self.n
+        self._out = None
+        self._views()
+
+    def _views(self) -> None:
+        """The views of xo that row_deltas reads, made again when xo is replaced."""
+        self._at = np.arange(len(self.xo))[:, None]
+        self._xt = self.xo.swapaxes(1, 2)
+        self._xo1 = self.xo[:, None]
 
     @property
     def x(self) -> np.ndarray:
@@ -175,25 +188,31 @@ class _Block:
         of flipping (rows[r, l], j) in restart r and t[r, l, k - 1, j] =
         (S_k' - S_k) / 4 the integer behind it, in float64.
         """
-        k, xo = self.k_max, self.xo
-        xi = xo[self._at, rows]
+        k = self.k_max
+        xi = self.xo[self._at, rows]
         # [U | V] / 4 at the rows' distances to every run, (R, L, N, 2k)
-        uv = self._uv.take((xi @ xo.swapaxes(1, 2)).astype(np.intp), axis=0)
+        uv = self._uv.take((xi @ self._xt).astype(np.intp), axis=0)
         # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = x_ij x_rj = +-1.
         # Summed over the runs r it is one float64 matmul per row, exact on
         # these quarter integers: sum_r U x_rj in the first m columns and
         # sum_r V in the ones column, laid out k-major so that each pass
         # below runs over long contiguous rows.  The run itself (d = 0,
-        # sg = +1), whose distance does not move, is taken back out.
-        a = np.empty((2 * k,) + xi.shape)
-        np.matmul(uv.swapaxes(-1, -2), xo[:, None], out=a.transpose(1, 2, 0, 3))
-        t = a[:k] * xi
-        t += (a[k:, ..., -1] - self._own)[..., None]
+        # sg = +1), whose distance does not move, is taken back out.  The
+        # (2k, R, L, m + 1) output and its views live while the window's
+        # shape holds; t and delta are new arrays, so no caller sees them.
+        if self._out is None or self._out[0].shape[:2] != rows.shape:
+            self._out = None  # freed before its successor is allocated
+            a = np.empty((2 * k,) + xi.shape)
+            self._out = a.transpose(1, 2, 0, 3), a[:k], a[k:, ..., -1]
+        out, u, v = self._out
+        np.matmul(uv.swapaxes(-1, -2), self._xo1, out=out)
+        t = u * xi
+        t += (v - self._own)[..., None]
         # 4 w_1 t_1 + 4 w_2 t_2 + ... left to right (add.reduce over the
         # outer axis), so each delta is the same float a per-coordinate sum
         # would give; column m, the ones column, is left out
-        delta = (t * self._w4).sum(axis=0)
-        delta /= self.n * self.n
+        delta = np.add.reduce(t * self._w4, axis=0)
+        delta /= self._nn
         return delta[..., :-1], t.transpose(1, 2, 0, 3)[..., :-1]
 
     def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -203,7 +222,8 @@ class _Block:
     def keep(self, mask: np.ndarray) -> None:
         """Drop the restarts where mask is False."""
         self.xo = self.xo[mask]
-        self._at = self._at[: len(self.xo)]
+        self._out = None
+        self._views()
 
 
 def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
@@ -235,45 +255,52 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
     pos = np.zeros(len(x), dtype=np.intp)  # coordinates scanned, row-major, over all sweeps
     lim = np.full(len(x), nm, dtype=np.intp)  # pos at the certificate: N*m past the last flip
     finals, sweeps = np.empty(x.shape, dtype=np.int64), np.empty(len(x), dtype=np.intp)
-    width, improving, cols = 0, np.ones((0, 0, 0), dtype=bool), np.arange(m)
+    width, cols, row_work = 0, np.arange(m), n * m * block.k_max
     while len(ids):
-        # half the idle slots' worth of rows, within WINDOW_WORK multiply-adds
-        row_work = len(ids) * n * m * block.k_max
-        w = max(1, min(n, RESTARTS_PER_BLOCK // (2 * len(ids)), WINDOW_WORK // row_work))
+        # set up for this set of running restarts, whose width depends only
+        # on how many run: half the idle slots' worth of rows, within
+        # WINDOW_WORK multiply-adds
+        r = len(ids)
+        w = max(1, min(n, RESTARTS_PER_BLOCK // (2 * r), WINDOW_WORK // (r * row_work)))
         if w != width:
             # per cursor row, its window of rows; per lane, the advance past it
             width = w
             windows = (np.arange(n)[:, None] + np.arange(width)) % n
             step = np.minimum(np.arange(1, width * m + 2), width * m)
-        if improving.shape[:2] != (len(ids), width + 1):
-            # one row past the window, its first lane set: argmax stops there,
-            # at lane width * m, when no coordinate improves
-            improving = np.ones((len(ids), width + 1, m), dtype=bool)
-        row, col = np.divmod(pos, m)
-        rows = windows.take(row % n, axis=0)
-        delta, _ = block.row_deltas(rows)
-        np.less(delta, -IMPROVE_TOL, out=improving[:, :width])
-        # the lanes before the cursor, all in the window's first row, do not count
-        improving[:, 0] &= cols >= col[:, None]
-        c = improving.reshape(len(ids), -1).argmax(axis=1)
-        at = (c < width * m).nonzero()[0]
-        if at.size:
-            l, j = np.divmod(c[at], m)
-            block.flip(at, rows[at, l], j)
-        # past the flip, or the window, up to the certificate: that covers every
-        # coordinate against this state, so no window has a flip beyond it
-        pos -= col
-        pos += step.take(c)
-        np.minimum(pos, lim, out=pos)
-        lim[at] = pos[at] + nm
-        # N*m rejections in a row, all against one state: a local optimum
-        done = (pos == lim).nonzero()[0]
-        if done.size:
-            finals[ids[done]] = block.x[done]
-            sweeps[ids[done]] = -(-pos[done] // nm)
-            keep = pos != lim
-            ids, pos, lim = ids[keep], pos[keep], lim[keep]
-            block.keep(keep)
+        # one row past the window, its first lane set: argmax stops there, at
+        # lane width * m, when no coordinate improves
+        improving = np.ones((r, width + 1, m), dtype=bool)
+        scored, first, lanes = improving[:, :width], improving[:, 0], improving.reshape(r, -1)
+        # bound here, from the block, so that methods patched on _Block see every call
+        row_deltas, flip = block.row_deltas, block.flip
+        while True:
+            row, col = np.divmod(pos, m)
+            rows = windows.take(row % n, axis=0)
+            delta, _ = row_deltas(rows)
+            np.less(delta, -IMPROVE_TOL, out=scored)
+            # the lanes before the cursor, all in the window's first row, do not count
+            first &= cols >= col[:, None]
+            c = lanes.argmax(axis=1)
+            at = (c < width * m).nonzero()[0]
+            if at.size:
+                l, j = np.divmod(c[at], m)
+                flip(at, rows[at, l], j)
+            # past the flip, or the window, up to the certificate: that covers
+            # every coordinate against this state, so no window has a flip
+            # beyond it
+            pos -= col
+            pos += step.take(c)
+            np.minimum(pos, lim, out=pos)
+            lim[at] = pos[at] + nm
+            # N*m rejections in a row, all against one state: a local optimum
+            done = (pos == lim).nonzero()[0]
+            if done.size:
+                break
+        finals[ids[done]] = block.x[done]
+        sweeps[ids[done]] = -(-pos[done] // nm)
+        keep = pos != lim
+        ids, pos, lim = ids[keep], pos[keep], lim[keep]
+        block.keep(keep)
     wcs = stacked_word_counts(finals, block.k_max)
     qbs = qb_from_word_counts(wcs, prior, [m] * len(wcs)).tolist()
     return [(f.copy(), qb, sw, wc) for f, qb, sw, wc in zip(finals, qbs, sweeps.tolist(), wcs)]

@@ -657,16 +657,17 @@ class TestClosedStdout:
         # stderr, whenever the pipe closes
         src = Path(cli.__file__).resolve().parents[1]
         argv = ["sweep", *SUPP1, "--lo", "0.3", "--hi", "1", "--step", "0.0001"]
-        proc = subprocess.Popen(
+        # the with block closes both pipes and waits for the child
+        with subprocess.Popen(
             [sys.executable, "-m", "qbdesign.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert proc.stdout.readline().startswith(b"pi1,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (141, b"")
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"pi1,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestInputErrors:

@@ -799,20 +799,38 @@ class TestFloatRowDeltas:
 
     @staticmethod
     def check_every_width(block, prior, scale=1):
-        # rows of every window width from each restart's own offset, wrapping round
+        # rows of every window width from each restart's own offset, wrapping
+        # round, scored twice on the same block from offsets one row apart:
+        # the first call's results must outlive the second call
         r, n = block.x.shape[:2]
         offsets = np.random.Generator(np.random.Philox(key=n)).integers(0, n, r)
         for width in range(1, n + 1):
-            rows = (offsets[:, None] + np.arange(width)) % n
-            delta, t = block.row_deltas(rows)
-            want_delta, want_t = reference_row_deltas(block.x, rows, prior, scale)
-            assert t.dtype == np.float64 and np.array_equal(t, want_t)
-            assert delta.dtype == np.float64 and np.array_equal(delta, want_delta)
+            windows = [(offsets[:, None] + shift + np.arange(width)) % n for shift in (0, 1)]
+            scored = [block.row_deltas(rows) for rows in windows]
+            for rows, (delta, t) in zip(windows, scored):
+                want_delta, want_t = reference_row_deltas(block.x, rows, prior, scale)
+                assert t.dtype == np.float64 and np.array_equal(t, want_t)
+                assert delta.dtype == np.float64 and np.array_equal(delta, want_delta)
 
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
     def test_every_width_equals_int64_reference(self, n, m, prior):
         cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
         self.check_every_width(optimizer._Block(np.stack(restart_starts(cfg)), prior), prior)
+
+    @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES)
+    def test_every_width_after_keep(self, n, m, prior):
+        # a three-restart block whose middle restart has left, then a flip:
+        # what row_deltas reads is made from the kept designs and sees the flip
+        cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=17)
+        starts = np.stack(restart_starts(cfg))
+        block = optimizer._Block(starts.copy(), prior)
+        block.row_deltas(np.zeros((3, 1), dtype=np.intp))
+        block.keep(np.array([True, False, True]))
+        block.flip(np.array([1]), np.array([n - 1]), np.array([0]))
+        kept = starts[[0, 2]]
+        kept[1, n - 1, 0] *= -1
+        assert np.array_equal(block.x, kept)
+        self.check_every_width(block, prior)
 
     def test_bound_holds_at_the_int64_edge(self):
         # m = 86,251 is the largest m whose k <= 4 word counts of a 2-run
