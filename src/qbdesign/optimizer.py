@@ -28,10 +28,15 @@ designs gives sum_r U x_rj in the first m columns and sum_r V in the ones
 column: t_k for all m flips of a row and every k, in O(N m k_max), less
 the run itself (d = 0, sg = +1).  The table is scaled by 1/4 and the QB
 weights by 4, both powers of two, so t_k comes out as the exact integer
-and each QB change is the same float as 4 (w_1 t_1 + w_2 t_2 + ...) / N^2
-summed left to right.  The sums are exact, as a block refuses a table
-whose partial sums could reach 2^53 (at the int64 check's largest m,
-N = 2, they stay under 0.29 * 2^53).  No decision reads S_k itself, so the
+and each flip's sum s is the same float as 4 (w_1 t_1 + w_2 t_2 + ...)
+summed left to right: N^2 times its QB change, undivided.  The sums are
+exact, as a block refuses a table whose partial sums could reach 2^53
+(at the int64 check's largest m, N = 2, they stay under 0.29 * 2^53).
+A flip improves when s / N^2 < -IMPROVE_TOL.  Correctly rounded division
+by N^2 is monotone in s, so that holds exactly when s <= thr, the largest
+float with thr / N^2 < -IMPROVE_TOL, which a block finds once at build by
+stepping nextafter from -IMPROVE_TOL * N^2: the search divides nothing,
+and qb_delta makes the one division.  No decision reads S_k itself, so the
 designs are the whole state: a block counts the word counts of its final
 designs once, in one stacked_word_counts, and each QB is
 qb_from_word_counts of those exact integers.
@@ -68,6 +73,7 @@ before and after it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -133,9 +139,10 @@ class _Block:
     xo is float64 (R, N, m + 1), the designs with a trailing column of ones,
     and x its (R, N, m) view, owned by the block; the views of xo that
     row_deltas reads are made at build and again in keep, and its matmul
-    output buffer is kept while the rows' shape holds.  row_deltas and flip
-    are the package's one row-delta and one flip; qb_delta and
-    coordinate_exchange run a block of one.
+    output buffer is kept while the rows' shape holds.  A flip whose
+    row-delta sum s has s <= thr lowers QB by more than IMPROVE_TOL.
+    row_deltas and flip are the package's one row-delta and one flip;
+    qb_delta and coordinate_exchange run a block of one.
     """
 
     def __init__(self, x: np.ndarray, prior: Prior):
@@ -166,7 +173,7 @@ class _Block:
         # the run itself, U(0) + V(0) = 2 Dp(0), over 4
         self._own = 0.5 * z[:, 1:2, None]
         self._w4 = 4.0 * np.array(weights)[:, None, None, None]
-        self._nn = self.n * self.n
+        self.thr = _improve_threshold(self.n * self.n)
         self._out = None
         self._views()
 
@@ -182,11 +189,13 @@ class _Block:
         return self.xo[..., :-1]
 
     def row_deltas(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """QB changes of sign-switching each entry of rows rows[r, l], for every restart r.
+        """N^2 times the QB changes of sign-switching each entry of rows[r, l], per restart r.
 
-        rows is (R, L).  Returns (delta, t): delta[r, l, j] is the QB change
-        of flipping (rows[r, l], j) in restart r and t[r, l, k - 1, j] =
-        (S_k' - S_k) / 4 the integer behind it, in float64.
+        rows is (R, L).  Returns (s, t), in float64: s[r, l, j] = 4 (w_1 t_1
+        + w_2 t_2 + ...), the QB change of flipping (rows[r, l], j) in
+        restart r times N^2, undivided, and t[k - 1, r, l, j] = (S_k' -
+        S_k) / 4 the integer behind it.  t is (k_max, R, L, m + 1), as the
+        kernel lays it out; its last column, the ones column's, is no flip.
         """
         k = self.k_max
         xi = self.xo[self._at, rows]
@@ -199,7 +208,7 @@ class _Block:
         # below runs over long contiguous rows.  The run itself (d = 0,
         # sg = +1), whose distance does not move, is taken back out.  The
         # (2k, R, L, m + 1) output and its views live while the window's
-        # shape holds; t and delta are new arrays, so no caller sees them.
+        # shape holds; t and s are new arrays, so no caller sees them.
         if self._out is None or self._out[0].shape[:2] != rows.shape:
             self._out = None  # freed before its successor is allocated
             a = np.empty((2 * k,) + xi.shape)
@@ -209,15 +218,14 @@ class _Block:
         t = u * xi
         t += (v - self._own)[..., None]
         # 4 w_1 t_1 + 4 w_2 t_2 + ... left to right (add.reduce over the
-        # outer axis), so each delta is the same float a per-coordinate sum
+        # outer axis), so each sum is the same float a per-coordinate sum
         # would give; column m, the ones column, is left out
-        delta = np.add.reduce(t * self._w4, axis=0)
-        delta /= self._nn
-        return delta[..., :-1], t.transpose(1, 2, 0, 3)[..., :-1]
+        s = np.add.reduce(t * self._w4, axis=0)
+        return s[..., :-1], t
 
     def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
         """Sign-switch entry (rows[h], cols[h]) of restart at[h], for every h."""
-        self.xo[at, rows, cols] *= -1
+        np.negative.at(self.xo, (at, rows, cols))
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the restarts where mask is False."""
@@ -226,15 +234,31 @@ class _Block:
         self._views()
 
 
+def _improve_threshold(nn: int) -> float:
+    """The largest float64 s with s / nn < -IMPROVE_TOL, for nn = N^2.
+
+    Correctly rounded division by nn is monotone in s, so s <= this
+    threshold exactly when s / nn < -IMPROVE_TOL: the search decides on the
+    undivided sums of row_deltas as it would on their quotients.
+    """
+    s = -IMPROVE_TOL * nn
+    while not s / nn < -IMPROVE_TOL:
+        s = math.nextafter(s, -math.inf)
+    while math.nextafter(s, math.inf) / nn < -IMPROVE_TOL:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
     """QB(d with entry (i, j) negated) - QB(d), via the incremental row deltas.
 
-    Row and factor indices are 0-based.
+    Row and factor indices are 0-based.  The row deltas' sum is divided by
+    N^2 here, the one division: the search compares the sums with thr.
     """
     if not (0 <= i < d.runs and 0 <= j < d.factors):
         raise IndexError(f"coordinate ({i}, {j}) out of range")
-    delta, _ = _Block(d.entries[None].copy(), prior).row_deltas(np.array([[i]]))
-    return float(delta[0, 0, j])
+    s, _ = _Block(d.entries[None].copy(), prior).row_deltas(np.array([[i]]))
+    return float(s[0, 0, j]) / (d.runs * d.runs)
 
 
 def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int, WordCounts]]:
@@ -272,12 +296,12 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         improving = np.ones((r, width + 1, m), dtype=bool)
         scored, first, lanes = improving[:, :width], improving[:, 0], improving.reshape(r, -1)
         # bound here, from the block, so that methods patched on _Block see every call
-        row_deltas, flip = block.row_deltas, block.flip
+        row_deltas, flip, thr = block.row_deltas, block.flip, block.thr
         while True:
             row, col = np.divmod(pos, m)
             rows = windows.take(row % n, axis=0)
-            delta, _ = row_deltas(rows)
-            np.less(delta, -IMPROVE_TOL, out=scored)
+            s, _ = row_deltas(rows)
+            np.less_equal(s, thr, out=scored)
             # the lanes before the cursor, all in the window's first row, do not count
             first &= cols >= col[:, None]
             c = lanes.argmax(axis=1)

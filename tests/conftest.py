@@ -71,7 +71,7 @@ def watch_exact_state(monkeypatch):
         # each flip's row is in its restart's window once: the window's rows differ
         window, t = block.scored
         l = (window[at] == rows[:, None]).argmax(axis=1)
-        assert np.array_equal(4 * t[at, l, :, cols], after - before)
+        assert np.array_equal(4 * t[:, at, l, cols].T, after - before)
         checked.extend(at.tolist())
 
     monkeypatch.setattr(_Block, "row_deltas", scored)
@@ -124,9 +124,10 @@ def block_of_one(d, prior):
 
 def row_of_one(block, i):
     """(delta, t) of row i of a block of one: delta[j] is the QB change of
-    flipping (i, j) and t[k - 1, j] the exact term (S_k' - S_k) / 4."""
-    delta, t = block.row_deltas(np.array([[i]]))
-    return delta[0, 0], t[0, 0]
+    flipping (i, j), the row deltas' sum divided by N^2, and t[k - 1, j]
+    the exact term (S_k' - S_k) / 4."""
+    s, t = block.row_deltas(np.array([[i]]))
+    return s[0, 0] / (block.n * block.n), t[:, 0, 0, :-1]
 
 
 def flip_one(block, i, j):
@@ -222,15 +223,17 @@ def _not_int(tok):
 
 
 def reference_row_deltas(x, rows, prior, scale=1):
-    """(delta, t) of _Block.row_deltas for the (R, N, m) stack x and the
-    (R, L) rows, in int64 from the optimizer's module docstring.
+    """(s, t) of _Block.row_deltas for the (R, N, m) stack x and the (R, L)
+    rows, in int64 from the optimizer's module docstring; t is (k, R, L, m),
+    the kernel's layout without its ones column.
 
     The reference for the float64 row-delta kernel: flipping (i, j) moves
     each distance d_ir to d_ir + sg_r, sg_r = x_ij x_rj (0 for r = i), so
-    S_k' - S_k = 2 sum_r [K_k(d_ir + sg_r) - K_k(d_ir)] = 4 t_k, and delta
-    is 4 (w_1 t_1 + w_2 t_2 + ...) / N^2, summed left to right.  K is taken
-    times scale, as a test may scale the optimizer's table; only the values
-    the distances reach are computed, so a long design costs little.
+    S_k' - S_k = 2 sum_r [K_k(d_ir + sg_r) - K_k(d_ir)] = 4 t_k, and s is
+    4 (w_1 t_1 + w_2 t_2 + ...), summed left to right: N^2 times the QB
+    change, undivided.  K is taken times scale, as a test may scale the
+    optimizer's table; only the values the distances reach are computed,
+    so a long design costs little.
     """
     x = np.asarray(x, dtype=np.int64)
     r_, n, m = x.shape
@@ -245,11 +248,11 @@ def reference_row_deltas(x, rows, prior, scale=1):
         table[:, v] = [scale * krawtchouk(k, v, m) for k in range(1, len(weights) + 1)]
     change = 2 * (table[:, moved] - table[:, d][..., None]).sum(axis=-2)  # (k, R, L, m)
     assert not (change % 4).any()
-    t = np.moveaxis(change // 4, 0, 2)
-    acc = weights[0] * t[:, :, 0]
+    t = change // 4
+    acc = weights[0] * t[0]
     for k in range(1, len(weights)):
-        acc = acc + weights[k] * t[:, :, k]
-    return 4.0 * acc / (n * n), t
+        acc = acc + weights[k] * t[k]
+    return 4.0 * acc, t
 
 
 def oracle_restarts(cfg):

@@ -1,4 +1,5 @@
 import functools
+import math
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -798,7 +799,16 @@ class TestFloatRowDeltas:
     """The float64 row-delta kernel against the int64 reference of the docstring."""
 
     @staticmethod
-    def check_every_width(block, prior, scale=1):
+    def check_rows(scored, x, rows, prior, scale=1):
+        # the kernel's (s, t) for these rows are the reference's, t without
+        # its ones column
+        s, t = scored
+        want_s, want_t = reference_row_deltas(x, rows, prior, scale)
+        assert t.dtype == np.float64 and np.array_equal(t[..., :-1], want_t)
+        assert s.dtype == np.float64 and np.array_equal(s, want_s)
+
+    @classmethod
+    def check_every_width(cls, block, prior, scale=1):
         # rows of every window width from each restart's own offset, wrapping
         # round, scored twice on the same block from offsets one row apart:
         # the first call's results must outlive the second call
@@ -807,10 +817,8 @@ class TestFloatRowDeltas:
         for width in range(1, n + 1):
             windows = [(offsets[:, None] + shift + np.arange(width)) % n for shift in (0, 1)]
             scored = [block.row_deltas(rows) for rows in windows]
-            for rows, (delta, t) in zip(windows, scored):
-                want_delta, want_t = reference_row_deltas(block.x, rows, prior, scale)
-                assert t.dtype == np.float64 and np.array_equal(t, want_t)
-                assert delta.dtype == np.float64 and np.array_equal(delta, want_delta)
+            for rows, got in zip(windows, scored):
+                cls.check_rows(got, block.x, rows, prior, scale)
 
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
     def test_every_width_equals_int64_reference(self, n, m, prior):
@@ -840,8 +848,7 @@ class TestFloatRowDeltas:
         # _uv holds [U | V] / 4
         assert 2 * (n + 1) * 4 * np.abs(block._uv).max() < 2**53 / 2
         rows = np.array([[0, 1]])
-        for got, want in zip(block.row_deltas(rows), reference_row_deltas(block.x, rows, prior)):
-            assert np.array_equal(got, want)
+        self.check_rows(block.row_deltas(rows), block.x, rows, prior)
         with pytest.raises(TooLargeError):
             krawtchouk_table(m + 1, 4, n)
 
@@ -862,8 +869,8 @@ class TestFloatRowDeltas:
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
     def test_k_sum_is_left_to_right(self, monkeypatch, n, m, prior):
         # weights of mixed signs and magnitudes, drawn until the k-sum of
-        # w_k t_k rounds differently backwards: the kernel's deltas are the
-        # reference's 4 (w_1 t_1 + w_2 t_2 + ...) / N^2, summed left to right
+        # w_k t_k rounds differently backwards: the kernel's sums are the
+        # reference's 4 (w_1 t_1 + w_2 t_2 + ...), summed left to right
         rng = np.random.Generator(np.random.Philox(key=n * 100 + m))
         cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
         starts = np.stack(restart_starts(cfg))
@@ -872,14 +879,69 @@ class TestFloatRowDeltas:
             w = tuple(float(v) for v in rng.choice([-1, 1], 4) * 10.0 ** rng.uniform(-3, 16, 4))
             monkeypatch.setattr(optimizer, "qb_coefficients", lambda prior, m: w[: min(4, m)])
             block = optimizer._Block(starts.copy(), prior)
-            delta, t = block.row_deltas(rows)
-            terms = [w[k] * t[:, :, k] for k in range(block.k_max)]
-            assert np.array_equal(delta, 4.0 * functools.reduce(np.add, terms) / (n * n))
-            backward = 4.0 * functools.reduce(np.add, terms[::-1]) / (n * n)
-            if block.k_max < 3 or not np.array_equal(delta, backward):
+            s, t = block.row_deltas(rows)
+            terms = [w[k] * t[k, ..., :-1] for k in range(block.k_max)]
+            assert np.array_equal(s, 4.0 * functools.reduce(np.add, terms))
+            backward = 4.0 * functools.reduce(np.add, terms[::-1])
+            if block.k_max < 3 or not np.array_equal(s, backward):
                 break
         else:
             pytest.fail("no weights told the summation orders apart")
+
+
+class TestImproveThreshold:
+    """The search takes a flip when its undivided row-delta sum s <= thr,
+    exactly when its QB change s / N^2 < -IMPROVE_TOL."""
+
+    def test_largest_sum_below_the_tolerance(self, monkeypatch):
+        # thr is the largest float whose quotient passes the tolerance, and
+        # the ulps about it decide in numpy as their quotients do
+        for tol in (optimizer.IMPROVE_TOL, 0.3, 1e-300):
+            monkeypatch.setattr(optimizer, "IMPROVE_TOL", tol)
+            for n in list(range(2, 65)) + [97, 100, 1000, 1023, 1500, 4097]:
+                nn = n * n
+                thr = optimizer._Block(np.ones((1, n, 1), dtype=np.int64), Prior(0.5)).thr
+                assert thr / nn < -tol <= math.nextafter(thr, math.inf) / nn
+                ulps = [thr]
+                for _ in range(4):
+                    lo, hi = math.nextafter(ulps[0], -math.inf), math.nextafter(ulps[-1], math.inf)
+                    ulps = [lo, *ulps, hi]
+                s = np.array(ulps)
+                assert np.array_equal(s <= thr, s / nn < -tol)
+                assert (s <= thr).sum() == 5
+
+    @pytest.mark.parametrize(
+        "n, m, prior, tol_decides",
+        [
+            # N odd at pi1 = 1e-5: a flip that keeps b1 moves QB by a few
+            # 1e-12, so IMPROVE_TOL rejects many improving lanes
+            (11, 10, Prior(1e-5), True),
+            (15, 7, Prior(1e-5, 1e-5, SECOND), True),
+            (8, 5, Prior(0.3), False),
+            # flips that leave QB where it is sum to a few -1e-18 here
+            (12, 14, Prior(0.1), True),
+            (16, 6, Prior(0.6, 0.4, SECOND), False),
+            (24, 7, Prior(0.8, 0.5, SECOND), False),
+        ],
+    )
+    def test_every_lane_decides_as_its_quotient(self, monkeypatch, n, m, prior, tol_decides):
+        row_deltas = optimizer._Block.row_deltas
+        # per call, the improving lanes the tolerance rejects
+        within = []
+
+        def scored(block, rows):
+            s, t = row_deltas(block, rows)
+            q = s / (block.n * block.n)
+            assert np.array_equal(s <= block.thr, q < -optimizer.IMPROVE_TOL)
+            within.append(((-optimizer.IMPROVE_TOL <= q) & (q < 0)).sum())
+            return s, t
+
+        monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
+        cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=9, seed=13)
+        res = multi_restart(cfg)
+        assert within and (sum(within) > 0) == tol_decides
+        # the serial oracle decides on the quotients themselves
+        assert_matches_oracle(res, cached_oracle(cfg))
 
 
 class TestCarriedWordCounts:
