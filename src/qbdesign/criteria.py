@@ -29,6 +29,7 @@ are bit for bit the same on a grid as on each of its points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -248,17 +249,29 @@ def ue_s2(d: Design, w: WordCounts | None = None) -> Fraction:
     return w.b(1) + w.b(2)
 
 
-def as_efficiency(d: Design) -> float | None:
+def as_efficiency(d: Design | Sequence[Design]) -> float | None | list[float | None]:
     """As efficiency p / (N * trace((D'Q0 D)^-1)) of the full main-effects model.
 
     D'Q0 D is the Schur complement of N in the Gram of the intercept and the
     main-effect columns, by the model_gram and schur_center that projection
     uses.  Returns None when it is singular (the model is not estimable).
+
+    A sequence of designs of one shape gives the list of their As from one
+    stacked pass: the Gram entries are exact integers and eigvalsh works
+    matrix by matrix, so each value has the bits of its design's As taken
+    alone.  With m >= N factors the m x m D'Q0 D has rank at most N - 1, so
+    no fit is estimable and nothing is computed.
     """
-    x = d.entries.astype(float)
-    g = model_gram(x, np.arange(d.factors), np.empty((0, 2), dtype=np.intp))
-    a = as_from_eigenvalues(np.linalg.eigvalsh(schur_center(g, d.runs)), d.runs)
-    return None if np.isnan(a) else float(a)
+    one = isinstance(d, Design)
+    x = np.array(d.entries if one else [e.entries for e in d], dtype=float)
+    runs, m = x.shape[-2:]
+    if m >= runs:
+        effs = [None] * (1 if one else len(x))
+    else:
+        g = model_gram(x, np.arange(m), np.empty((0, 2), dtype=np.intp))
+        a = as_from_eigenvalues(np.linalg.eigvalsh(schur_center(g, runs)), runs)
+        effs = [None if math.isnan(v) else v for v in np.atleast_1d(a).tolist()]
+    return effs[0] if one else effs
 
 
 def as_from_eigenvalues(eig: np.ndarray, n_runs: int) -> np.ndarray:

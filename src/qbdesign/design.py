@@ -166,7 +166,7 @@ def _is_header(line: str) -> bool:
 
 def format_design(d: Design) -> str:
     """One run per line, entries space-separated as "1"/"-1"."""
-    return "\n".join(" ".join(str(int(v)) for v in row) for row in d.entries) + "\n"
+    return "\n".join(" ".join(map(str, row)) for row in d.entries.tolist()) + "\n"
 
 
 def load_design(path: str | Path) -> Design:

@@ -94,6 +94,7 @@ WINDOW_WORK = 2**16  # multiply-adds one iteration may spend on lookahead rows
 # and a search whose one restart does not fit is refused before anything is
 # allocated.
 BLOCK_BYTES = 2**27
+START_WORDS = 2**12  # Philox words held at once while starts are drawn (one restart's at least)
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,8 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
     ids = np.arange(len(x))
     pos = np.zeros(len(x), dtype=np.intp)  # coordinates scanned, row-major, over all sweeps
     lim = np.full(len(x), nm, dtype=np.intp)  # pos at the certificate: N*m past the last flip
-    finals, sweeps = np.empty(x.shape, dtype=np.int64), np.empty(len(x), dtype=np.intp)
+    # per start, its final design and its pos at the certificate, written as it finishes
+    finals, ends = np.empty(x.shape, dtype=np.int64), np.empty(len(x), dtype=np.intp)
     width, cols, row_work = 0, np.arange(m), n * m * block.k_max
     while len(ids):
         # set up for this set of running restarts, whose width depends only
@@ -299,7 +301,7 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         row_deltas, flip, thr = block.row_deltas, block.flip, block.thr
         while True:
             row, col = np.divmod(pos, m)
-            rows = windows.take(row % n, axis=0)
+            rows = windows.take(row, axis=0, mode="wrap")
             s, _ = row_deltas(rows)
             np.less_equal(s, thr, out=scored)
             # the lanes before the cursor, all in the window's first row, do not count
@@ -320,14 +322,16 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
             done = (pos == lim).nonzero()[0]
             if done.size:
                 break
-        finals[ids[done]] = block.x[done]
-        sweeps[ids[done]] = -(-pos[done] // nm)
+        finished = ids[done]
+        finals[finished] = block.x[done]
+        ends[finished] = pos[done]
         keep = pos != lim
         ids, pos, lim = ids[keep], pos[keep], lim[keep]
         block.keep(keep)
     wcs = stacked_word_counts(finals, block.k_max)
     qbs = qb_from_word_counts(wcs, prior, [m] * len(wcs)).tolist()
-    return [(f.copy(), qb, sw, wc) for f, qb, sw, wc in zip(finals, qbs, sweeps.tolist(), wcs)]
+    sweeps = (-(-ends // nm)).tolist()
+    return [(f.copy(), qb, sw, wc) for f, qb, sw, wc in zip(finals, qbs, sweeps, wcs)]
 
 
 def coordinate_exchange(start: Design, prior: Prior) -> tuple[Design, float, int]:
@@ -346,18 +350,39 @@ def coordinate_exchange(start: Design, prior: Prior) -> tuple[Design, float, int
 
 
 def _starts(cfg: OptimizerConfig, lo: int, hi: int) -> np.ndarray:
-    """The random starts of restarts lo..hi-1, (R, N, m).  Restart r draws
-    from one Philox of key cfg.seed set to counter r * 2^128, which is
-    [0, 0, r mod 2^64, r >> 64] in 64-bit words, with an empty buffer."""
+    """The random starts of restarts lo..hi-1, (R, N, m), read from Philox words.
+
+    Restart r resets one Philox of key cfg.seed to counter r * 2^128, which
+    is [0, 0, r mod 2^64, r >> 64] in 64-bit words, with an empty buffer,
+    and draws ceil(N m / 2) words.  Entry t of its row-major design is +1
+    where the top bit of the t-th 32-bit half of those words, low half
+    first, is set, and -1 where it is clear: 2 b - 1 for the bit b that
+    numpy's Generator.integers(0, 2) takes from the same half by Lemire's
+    method.  The restarts are drawn in chunks of at most START_WORDS words
+    (one restart at least), each chunk read in one pass, so the words held
+    beside the starts stay a small part of them.
+    """
+    nm = cfg.runs * cfg.factors
+    words = -(-nm // 2)
     bitgen = np.random.Philox(key=cfg.seed)
-    rng = np.random.Generator(bitgen)
     state = bitgen.state  # a copy: counter 0, nothing buffered
-    x = np.empty((hi - lo, cfg.runs, cfg.factors), dtype=np.int64)
-    for i, r in enumerate(range(lo, hi)):
-        state["state"]["counter"][2:] = r % 2**64, r >> 64
-        bitgen.state = state
-        x[i] = rng.integers(0, 2, size=(cfg.runs, cfg.factors)) * 2 - 1
-    return x
+    counter = state["state"]["counter"]
+    x = np.empty((hi - lo, nm), dtype=np.int64)
+    raw = np.empty((min(hi - lo, max(1, START_WORDS // words)), words), dtype=np.uint64)
+    for c in range(lo, hi, len(raw)):
+        chunk = raw[: min(len(raw), hi - c)]
+        for i, r in enumerate(range(c, c + len(chunk))):
+            counter[2:] = r % 2**64, r >> 64
+            bitgen.state = state
+            chunk[i] = bitgen.random_raw(words)
+        # the 32-bit halves, low half first whatever the byte order; a
+        # half's top bit is its sign bit, so the shift gives -1 where it is
+        # set and 0 where it is clear, and -2 v - 1 maps those to +1 and -1
+        halves = chunk.astype("<u8", copy=False).view("<i4")[:, :nm]
+        np.right_shift(halves, 31, out=x[c - lo : c - lo + len(chunk)])
+    x *= -2
+    x -= 1
+    return x.reshape(hi - lo, cfg.runs, cfg.factors)
 
 
 def _run_block(
@@ -414,8 +439,10 @@ def multi_restart(
 ) -> OptResult:
     """Coordinate exchange from `restarts` random starts; deterministic reduction.
 
-    Restart r draws its start from the Philox stream jumped r times from
-    cfg.seed, seeded at that state (counter r * 2^128), so results are
+    Restart r reads its start from the Philox stream jumped r times from
+    cfg.seed, seeded at that state (counter r * 2^128): entry t of the
+    row-major design is +1 where the top bit of the t-th 32-bit half of its
+    words, low half first, is set, and -1 where it is clear.  So results are
     reproducible and independent of the execution schedule.  Restarts run
     in contiguous blocks of at most RESTARTS_PER_BLOCK, and of at most
     BLOCK_BYTES of run distances and designs (TooLargeError, before any
@@ -425,7 +452,8 @@ def multi_restart(
     order as soon as that block and every earlier one are done.  Only the
     final designs whose QB equals the least in the restart log are kept;
     among them the larger main-effects As efficiency wins, a non-estimable
-    fit last, then the lower restart index.
+    fit last, then the lower restart index.  Their As come from one stacked
+    as_efficiency.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -446,8 +474,8 @@ def multi_restart(
     # (stat, design, word counts) of each tie, in restart order
     ties = [(st, Design(x), wc) for st, (x, wc) in tied.items()]
     # the largest As wins, a non-estimable fit last; min keeps the first of
-    # equals, the lowest restart index
-    scored = [(tie, as_efficiency(tie[1])) for tie in ties]
+    # equals, the lowest restart index.  Every tie is scored in one pass.
+    scored = zip(ties, as_efficiency([d for _, d, _ in ties]))
     (st, best, wc), best_as = min(scored, key=lambda t: np.inf if t[1] is None else -t[1])
     n_lb = int((best.column_sums() == 0).sum())
     return OptResult(

@@ -30,6 +30,9 @@ FROZEN_OPTIMIZE = {
     "16x6-order2": "--runs 16 --factors 6 --order 2 --pi1 0.6 --pi2 0.4 --restarts 100 --seed 5",
     # one block of five, where each restart scores the most lookahead rows
     "24x7-order2-r5": "--runs 24 --factors 7 --order 2 --pi1 0.8 --pi2 0.5 --restarts 5 --seed 20",
+    # the first-order benchmark's call shape: one block of ten, whose set of
+    # running restarts is set up anew eight times
+    "12x14-r10": "--runs 12 --factors 14 --pi1 0.1 --restarts 10 --seed 10",
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from qbdesign.criteria import (
     Prior,
     as_efficiency,
+    as_from_eigenvalues,
     es2,
     prior_sums,
     qb_coefficients,
@@ -427,6 +428,55 @@ class TestAsEfficiency:
 
     def test_supersaturated_not_estimable(self, fx):
         assert as_efficiency(fx("supp1.d1").design) is None
+
+    @staticmethod
+    def one_design_as(d):
+        """As from one (N, m) design's 2-D Gram, eigvalsh of one matrix."""
+        x = d.entries.astype(float)
+        g = model_gram(x, np.arange(d.factors), np.empty((0, 2), dtype=np.intp))
+        a = as_from_eigenvalues(np.linalg.eigvalsh(schur_center(g, d.runs)), d.runs)
+        return None if np.isnan(a) else float(a)
+
+    def test_stack_gives_each_designs_bits(self):
+        # a stack of designs of one shape gives, design by design, the As of
+        # that design's own 2-D Gram, None where the fit is not estimable:
+        # always with m >= N, where nothing is computed
+        by_shape = {}
+        for d, _ in random_designs(300, seed=61, n_lo=4, n_hi=16, m_lo=1, m_hi=12):
+            by_shape.setdefault(d.entries.shape, []).append(d)
+        seen = set()
+        for (n, m), ds in by_shape.items():
+            want = [self.one_design_as(d) for d in ds]
+            assert as_efficiency(ds) == want
+            assert [as_efficiency(d) for d in ds] == want
+            seen.update((m >= n, a is None) for a in want)
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n, m", [(6, 6), (6, 9), (12, 14)])
+    def test_no_eigenvalues_with_m_at_least_n(self, monkeypatch, n, m):
+        # D'Q0 D, m x m, has rank at most N - 1: None without an eigvalsh
+        ds = [random_design(n, m, seed) for seed in range(3)]
+        assert [self.one_design_as(d) for d in ds] == [None] * 3
+
+        def never(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        assert as_efficiency(ds) == [None] * 3
+        assert as_efficiency(ds[0]) is None
+
+    def test_mixed_stack(self):
+        # estimable and non-estimable fits side by side: the full factorial,
+        # a repeated column, the factorial's foldover, a constant column and
+        # another repeated column
+        f = full_factorial(3).entries
+        constant = np.hstack([f[:, :2], np.ones((8, 1), dtype=np.int64)])
+        ds = [Design(x) for x in (f, f[:, [0, 1, 1]], -f, constant, f[:, [0, 0, 2]])]
+        got = as_efficiency(ds)
+        assert got[1] is None and got[3] is None and got[4] is None
+        assert got[0] == got[2] == self.one_design_as(ds[0]) == pytest.approx(1.0, abs=1e-12)
+        assert got == [as_efficiency(d) for d in ds]
+        assert as_efficiency(ds[:1]) == [as_efficiency(ds[0])]
 
     def test_centered_gram_random_terms(self):
         # the Schur complement of N gives the bytes of centering the columns

@@ -380,7 +380,7 @@ def as_tiebreak_oracle(cfg):
     over subsets.  Returns (the tied restarts, the winner, its entries, its
     qb as the search computed it, its As, the word counts of the ties).
     """
-    runs = oracle_restarts(cfg)
+    runs = cached_oracle(cfg)
     p = cfg.prior
     exact = Prior(Fraction(repr(p.pi1)), Fraction(repr(p.pi2)), p.order)
     k_max = len(qb_coefficients(exact, cfg.factors))
@@ -480,6 +480,25 @@ class TestLockstep:
             assert np.array_equal(res.best.entries, entries)
             assert (res.qb, res.as_main) == (qb, eff)
             assert res.qb == min(st.qb for st in res.restart_log)
+
+    @pytest.mark.parametrize("cfg", AS_TIE_CFGS)
+    def test_ties_scored_in_one_stacked_pass(self, monkeypatch, cfg):
+        # every tie goes into one as_efficiency of the whole stack, and each
+        # gets the As of its design taken alone
+        stacks = []
+
+        def recording(ds):
+            stacks.append(list(ds))
+            return as_efficiency(ds)
+
+        monkeypatch.setattr(optimizer, "as_efficiency", recording)
+        res = multi_restart(cfg)
+        tied = as_tiebreak_oracle(cfg)[0]
+        [stack] = stacks
+        runs = cached_oracle(cfg)
+        assert [d.entries.tolist() for d in stack] == [runs[r][0].tolist() for r in tied]
+        assert as_efficiency(stack) == [as_efficiency(d) for d in stack]
+        assert_matches_oracle(res, runs)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_callback_sees_every_restart_in_order(self, threads):
@@ -984,8 +1003,9 @@ class TestCarriedWordCounts:
 class TestStarts:
     @pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
     def test_counter_seeded_start_is_the_jumped_stream(self, seed):
-        restarts = [0, 1, 63, 64, 10**6]
-        for n, m in ((2, 1), (12, 14), (64, 30)):
+        restarts = [0, 1, 63, 64, 10**6, 2**64 + 3]
+        # with N*m odd (3x1, 5x5 and 13x7) the last word's high half goes unused
+        for n, m in ((2, 1), (12, 14), (64, 30), (3, 1), (5, 5), (13, 7)):
             cfg = OptimizerConfig(runs=n, factors=m, prior=Prior(0.1), restarts=1, seed=seed)
             for r, want in zip(restarts, restart_starts(cfg, restarts)):
                 got = optimizer._starts(cfg, r, r + 1)[0]
@@ -993,6 +1013,29 @@ class TestStarts:
             # a run of restarts from one generator, each reset to its counter
             got = optimizer._starts(cfg, 62, 66)
             assert np.array_equal(got, np.stack(restart_starts(cfg, range(62, 66))))
+
+    @pytest.mark.parametrize("start_words", [1, 2 * 46, 3 * 46 + 1])
+    def test_chunks_of_words_draw_the_same_starts(self, monkeypatch, start_words):
+        # ten starts of 46 words (N*m = 91) read in chunks of one restart, of
+        # two, and of three with a shorter last chunk
+        cfg = OptimizerConfig(runs=13, factors=7, prior=Prior(0.1), restarts=1, seed=2**64 + 5)
+        want = np.stack(restart_starts(cfg, range(3, 13)))
+        monkeypatch.setattr(optimizer, "START_WORDS", start_words)
+        assert np.array_equal(optimizer._starts(cfg, 3, 13), want)
+
+    @pytest.mark.parametrize("n, m", [(1500, 3), (64, 30)])
+    def test_words_stay_within_the_block_budget(self, n, m):
+        # what a block of 64 starts allocates beside the int64 starts that
+        # BLOCK_BYTES counts: at most a quarter more
+        cfg = OptimizerConfig(runs=n, factors=m, prior=Prior(0.1), restarts=64, seed=1)
+        tracemalloc.start()
+        try:
+            x = optimizer._starts(cfg, 0, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 64 * n * m
+        assert np.array_equal(x[[0, 63]], np.stack(restart_starts(cfg, [0, 63])))
 
     @pytest.mark.parametrize("r", [0, 1, 5, 2**64 + 3])
     def test_reused_generator_draws_as_a_new_one(self, r):
