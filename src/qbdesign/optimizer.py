@@ -32,14 +32,12 @@ and each flip's sum s is the same float as 4 (w_1 t_1 + w_2 t_2 + ...)
 summed left to right: N^2 times its QB change, undivided.  The sums are
 exact, as a block refuses a table whose partial sums could reach 2^53
 (at the int64 check's largest m, N = 2, they stay under 0.29 * 2^53).
-A flip improves when s / N^2 < -IMPROVE_TOL.  Correctly rounded division
-by N^2 is monotone in s, so that holds exactly when s <= thr, the largest
-float with thr / N^2 < -IMPROVE_TOL, which a block finds once at build by
-stepping nextafter from -IMPROVE_TOL * N^2: the search divides nothing,
-and qb_delta makes the one division.  No decision reads S_k itself, so the
+A flip improves when s / N^2 < -IMPROVE_TOL, which holds exactly when
+s <= thr (see _improve_threshold): the search divides nothing, and
+qb_delta makes the one division.  No decision reads S_k itself, so the
 designs are the whole state: a block counts the word counts of its final
-designs once, in one stacked_word_counts, and each QB is
-qb_from_word_counts of those exact integers.
+designs once, in one krawtchouk_sums with the Krawtchouk table of its
+[U | V], and each QB is qb_from_word_counts of those exact integers.
 
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
 whose final count fits BLOCK_BYTES, stacks the designs along a leading
@@ -54,20 +52,18 @@ iterations.  Each restart takes its first improving coordinate at or after
 the cursor in row-major order, the serial scan's choice, since nothing
 flips between the rows of a window, and moves its cursor past it, or past
 the window.  It leaves the block at the certificate pos = lim, N*m
-rejections in a row; its sweep count is the sweeps begun.
-The window is set up once per set of running restarts, whose count alone
-sets its width: the window rows of each cursor row, the advance past each
-lane and the buffer of improving lanes.  Only the window's first row has
-lanes before the cursor to mask, so the bookkeeping of an iteration is a
-few array passes, none larger than the window.  The block keeps the
-output buffer of the row deltas' second matmul while its shape, the
-running restarts by the window width, holds.
-No quantity mixes restarts, and every decision rests on integer t_k and
-on the same float expression per restart, so the results do not depend
-on the block size, the window width or the number of worker processes.
-The tests hold the oracle of the row deltas: their exact_state fixture
-checks, at each accepted flip, 4 t_k against S_k counted from scratch
-before and after it.
+rejections in a row; its sweep count is the sweeps begun.  A block builds
+one table of each row's window, as wide as a set of one restart takes;
+each set of running restarts, whose count alone sets its width, copies
+its first columns and its buffer of improving lanes, and computes no
+table.  Only the window's first row has lanes before the cursor to mask,
+so an iteration's bookkeeping is a few array passes, none larger than the
+window.  No quantity mixes restarts, and every decision rests on integer
+t_k and on the same float expression per restart, so the results do not
+depend on the block size, the window width or the number of worker
+processes.  The tests hold the oracle of the row deltas: their
+exact_state fixture checks, at each accepted flip, 4 t_k against S_k
+counted from scratch before and after it.
 """
 
 from __future__ import annotations
@@ -83,7 +79,7 @@ import numpy as np
 from .criteria import Prior, as_efficiency, qb_coefficients, qb_from_word_counts
 from .design import Design
 from .errors import TooLargeError
-from .wordcounts import WordCounts, krawtchouk_table, stacked_word_counts
+from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table
 
 IMPROVE_TOL = 1e-9  # a flip is taken when it lowers QB by more than this
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
@@ -140,8 +136,9 @@ class _Block:
     xo is float64 (R, N, m + 1), the designs with a trailing column of ones,
     and x its (R, N, m) view, owned by the block; the views of xo that
     row_deltas reads are made at build and again in keep, and its matmul
-    output buffer is kept while the rows' shape holds.  A flip whose
-    row-delta sum s has s <= thr lowers QB by more than IMPROVE_TOL.
+    output buffer is kept while the rows' shape holds.  kraw, the int64
+    table of K_1..K_kmax, gives [U | V] and the final word counts.  A flip
+    whose row-delta sum s has s <= thr lowers QB by more than IMPROVE_TOL.
     row_deltas and flip are the package's one row-delta and one flip;
     qb_delta and coordinate_exchange run a block of one.
     """
@@ -151,15 +148,15 @@ class _Block:
         r, self.n, self.m = x.shape
         weights = qb_coefficients(prior, self.m)
         self.k_max = len(weights)
-        # refuses word counts past int64 before the search starts
-        kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
+        # the final count's table too; it refuses word counts past int64 up front
+        self.kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
         self.xo = np.ones((r, self.n, self.m + 1))
         self.xo[..., :-1] = x
         # Dp(d) = K(d + 1) - K(d) = z[d + 1] and Dm(d) = K(d - 1) - K(d) =
         # -z[d], 0 where the step leaves 0..m, as U = Dp - Dm and V = Dp + Dm
         # side by side
         z = np.zeros((self.k_max, self.m + 2), dtype=np.int64)
-        z[:, 1:-1] = kraw[:, 1:] - kraw[:, :-1]
+        z[:, 1:-1] = self.kraw[:, 1:] - self.kraw[:, :-1]
         uv = np.concatenate([z[:, 1:] + z[:, :-1], z[:, 1:] - z[:, :-1]]).T
         # row_deltas sums these in float64: exact while its partial sums, at
         # most 2 (N + 1) max |U|, |V|, stay below 2^53
@@ -265,13 +262,13 @@ def qb_delta(d: Design, i: int, j: int, prior: Prior) -> float:
 def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int, WordCounts]]:
     """Coordinate exchange from each start in the int64 (R, N, m) stack x, in lockstep.
 
-    Every iteration scores a window of rows from each running restart's
-    cursor and takes, per restart, the first improving coordinate at or
-    after the cursor in row-major order; a restart is done once it has
-    scanned N*m coordinates past its last flip.  Returns (entries, qb,
-    sweeps, word counts) per start, in input order, with sweeps =
-    ceil(pos / (N*m)) and the exact word counts of the final designs,
-    counted once for the whole block.
+    Every iteration scores a window of rows from each running restart's cursor
+    and takes, per restart, the first improving coordinate at or after the
+    cursor in row-major order; a restart is done once it has scanned N*m
+    coordinates past its last flip, and the rest then copy their width's
+    columns of the block's one window table.  Returns (entries, qb, sweeps,
+    word counts) per start, in input order, with sweeps = ceil(pos / (N*m))
+    and the exact word counts of the final designs, counted once per block.
     """
     block = _Block(x, prior)
     n, m = block.n, block.m
@@ -281,18 +278,21 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
     lim = np.full(len(x), nm, dtype=np.intp)  # pos at the certificate: N*m past the last flip
     # per start, its final design and its pos at the certificate, written as it finishes
     finals, ends = np.empty(x.shape, dtype=np.int64), np.empty(len(x), dtype=np.intp)
-    width, cols, row_work = 0, np.arange(m), n * m * block.k_max
+    cols, row_work = np.arange(m), n * m * block.k_max
+
+    def window_width(r: int) -> int:
+        # half the idle slots' worth of rows, within WINDOW_WORK multiply-adds
+        return max(1, min(n, RESTARTS_PER_BLOCK // (2 * r), WINDOW_WORK // (r * row_work)))
+
+    # per cursor row, its window of rows, as wide as a set of one takes; a
+    # set copies its columns once, as take would copy the slice every time
+    windows = (np.arange(n)[:, None] + np.arange(window_width(1))) % n
     while len(ids):
         # set up for this set of running restarts, whose width depends only
-        # on how many run: half the idle slots' worth of rows, within
-        # WINDOW_WORK multiply-adds
+        # on how many run: its window columns and an improving buffer
         r = len(ids)
-        w = max(1, min(n, RESTARTS_PER_BLOCK // (2 * r), WINDOW_WORK // (r * row_work)))
-        if w != width:
-            # per cursor row, its window of rows; per lane, the advance past it
-            width = w
-            windows = (np.arange(n)[:, None] + np.arange(width)) % n
-            step = np.minimum(np.arange(1, width * m + 2), width * m)
+        width = window_width(r)
+        win = windows[:, :width].copy()
         # one row past the window, its first lane set: argmax stops there, at
         # lane width * m, when no coordinate improves
         improving = np.ones((r, width + 1, m), dtype=bool)
@@ -301,21 +301,22 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         row_deltas, flip, thr = block.row_deltas, block.flip, block.thr
         while True:
             row, col = np.divmod(pos, m)
-            rows = windows.take(row, axis=0, mode="wrap")
+            rows = win.take(row, axis=0, mode="wrap")
             s, _ = row_deltas(rows)
             np.less_equal(s, thr, out=scored)
             # the lanes before the cursor, all in the window's first row, do not count
             first &= cols >= col[:, None]
             c = lanes.argmax(axis=1)
-            at = (c < width * m).nonzero()[0]
+            hit = c < width * m
+            at = hit.nonzero()[0]
             if at.size:
                 l, j = np.divmod(c[at], m)
                 flip(at, rows[at, l], j)
-            # past the flip, or the window, up to the certificate: that covers
-            # every coordinate against this state, so no window has a flip
-            # beyond it
+            # past the flip at lane c, or past the window at c = width * m, up
+            # to the certificate: that covers every coordinate against this
+            # state, so no window has a flip beyond it
             pos -= col
-            pos += step.take(c)
+            pos += c + hit
             np.minimum(pos, lim, out=pos)
             lim[at] = pos[at] + nm
             # N*m rejections in a row, all against one state: a local optimum
@@ -328,7 +329,7 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         keep = pos != lim
         ids, pos, lim = ids[keep], pos[keep], lim[keep]
         block.keep(keep)
-    wcs = stacked_word_counts(finals, block.k_max)
+    wcs = [WordCounts(n, tuple(row)) for row in krawtchouk_sums(finals, block.kraw).tolist()]
     qbs = qb_from_word_counts(wcs, prior, [m] * len(wcs)).tolist()
     sweeps = (-(-ends // nm)).tolist()
     return [(f.copy(), qb, sw, wc) for f, qb, sw, wc in zip(finals, qbs, sweeps, wcs)]
@@ -439,21 +440,18 @@ def multi_restart(
 ) -> OptResult:
     """Coordinate exchange from `restarts` random starts; deterministic reduction.
 
-    Restart r reads its start from the Philox stream jumped r times from
-    cfg.seed, seeded at that state (counter r * 2^128): entry t of the
-    row-major design is +1 where the top bit of the t-th 32-bit half of its
-    words, low half first, is set, and -1 where it is clear.  So results are
-    reproducible and independent of the execution schedule.  Restarts run
-    in contiguous blocks of at most RESTARTS_PER_BLOCK, and of at most
-    BLOCK_BYTES of run distances and designs (TooLargeError, before any
-    allocation, when one restart does not fit); with threads > 1 the blocks
-    are spread over a process pool of at most os.cpu_count() workers.
-    `on_block`, when given, receives each block's restart stats in restart
-    order as soon as that block and every earlier one are done.  Only the
-    final designs whose QB equals the least in the restart log are kept;
-    among them the larger main-effects As efficiency wins, a non-estimable
-    fit last, then the lower restart index.  Their As come from one stacked
-    as_efficiency.
+    Restart r draws its start from Philox counter r * 2^128 of key cfg.seed
+    (see _starts), so results are reproducible and independent of the
+    execution schedule.  Restarts run in contiguous blocks of at most
+    RESTARTS_PER_BLOCK, and of at most BLOCK_BYTES of run distances and
+    designs (TooLargeError, before any allocation, when one restart does not
+    fit); with threads > 1 the blocks are spread over a process pool of at
+    most os.cpu_count() workers.  `on_block`, when given, receives each
+    block's restart stats in restart order as soon as that block and every
+    earlier one are done.  Only the final designs whose QB equals the least
+    in the restart log are kept; among them the larger main-effects As
+    efficiency wins, a non-estimable fit last, then the lower restart index.
+    Their As come from one stacked as_efficiency.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -36,13 +36,17 @@ Grams, the models that may be estimable and the distinct blocks:
   first block of each run of equal keys is gathered in float and goes to
   eigvalsh, and every model takes its run's result.
 
-Memory is bounded by byte budgets, not by the number of models: a slice
-holds at most max(FLAG_BYTES // (8 (p + t)), C(f,2)) candidates, the key
-temporaries and the blocks of one eigvalsh call take at most WINDOW_BYTES
-(a call gets max(1, WINDOW_BYTES // (8 p^2)) blocks), and the flags of a
-level at most FLAG_BYTES per stack, down to one subset per stack.  The
-estimable models of a level are kept for the join while the next level is
-scored: an index and a byte per pair each (two bytes past q = 255).
+Memory is bounded by byte budgets, not by the number of models, except in
+N: model_gram builds the (S, q + 1, N) float columns of a stack of up to
+SUBSETS_PER_STACK subsets, so 1024x14 at f = 6 peaks near 394 MB RSS, and
+Grams gathered from one table of J-characteristics (ROADMAP item 8) would
+not grow with N.  A slice holds at most max(FLAG_BYTES // (8 (p + t)),
+C(f,2)) candidates, the key temporaries and the blocks of one eigvalsh
+call take at most WINDOW_BYTES (a call gets max(1, WINDOW_BYTES //
+(8 p^2)) blocks), and the flags of a level at most FLAG_BYTES per stack,
+down to one subset per stack.  The estimable models of a level are kept
+for the join while the next level is scored: an index and a byte per
+pair each (two bytes past q = 255).
 
 Byte-equal input gives the same LAPACK output however the blocks are
 batched, so each model's eigenvalues and efficiency are the bits a

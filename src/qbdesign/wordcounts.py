@@ -21,10 +21,8 @@ run pairs at each distance d = 0..m: one bincount and one small integer
 matmul, with no intermediate that grows with C(m, k).  The table of
 K_k(d; m) is not summed from binomials either: the three-term recurrence
 in k (see krawtchouk_table) gives each row from the two before it, for
-every d at once, in exact integers.  The optimizer counts the distances
-once per block of restarts; from then on it keeps only S_k and reads the
-distances of the rows it scores from the designs, through the same
-Krawtchouk table.
+every d at once, in exact integers.  The optimizer scores its flips and
+counts its final designs through one such table per block of restarts.
 """
 
 from __future__ import annotations

@@ -117,6 +117,7 @@ class TestQbCoefficients:
         pr = Prior(0.7, 0.4, ModelOrder.SECOND_ORDER)
         xi10, xi20, xi21 = 0.7, 0.7**2, 0.7**2 * 0.4
         xi31, xi32, xi42 = 0.7**3 * 0.4, 0.7**3 * 0.4**2, 0.7**4 * 0.4**2
+        first = (0.7, 2 * 0.7**2)
         for m in range(1, 4):
             full = (
                 xi10 + 2 * (m - 1) * xi21,
@@ -124,7 +125,11 @@ class TestQbCoefficients:
                 6 * xi31,
                 6 * xi42,
             )
-            assert qb_coefficients(pr, m) == full[:m]
+            for prior, want in ((pr, full[:m]), (Prior(0.7), first[:m])):
+                assert qb_coefficients(prior, m) == want
+                # an np.int64 or a one-element array m cuts the same weights
+                for form in (np.int64(m), np.array([m])):
+                    assert [np.asarray(w).item() for w in qb_coefficients(prior, form)] == list(want)
         assert qb_coefficients(Prior(0.3), 1) == (0.3,)
 
 

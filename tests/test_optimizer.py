@@ -654,8 +654,8 @@ class TestBlockBudget:
     @pytest.mark.parametrize("prior", [Prior(0.1), Prior(0.5, 0.5, SECOND)])
     def test_search_stays_within_budget(self, prior):
         # the final count allocates the block's run distances beside its
-        # finals: with the build and the search, a one-restart block stays
-        # within its budget, less the start it is given
+        # finals: with the build and the search, window table included, a
+        # one-restart block stays within its budget, less the start it is given
         n, m = 1500, 3
         x = random_design(n, m, 4).entries[None].copy()
         budget = 8 * n * (n + m + 1)
@@ -989,7 +989,9 @@ class TestCarriedWordCounts:
             counted.append(x.copy())
             return sums(x, kraw)
 
+        # the optimizer's own name and the one word_counts reaches
         monkeypatch.setattr(wordcounts, "krawtchouk_sums", counting)
+        monkeypatch.setattr(optimizer, "krawtchouk_sums", counting)
         monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
         blocks = []
         cfg = OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=7, seed=2)
@@ -998,6 +1000,33 @@ class TestCarriedWordCounts:
         assert [len(x) for x in counted] == [len(b) for b in blocks]
         # the designs counted are the finals, the winner among them
         assert any(np.array_equal(x, res.best.entries) for x in np.concatenate(counted))
+
+    @pytest.mark.parametrize(
+        "n, m, prior, restarts",
+        [(12, 14, Prior(0.1), 10), (24, 7, Prior(0.8, 0.5, SECOND), 5)],
+    )
+    def test_one_krawtchouk_table_per_block(self, monkeypatch, n, m, prior, restarts):
+        # the block's row-delta table and its final count share one build,
+        # and nothing is kept between blocks: a second block builds its own
+        built = []
+        table = wordcounts.krawtchouk_table
+
+        def counting(*args):
+            built.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(wordcounts, "krawtchouk_table", counting)
+        monkeypatch.setattr(optimizer, "krawtchouk_table", counting)
+        cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=restarts, seed=10)
+        starts = optimizer._starts(cfg, 0, restarts)
+        for calls in (1, 2):
+            res = optimizer._exchange(starts.copy(), prior)
+            assert len(built) == calls
+        k_max = len(qb_coefficients(prior, m))
+        assert built == [(m, k_max, n)] * 2
+        for entries, qb, _, wc in res:
+            assert wc == WordCounts(n, enumerated_word_counts(entries, k_max))
+            assert qb == qb_from_word_counts(wc, prior, m)
 
 
 class TestStarts:
