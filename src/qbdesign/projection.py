@@ -36,17 +36,15 @@ Grams, the models that may be estimable and the distinct blocks:
   first block of each run of equal keys is gathered in float and goes to
   eigvalsh, and every model takes its run's result.
 
-Memory is bounded by byte budgets, not by the number of models, except in
-N: model_gram builds the (S, q + 1, N) float columns of a stack of up to
-SUBSETS_PER_STACK subsets, so 1024x14 at f = 6 peaks near 394 MB RSS, and
-Grams gathered from one table of J-characteristics (ROADMAP item 8) would
-not grow with N.  A slice holds at most max(FLAG_BYTES // (8 (p + t)),
-C(f,2)) candidates, the key temporaries and the blocks of one eigvalsh
-call take at most WINDOW_BYTES (a call gets max(1, WINDOW_BYTES //
-(8 p^2)) blocks), and the flags of a level at most FLAG_BYTES per stack,
-down to one subset per stack.  The estimable models of a level are kept
-for the join while the next level is scored: an index and a byte per
-pair each (two bytes past q = 255).
+Memory is bounded by byte budgets, not by the number of models or runs.
+A stack takes as many subsets as fit FLAG_BYTES, at 8 (q + 1) N bytes of
+float columns each (model_gram builds them) plus a byte per model of the
+widest level's flags, but never fewer than one subset.  A slice holds at
+most max(FLAG_BYTES // (8 (p + t)), C(f,2)) candidates, and the key
+temporaries and the blocks of one eigvalsh call take at most WINDOW_BYTES
+(a call gets max(1, WINDOW_BYTES // (8 p^2)) blocks).  The estimable
+models of a level are kept for the join while the next level is scored:
+an index and a byte per pair each (two bytes past q = 255).
 
 Byte-equal input gives the same LAPACK output however the blocks are
 batched, so each model's eigenvalues and efficiency are the bits a
@@ -70,16 +68,14 @@ from .criteria import as_from_eigenvalues
 from .design import Design, model_gram, schur_center
 from .errors import TooLargeError
 
-# Bytes of the blocks of one eigvalsh call and of the key temporaries, and
-# f-subsets per stack of centered Grams.  Both only bound memory: a call
-# takes up to 64 blocks of 16 x 16.
+# Bytes of the blocks of one eigvalsh call and of the key temporaries.  It
+# only bounds memory: a call takes up to 64 blocks of 16 x 16.
 WINDOW_BYTES = 2**17
-SUBSETS_PER_STACK = 1024
-# Bytes of one level's flags, one per model of a stack (a stack is cut to
-# fit, but never below one subset), and of a slice of a level's candidates,
-# about 8 (p + t) each.  A slice is deduped at once: wider slices send fewer
-# blocks to eigvalsh.
-FLAG_BYTES = 2**20
+# Bytes of a stack, at its model columns and one level's flags (a stack is
+# cut to fit, but never below one subset), and of a slice of a level's
+# candidates, about 8 (p + t) each.  A slice is deduped at once and a stack
+# grouped at once: wider ones send fewer blocks to eigvalsh.
+FLAG_BYTES = 2**23
 # A level may have fewer choices of pairs than this, so that ranks fit int64.
 _CHOICES_CAP = 2**62
 
@@ -295,7 +291,7 @@ def _score_subsets(
     vals: dict[int, list[np.ndarray]] = {t: [] for t in levels}
     counts = {t: dict.fromkeys(ProjectionCounts.__dataclass_fields__, 0) for t in levels}
     widest = max((math.comb(n_pairs, t) for t in levels), default=1)
-    per_stack = min(SUBSETS_PER_STACK, max(1, FLAG_BYTES // widest))
+    per_stack = max(1, FLAG_BYTES // (widest + 8 * (q + 1) * n))  # flags and float columns
     # comb[u, w] = C(w, u); any entry a rank sums is below C(P, t) < _CHOICES_CAP
     comb = np.array([[min(math.comb(w, u), _CHOICES_CAP) for w in range(n_pairs + 1)]
                      for u in range(max(levels, default=0) + 1)])

@@ -220,6 +220,12 @@ class TestFrozenOutputs:
         assert code == 0 and err == ""
         assert out == (EXPECTED / "project-had16-f4.csv").read_text()
 
+    def test_project_had16_f5_bytes(self, capsys):
+        # 3,003 subsets in 228 distinct Grams, grouped in one stack
+        code, out, err = run(capsys, "project", "fixture:had16", "--f", "5", "--t-max", "10")
+        assert code == 0 and err == ""
+        assert out == (EXPECTED / "project-had16-f5.csv").read_text()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", FROZEN_OPTIMIZE)
     def test_optimize_progress_bytes(self, capsys, name, threads):

@@ -129,9 +129,9 @@ class TestBatchedScoring:
         assert_matches_enumeration(fx("had16").design.entries, 1)
 
     def test_chunk_and_stack_boundaries(self, fx, monkeypatch):
-        # chunks that split the choices of one subset, and stacks that split
-        # the subsets, at sizes that divide nothing evenly
-        monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 11)
+        # chunks that split the choices of one subset, and stacks of 11, 7
+        # and 9 subsets, at sizes that divide nothing evenly
+        monkeypatch.setattr(projection, "FLAG_BYTES", 10_000)
         assert_matches_enumeration(fx("had16").design.entries, 3)
         assert_matches_enumeration(fx("case4.d6").design.entries, 4)
         assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
@@ -139,11 +139,11 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("window_bytes", [1, 7 * 8 * 5 * 5])
     def test_window_boundaries(self, fx, monkeypatch, window_bytes):
         # windows of one model and one choice, and windows of 7 models of
-        # 5 x 5 (other sizes for other p), with stacks of 11 subsets
+        # 5 x 5 (other sizes for other p), with stacks of a few subsets
         argv = ["project", "fixture:case4.d6", "--f", "3", "4", "5"]
         want = cli_stdout(argv)
         monkeypatch.setattr(projection, "WINDOW_BYTES", window_bytes)
-        monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 11)
+        monkeypatch.setattr(projection, "FLAG_BYTES", 10_000)
         assert cli_stdout(argv) == want
         assert_matches_enumeration(fx("had16").design.entries, 3)
         assert_matches_enumeration(fx("case4.d6").design.entries, 4)
@@ -304,16 +304,18 @@ class TestSubsetGroups:
         assert [c.subsets for c in rep.counts] == [want, want]
 
     def test_had16_grams(self, fx):
-        # 455 subsets in 4 groups at f = 3; at f = 4 the 1,365 subsets take
-        # two stacks, and each groups its own
+        # 455 subsets in 4 groups at f = 3, 1,365 in 33 at f = 4 and 3,003 in
+        # 228 at f = 5; each call is one stack, so each Gram is scored once
         x = fx("had16").design.entries
         assert len(set(subset_gram_bytes(x, 3))) == 4
-        assert len(set(subset_gram_bytes(x, 4))) == 33
-        rep = projection_report(fx("had16").design, [4], {4: [1]})
-        assert 33 <= rep.counts[0].subsets <= 2 * 33
+        for f, want in ((4, 33), (5, 228)):
+            assert len(set(subset_gram_bytes(x, f))) == want
+            rep = projection_report(fx("had16").design, [f], {f: range(1, 11)})
+            assert {c.subsets for c in rep.counts} == {want}
 
     def test_groups_across_stack_boundaries(self, fx, monkeypatch):
-        monkeypatch.setattr(projection, "SUBSETS_PER_STACK", 7)
+        # stacks of 7 subsets at f = 3
+        monkeypatch.setattr(projection, "FLAG_BYTES", 6_500)
         assert_matches_enumeration(fx("had16").design.entries, 3)
 
 
@@ -343,3 +345,17 @@ class TestWork:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_stack_memory_does_not_grow_with_runs(self):
+        # the float columns of all 210 subsets would take 37 MiB, so the
+        # budget cuts the stack; the peak is about 2x the budget at N = 256
+        # and at N = 1024
+        d = random_design(1024, 10, 1)
+        projection_report(d, [6], {6: [1]})
+        tracemalloc.start()
+        try:
+            projection_report(d, [6], {6: [1]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * projection.FLAG_BYTES
