@@ -58,12 +58,17 @@ each set of running restarts, whose count alone sets its width, copies
 its first columns and its buffer of improving lanes, and computes no
 table.  Only the window's first row has lanes before the cursor to mask,
 so an iteration's bookkeeping is a few array passes, none larger than the
-window.  No quantity mixes restarts, and every decision rests on integer
-t_k and on the same float expression per restart, so the results do not
-depend on the block size, the window width or the number of worker
-processes.  The tests hold the oracle of the row deltas: their
-exact_state fixture checks, at each accepted flip, 4 t_k against S_k
-counted from scratch before and after it.
+window.  Those passes cost about as much for one running restart as for
+many, so a set of at most SCALAR_CURSORS restarts (a small block, a
+block's tail and coordinate_exchange's block of one) keeps its cursors as
+Python ints and advances them in one loop over the argmax lanes, which
+costs per restart; larger sets keep the arrays.  Both read the same rows
+and lanes and make the same flips.  No quantity mixes restarts,
+and every decision rests on integer t_k and on the same float expression
+per restart, so the results do not depend on the block size, the window
+width or the number of worker processes.  The tests hold the oracle of the
+row deltas: their exact_state fixture checks, at each accepted flip, 4 t_k
+against S_k counted from scratch before and after it.
 """
 
 from __future__ import annotations
@@ -84,6 +89,16 @@ from .wordcounts import WordCounts, krawtchouk_sums, krawtchouk_table
 IMPROVE_TOL = 1e-9  # a flip is taken when it lowers QB by more than this
 RESTARTS_PER_BLOCK = 64  # restarts advanced together
 WINDOW_WORK = 2**16  # multiply-adds one iteration may spend on lookahead rows
+# Sets of at most this many running restarts keep their cursors in Python
+# ints, larger sets in arrays.  The int loop costs per restart, the array
+# passes per iteration, so ints win on few restarts and arrays on many.  Set
+# by set (both paths on the same sets, 2-vCPU x86_64, two runs), ints were
+# no slower up to 12 running restarts at 12x14, 13-14 at 24x7 o2 and 16x6
+# o2, 12-15 at 32x10, 12-16 at 48x12 o2 and 18-20 at 64x30 o2 (first order
+# unless "o2"), and 1.12-1.23x slower at 24.  The crossover grows with the
+# work per iteration; the cut is the smallest seen, so no shape measured
+# runs ints where arrays are faster.
+SCALAR_CURSORS = 12
 # Bytes of a block's int64 (R, N, m) starts beside, during the search, its
 # float64 (R, N, m + 1) designs and, in the final count, its int64 (R, N, m)
 # finals and (R, N, N) run distances; the restarts per block are cut to fit,
@@ -297,32 +312,67 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         # lane width * m, when no coordinate improves
         improving = np.ones((r, width + 1, m), dtype=bool)
         scored, first, lanes = improving[:, :width], improving[:, 0], improving.reshape(r, -1)
+        wm = width * m
         # bound here, from the block, so that methods patched on _Block see every call
         row_deltas, flip, thr = block.row_deltas, block.flip, block.thr
+        # few running restarts keep their cursors as Python ints (see SCALAR_CURSORS)
+        scalar = r <= SCALAR_CURSORS
+        if scalar:
+            pl, ll = pos.tolist(), lim.tolist()
         while True:
-            row, col = np.divmod(pos, m)
+            if scalar:
+                row, col = zip(*[divmod(p, m) for p in pl])
+            else:
+                row, col = np.divmod(pos, m)
             rows = win.take(row, axis=0, mode="wrap")
             s, _ = row_deltas(rows)
             np.less_equal(s, thr, out=scored)
             # the lanes before the cursor, all in the window's first row, do not count
-            first &= cols >= col[:, None]
+            if scalar:
+                for h, k in enumerate(col):
+                    if k:
+                        first[h, :k] = False
+            else:
+                first &= cols >= col[:, None]
             c = lanes.argmax(axis=1)
-            hit = c < width * m
-            at = hit.nonzero()[0]
-            if at.size:
-                l, j = np.divmod(c[at], m)
-                flip(at, rows[at, l], j)
             # past the flip at lane c, or past the window at c = width * m, up
             # to the certificate: that covers every coordinate against this
-            # state, so no window has a flip beyond it
-            pos -= col
-            pos += c + hit
-            np.minimum(pos, lim, out=pos)
-            lim[at] = pos[at] + nm
-            # N*m rejections in a row, all against one state: a local optimum
-            done = (pos == lim).nonzero()[0]
-            if done.size:
+            # state, so no window has a flip beyond it.  N*m rejections in a
+            # row, all against one state, are a local optimum.
+            if scalar:
+                # window row l of cursor row i is (i + l) mod N, the table's
+                # entry, so a flip's row needs no gather
+                at, fr, fc, done = [], [], [], False
+                for h, ch in enumerate(c.tolist()):
+                    hit = ch < wm
+                    p = pl[h] - col[h] + ch + hit
+                    pl[h] = p = p if p < ll[h] else ll[h]
+                    if hit:
+                        l, j = divmod(ch, m)
+                        at.append(h)
+                        fr.append((row[h] + l) % n)
+                        fc.append(j)
+                        ll[h] = p + nm
+                    elif p == ll[h]:
+                        done = True
+                if at:
+                    flip(np.array(at), np.array(fr), np.array(fc))
+            else:
+                hit = c < wm
+                at = hit.nonzero()[0]
+                if at.size:
+                    l, j = np.divmod(c[at], m)
+                    flip(at, rows[at, l], j)
+                pos -= col
+                pos += c + hit
+                np.minimum(pos, lim, out=pos)
+                lim[at] = pos[at] + nm
+                done = (pos == lim).any()
+            if done:
                 break
+        if scalar:
+            pos, lim = np.array(pl, dtype=np.intp), np.array(ll, dtype=np.intp)
+        done = (pos == lim).nonzero()[0]
         finished = ids[done]
         finals[finished] = block.x[done]
         ends[finished] = pos[done]
@@ -343,8 +393,9 @@ def coordinate_exchange(start: Design, prior: Prior) -> tuple[Design, float, int
     have been rejected.  Returns (design, qb, sweeps), sweeps counting the
     sweeps begun: the same count as scanning on to the end of the first
     sweep that accepts nothing.  This is the lockstep kernel run on a block
-    of one; the tests' exact_state oracle checks the t_k of every accepted
-    flip against S_k counted from scratch before and after it.
+    of one, so its cursor is a Python int throughout (see SCALAR_CURSORS);
+    the tests' exact_state oracle checks the t_k of every accepted flip
+    against S_k counted from scratch before and after it.
     """
     [(entries, qb, sweeps, _)] = _exchange(start.entries[None].copy(), prior)
     return Design(entries), qb, sweeps

@@ -2,6 +2,7 @@ import functools
 import io
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,8 @@ def watch_exact_state(monkeypatch):
         return delta, t
 
     def checked_flip(block, at, rows, cols):
+        # flip takes arrays, whichever path keeps the cursors
+        assert all(isinstance(a, np.ndarray) for a in (at, rows, cols))
         kraw = krawtchouk_table(block.m, block.k_max, block.n)[1:]
         before = krawtchouk_sums(block.x[at].astype(np.int64), kraw)
         flip(block, at, rows, cols)
@@ -88,6 +91,39 @@ def exact_state(monkeypatch):
 
 def full_factorial(m):
     return Design(np.array(list(itertools.product((-1, 1), repeat=m))))
+
+
+def paley_hadamard(q):
+    """The Paley Hadamard matrix of order q + 1, for a prime q = 3 (mod 4),
+    with every row signed so that its first column is all +1.
+
+    It is I + S for the skew matrix S whose first row is (0, 1, ..., 1),
+    first column (0, -1, ..., -1), and whose entry (i, j) below them is the
+    quadratic character of j - i mod q (Paley, J. Math. Phys. 12 (1933)).
+    """
+    chi = [0] + [1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)]
+    s = np.zeros((q + 1, q + 1), dtype=np.int64)
+    s[0, 1:] = 1
+    s[1:, 0] = -1
+    s[1:, 1:] = [[chi[(j - i) % q] for j in range(q)] for i in range(q)]
+    h = s + np.eye(q + 1, dtype=np.int64)
+    return h * h[:, :1]
+
+
+def lin_supersaturated(q):
+    """Lin's supersaturated design (Technometrics 35 (1993)): the rows of
+    paley_hadamard(q) whose column 1 is +1, without columns 0 and 1, so
+    (q + 1) / 2 runs and q - 1 factors."""
+    h = paley_hadamard(q)
+    return Design(h[h[:, 1] == 1][:, 2:])
+
+
+def es2_bound(n, m):
+    """The least S_2, the sum of s_ij^2 over column pairs, of a level-balanced
+    n x m design: N^2 m (m - N + 1) / (2 (N - 1)), from the E(s^2) bound of
+    Nguyen (Technometrics 38 (1996)) and Tang & Wu (Canad. J. Statist. 25
+    (1997)).  It binds only among level-balanced designs."""
+    return Fraction(n * n * m * (m - n + 1), 2 * (n - 1))
 
 
 def random_designs(count, seed, n_lo=4, n_hi=12, m_lo=2, m_hi=7):

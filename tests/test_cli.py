@@ -33,6 +33,9 @@ FROZEN_OPTIMIZE = {
     # the first-order benchmark's call shape: one block of ten, whose set of
     # running restarts is set up anew eight times
     "12x14-r10": "--runs 12 --factors 14 --pi1 0.1 --restarts 10 --seed 10",
+    # a block of one: its cursor is a Python int throughout, and its windows
+    # are as wide as the design
+    "24x7-order2-r1": "--runs 24 --factors 7 --order 2 --pi1 0.8 --pi2 0.5 --restarts 1 --seed 7",
 }
 
 

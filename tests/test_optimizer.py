@@ -37,6 +37,22 @@ from conftest import (
 SECOND = ModelOrder.SECOND_ORDER
 
 
+@pytest.fixture
+def cursor_paths(monkeypatch):
+    """Call it and iterate: each pass runs with every set of running restarts
+    on one path of _exchange's cursor bookkeeping, arrays (the cut at 0)
+    and then Python ints (the cut at RESTARTS_PER_BLOCK, no smaller than
+    any block)."""
+    every = optimizer.RESTARTS_PER_BLOCK
+
+    def paths():
+        for path, cut in (("arrays", 0), ("ints", every)):
+            monkeypatch.setattr(optimizer, "SCALAR_CURSORS", cut)
+            yield path
+
+    return paths
+
+
 def full_recompute_delta(d, i, j, prior):
     flipped = d.entries.copy()
     flipped[i, j] = -flipped[i, j]
@@ -419,47 +435,53 @@ class TestLockstep:
     """The lockstep kernel against one-restart-at-a-time serial scans."""
 
     @staticmethod
-    def check_every_window(monkeypatch, cfg):
+    def check_every_window(monkeypatch, cursor_paths, cfg):
         # WINDOW_WORK = 0 scores one row per restart and 2**62 every row of
         # the idle slots, up to N; blocks of 1, 3 and 7 leave fewer slots idle
         expected = cached_oracle(cfg)
-        for work in (0, optimizer.WINDOW_WORK, 2**62):
-            monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
-            for per_block in (1, 3, 7, 64):
-                monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
-                got = []
-                for lo in range(0, cfg.restarts, per_block):
-                    hi = min(lo + per_block, cfg.restarts)
-                    stats, finals = optimizer._run_block(cfg, lo, hi)
-                    got += zip(finals, stats)
-                for (x0, qb0, sw0), ((x, _), st) in zip(expected, got, strict=True):
-                    assert np.array_equal(x, x0)
-                    assert (st.qb, st.sweeps) == (qb0, sw0)
-            assert_matches_oracle(multi_restart(cfg), expected)
+        for _ in cursor_paths():
+            for work in (0, optimizer.WINDOW_WORK, 2**62):
+                monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
+                for per_block in (1, 3, 7, 64):
+                    monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
+                    got = []
+                    for lo in range(0, cfg.restarts, per_block):
+                        hi = min(lo + per_block, cfg.restarts)
+                        stats, finals = optimizer._run_block(cfg, lo, hi)
+                        got += zip(finals, stats)
+                    for (x0, qb0, sw0), ((x, _), st) in zip(expected, got, strict=True):
+                        assert np.array_equal(x, x0)
+                        assert (st.qb, st.sweeps) == (qb0, sw0)
+                assert_matches_oracle(multi_restart(cfg), expected)
 
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES)
-    def test_matches_serial_oracle(self, monkeypatch, n, m, prior):
+    def test_matches_serial_oracle(self, monkeypatch, cursor_paths, n, m, prior):
         cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=9, seed=13)
-        self.check_every_window(monkeypatch, cfg)
+        self.check_every_window(monkeypatch, cursor_paths, cfg)
 
     @pytest.mark.parametrize("n, m, prior, restarts", WINDOW_SHAPES)
-    def test_every_window_matches_serial_oracle(self, monkeypatch, n, m, prior, restarts):
+    def test_every_window_matches_serial_oracle(
+        self, monkeypatch, cursor_paths, n, m, prior, restarts
+    ):
         cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=restarts, seed=13)
-        self.check_every_window(monkeypatch, cfg)
+        self.check_every_window(monkeypatch, cursor_paths, cfg)
 
     @pytest.mark.parametrize("per_block", [1, 3, 7, 64])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_blocks_and_workers(self, monkeypatch, per_block, threads):
+    def test_blocks_and_workers(self, monkeypatch, cursor_paths, per_block, threads):
         monkeypatch.setattr(optimizer, "RESTARTS_PER_BLOCK", per_block)
-        for cfg in (
-            OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=10, seed=2),
-            OptimizerConfig(runs=24, factors=7, prior=Prior(0.8, 0.5, SECOND), restarts=8, seed=5),
-        ):
-            blocks = []
-            res = multi_restart(cfg, threads=threads, on_block=blocks.append)
-            assert_matches_oracle(res, cached_oracle(cfg))
-            assert all(0 < len(b) <= per_block for b in blocks)
-            assert tuple(st for b in blocks for st in b) == res.restart_log
+        for _ in cursor_paths():
+            for cfg in (
+                OptimizerConfig(runs=12, factors=14, prior=Prior(0.1), restarts=10, seed=2),
+                OptimizerConfig(
+                    runs=24, factors=7, prior=Prior(0.8, 0.5, SECOND), restarts=8, seed=5
+                ),
+            ):
+                blocks = []
+                res = multi_restart(cfg, threads=threads, on_block=blocks.append)
+                assert_matches_oracle(res, cached_oracle(cfg))
+                assert all(0 < len(b) <= per_block for b in blocks)
+                assert tuple(st for b in blocks for st in b) == res.restart_log
 
     @pytest.mark.parametrize("per_block", [1, 3, 64])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -565,7 +587,7 @@ def consumed_rows(events):
 class TestCertifiedStop:
     """A restart stops once N*m coordinates in a row have been rejected."""
 
-    def test_rows_scored_end_at_the_certificate(self, monkeypatch):
+    def test_rows_scored_end_at_the_certificate(self, monkeypatch, cursor_paths):
         events = []
         row_deltas, flip = optimizer._Block.row_deltas, optimizer._Block.flip
 
@@ -579,29 +601,30 @@ class TestCertifiedStop:
 
         monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
         monkeypatch.setattr(optimizer._Block, "flip", flipped)
-        for work in (0, optimizer.WINDOW_WORK):
-            monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
-            tails = windows = 0
-            for n, m, prior in LOCKSTEP_SHAPES:
-                cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
-                for x in restart_starts(cfg):
-                    events.clear()
-                    _, _, sweeps = serial_coordinate_exchange(Design(x), prior)
-                    rows, certified_sweeps = certified_rows(consumed_rows(events), n, m)
-                    full_scan = len(events) - sum(kind == "flip" for kind, _, _ in events)
-                    events.clear()
-                    assert coordinate_exchange(Design(x), prior)[2] == sweeps == certified_sweeps
-                    # the rows the cursor consumes up to the certificate are the
-                    # serial scan's, in at most as many calls
-                    iterations = sum(kind == "rows" for kind, _, _ in events)
-                    assert certified_rows(consumed_rows(events), n, m)[0] == rows
-                    assert iterations <= rows
-                    tails += rows < full_scan
-                    windows += iterations < rows
-            # most restarts certify before the end of their last sweep
-            assert tails > len(LOCKSTEP_SHAPES)
-            # a restart alone scores lookahead rows unless WINDOW_WORK forbids it
-            assert (windows > 0) == (work > 0)
+        for _ in cursor_paths():
+            for work in (0, optimizer.WINDOW_WORK):
+                monkeypatch.setattr(optimizer, "WINDOW_WORK", work)
+                tails = windows = 0
+                for n, m, prior in LOCKSTEP_SHAPES:
+                    cfg = OptimizerConfig(runs=n, factors=m, prior=prior, restarts=3, seed=13)
+                    for x in restart_starts(cfg):
+                        events.clear()
+                        _, _, sweeps = serial_coordinate_exchange(Design(x), prior)
+                        rows, certified_sweeps = certified_rows(consumed_rows(events), n, m)
+                        full_scan = len(events) - sum(kind == "flip" for kind, _, _ in events)
+                        events.clear()
+                        assert coordinate_exchange(Design(x), prior)[2] == sweeps == certified_sweeps
+                        # the rows the cursor consumes up to the certificate are the
+                        # serial scan's, in at most as many calls
+                        iterations = sum(kind == "rows" for kind, _, _ in events)
+                        assert certified_rows(consumed_rows(events), n, m)[0] == rows
+                        assert iterations <= rows
+                        tails += rows < full_scan
+                        windows += iterations < rows
+                # most restarts certify before the end of their last sweep
+                assert tails > len(LOCKSTEP_SHAPES)
+                # a restart alone scores lookahead rows unless WINDOW_WORK forbids it
+                assert (windows > 0) == (work > 0)
 
 
 class TestBlockBudget:
@@ -715,15 +738,18 @@ class TestBlockBudget:
 
 class TestExactState:
     """The exact_state oracle: at every accepted flip, each flipped restart's
-    4 t_k equals the change of S_k, counted from scratch before and after."""
+    4 t_k equals the change of S_k, counted from scratch before and after,
+    with the cursors on either path."""
 
-    def test_coordinate_exchange(self, exact_state):
-        best, qb, _ = coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
-        assert exact_state and set(exact_state) == {0}
-        assert qb == qb_from_word_counts(word_counts(best), Prior(0.4), 4)
+    def test_coordinate_exchange(self, exact_state, cursor_paths):
+        for _ in cursor_paths():
+            exact_state.clear()
+            best, qb, _ = coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
+            assert exact_state and set(exact_state) == {0}
+            assert qb == qb_from_word_counts(word_counts(best), Prior(0.4), 4)
 
     @pytest.mark.parametrize("work", [0, optimizer.WINDOW_WORK])
-    def test_exchange_in_windows(self, monkeypatch, exact_state, work):
+    def test_exchange_in_windows(self, monkeypatch, exact_state, cursor_paths, work):
         # one row per restart, then the default lookahead windows
         widths = set()
         row_deltas = optimizer._Block.row_deltas
@@ -737,19 +763,24 @@ class TestExactState:
         prior = Prior(0.7, 0.4, SECOND)
         cfg = OptimizerConfig(runs=10, factors=5, prior=prior, restarts=6, seed=19)
         starts = np.stack(restart_starts(cfg))
-        assert len(optimizer._exchange(starts, prior)) == len(starts)
-        assert len(exact_state) > len(starts)
-        assert (max(widths) > 1) == (work > 0)
+        for _ in cursor_paths():
+            exact_state.clear()
+            widths.clear()
+            assert len(optimizer._exchange(starts, prior)) == len(starts)
+            assert len(exact_state) > len(starts)
+            assert (max(widths) > 1) == (work > 0)
 
-    def test_multi_restart_of_several_blocks(self, monkeypatch, exact_state):
+    def test_multi_restart_of_several_blocks(self, monkeypatch, exact_state, cursor_paths):
         monkeypatch.setattr(optimizer, "BLOCK_BYTES", 3 * 8 * 12 * (12 + 2 * 14 + 1))
-        blocks = []
         cfg = OptimizerConfig(12, 14, Prior(0.1), restarts=10, seed=2)
-        multi_restart(cfg, on_block=blocks.append)
-        assert [len(b) for b in blocks] == [3, 3, 3, 1]
-        assert set(exact_state) == {0, 1, 2}
+        for _ in cursor_paths():
+            exact_state.clear()
+            blocks = []
+            multi_restart(cfg, on_block=blocks.append)
+            assert [len(b) for b in blocks] == [3, 3, 3, 1]
+            assert set(exact_state) == {0, 1, 2}
 
-    def test_oracle_reports_a_broken_state(self, monkeypatch):
+    def test_oracle_reports_a_broken_state(self, monkeypatch, cursor_paths):
         row_deltas, flip = optimizer._Block.row_deltas, optimizer._Block.flip
 
         def terms_off_by_one(block, rows):
@@ -761,12 +792,13 @@ class TestExactState:
             # the right terms, for another coordinate than the one flipped
             flip(block, at, rows, (cols + 1) % block.m)
 
-        for name, broken in (("row_deltas", terms_off_by_one), ("flip", next_column)):
-            with monkeypatch.context() as patch:
-                patch.setattr(optimizer._Block, name, broken)
-                watch_exact_state(patch)
-                with pytest.raises(AssertionError):
-                    coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
+        for _ in cursor_paths():
+            for name, broken in (("row_deltas", terms_off_by_one), ("flip", next_column)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(optimizer._Block, name, broken)
+                    watch_exact_state(patch)
+                    with pytest.raises(AssertionError):
+                        coordinate_exchange(random_design(8, 4, seed=17), Prior(0.4))
 
 
 class TestSecondOrderBenchmark:

@@ -14,6 +14,8 @@ from qbdesign.theory import (
 )
 from qbdesign.wordcounts import word_counts
 
+from conftest import enumerated_word_counts, es2_bound, lin_supersaturated, paley_hadamard
+
 
 class TestBalanceIntervals:
     def test_n14_m12(self):
@@ -167,3 +169,22 @@ class TestVerifyBlockPattern:
         d = Design(np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]]))
         with pytest.raises(BadCongruenceError):
             verify_block_pattern(d)
+
+
+class TestSupersaturatedCertificates:
+    """Designs the tests build from no data, whose S_2 is the least a
+    level-balanced design can have: certificates for the search at first
+    order."""
+
+    @pytest.mark.parametrize("q, s2", [(11, 180), (19, 900), (23, 1584)])
+    def test_lin_designs_meet_the_es2_bound(self, q, s2):
+        h = paley_hadamard(q)
+        assert np.array_equal(h @ h.T, (q + 1) * np.eye(q + 1, dtype=np.int64))
+        assert (h[:, 0] == 1).all()
+        d = lin_supersaturated(q)
+        n, m = d.runs, d.factors
+        assert (n, m) == ((q + 1) // 2, q - 1)
+        assert not d.column_sums().any()
+        # S_2 by the package's kernel and by enumerating column pairs
+        assert word_counts(d, 2).s_k[1] == enumerated_word_counts(d.entries, 2)[1] == s2
+        assert es2_bound(n, m) == s2
