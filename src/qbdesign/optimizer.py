@@ -20,24 +20,46 @@ sg_r = x_ij * x_rj = +-1 (0 for r = i).  So
 with t_k an integer, scored from the design alone.  With the
 difference tables U = Dp - Dm and V = Dp + Dm, where Dp(d) = K_k(d + 1) -
 K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
-2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d).  A block holds its designs in
-float64 with a trailing column of ones, so x_i . x_r + 1 = m + 1 - 2 d_ir
-is one BLAS matmul from the design and indexes one table of [U | V] / 4.
-A second matmul of the rows read from it against the ones-extended
-designs gives sum_r U x_rj in the first m columns and sum_r V in the ones
-column: t_k for all m flips of a row and every k, in O(N m k_max), less
-the run itself (d = 0, sg = +1).  The table is scaled by 1/4 and the QB
-weights by 4, both powers of two, so t_k comes out as the exact integer
-and each flip's sum s is the same float as 4 (w_1 t_1 + w_2 t_2 + ...)
-summed left to right: N^2 times its QB change, undivided.  The sums are
+2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d), so 4 t_k is x_ij sum_r U x_rj
++ sum_r V over every run, less the run itself (d = 0, sg = +1).  A block
+holds its designs in float64 with a trailing column of ones and scores a
+row's m flips for every k in O(N m k_max) by one of two kernels, chosen
+by k_max; both end in one BLAS matmul against the ones-extended designs.
+
+Up to k = 2 (every first-order search, and second order at m <= 2) the
+differences are linear in the inner product g_r = x_i . x_r = m - 2 d_ir:
+K_1 = g and K_2 = (g^2 - m) / 2, so [U_1, U_2, V_1, V_2] / 4 = [-1, -g,
+0, 1].  (At d = 0 and d = m the table has 0 for the step that leaves
+0..m, but sg never takes that step, so the polynomial's value serves.)
+With c_j = sum_r x_rj that gives
+
+    t_1 = 1 - x_ij c_j,    t_2 = N + m - 1 - x_ij (X'g)_j,
+
+and the moment kernel makes it in two matmuls: one writes g into row 1
+of an operand [1; g] whose row 0 is ones, and one multiplies that by the
+ones-extended designs, giving c_j and (X'g)_j for every j.  Its partial
+sums are integers no larger than N m, the size of the design itself, so
+float64 holds them exactly and the kernel needs no refusal.  Past k = 2
+the moment form would need g^2, g^3 and coefficients with denominators
+of 3, a few more passes, so the table kernel reads the differences from
+a table instead: x_i . x_r + 1 = m + 1 - 2 d_ir, one matmul on the
+ones-extended rows, indexes a table of [U | V] / 4, and the matmul of the
+rows read from it gives sum_r U x_rj in the first m columns and sum_r V
+in the ones column.  The table is scaled by 1/4 and the QB weights by 4,
+both powers of two, so t_k comes out as the exact integer and each
+flip's sum s is the same float as 4 (w_1 t_1 + w_2 t_2 + ...) summed left
+to right: N^2 times its QB change, undivided.  The table's sums are
 exact, as a block refuses a table whose partial sums could reach 2^53
 (at the int64 check's largest m, N = 2, they stay under 0.29 * 2^53).
 A flip improves when s / N^2 < -IMPROVE_TOL, which holds exactly when
 s <= thr (see _improve_threshold): the search divides nothing, and
-qb_delta makes the one division.  No decision reads S_k itself, so the
-designs are the whole state: a block counts the word counts of its final
-designs once, in one krawtchouk_sums with the Krawtchouk table of its
-[U | V], and each QB is qb_from_word_counts of those exact integers.
+qb_delta makes the one division.  A flip negates its entry of xo by the
+entry's flat index, (restart N + row) (m + 1) + column: an iteration's
+flips, at most one per restart, are one fancy get and set.  No decision
+reads S_k itself, so the designs are the whole state: a block counts the
+word counts of its final designs once, in one krawtchouk_sums with the
+Krawtchouk table it built at the start, and each QB is
+qb_from_word_counts of those exact integers.
 
 Restarts run in lockstep.  A block of at most RESTARTS_PER_BLOCK restarts,
 whose final count fits BLOCK_BYTES, stacks the designs along a leading
@@ -61,8 +83,9 @@ so an iteration's bookkeeping is a few array passes, none larger than the
 window.  Those passes cost about as much for one running restart as for
 many, so a set of at most SCALAR_CURSORS restarts (a small block, a
 block's tail and coordinate_exchange's block of one) keeps its cursors as
-Python ints and advances them in one loop over the argmax lanes, which
-costs per restart; larger sets keep the arrays.  Both read the same rows
+Python ints and advances them, and works out the flips' flat indices, in
+one loop over the argmax lanes, which costs per restart; larger sets keep
+the arrays.  Both read the same rows
 and lanes and make the same flips.  No quantity mixes restarts,
 and every decision rests on integer t_k and on the same float expression
 per restart, so the results do not depend on the block size, the window
@@ -150,12 +173,13 @@ class _Block:
 
     xo is float64 (R, N, m + 1), the designs with a trailing column of ones,
     and x its (R, N, m) view, owned by the block; the views of xo that
-    row_deltas reads are made at build and again in keep, and its matmul
-    output buffer is kept while the rows' shape holds.  kraw, the int64
-    table of K_1..K_kmax, gives [U | V] and the final word counts.  A flip
-    whose row-delta sum s has s <= thr lowers QB by more than IMPROVE_TOL.
-    row_deltas and flip are the package's one row-delta and one flip;
-    qb_delta and coordinate_exchange run a block of one.
+    row_deltas and flip read are made at build and again in keep, and the
+    kernel's matmul buffers are kept while the rows' shape holds.  kraw,
+    the int64 table of K_1..K_kmax, gives the final word counts and, past
+    k_max = 2, [U | V]; _uv is None when the block runs the moment kernel.
+    A flip whose row-delta sum s has s <= thr lowers QB by more than
+    IMPROVE_TOL.  row_deltas and flip are the package's one row-delta and
+    one flip; qb_delta and coordinate_exchange run a block of one.
     """
 
     def __init__(self, x: np.ndarray, prior: Prior):
@@ -167,34 +191,42 @@ class _Block:
         self.kraw = krawtchouk_table(self.m, self.k_max, self.n)[1:]
         self.xo = np.ones((r, self.n, self.m + 1))
         self.xo[..., :-1] = x
-        # Dp(d) = K(d + 1) - K(d) = z[d + 1] and Dm(d) = K(d - 1) - K(d) =
-        # -z[d], 0 where the step leaves 0..m, as U = Dp - Dm and V = Dp + Dm
-        # side by side
-        z = np.zeros((self.k_max, self.m + 2), dtype=np.int64)
-        z[:, 1:-1] = self.kraw[:, 1:] - self.kraw[:, :-1]
-        uv = np.concatenate([z[:, 1:] + z[:, :-1], z[:, 1:] - z[:, :-1]]).T
-        # row_deltas sums these in float64: exact while its partial sums, at
-        # most 2 (N + 1) max |U|, |V|, stay below 2^53
-        if 2 * (self.n + 1) * int(np.abs(uv).max()) >= 2**53:
-            raise TooLargeError(f"row deltas of a {self.n}x{self.m} design pass exact float64")
-        # [U | V] / 4 at distance d in row m + 1 - 2d of 2m + 2, the value of
-        # x_i . x_r + 1 on the ones-extended rows; take reads the negative
-        # ones from the end.  The scalings by 1/4 here and 4 in the weights
-        # are powers of two, so every sum is exact or rounds as unscaled.
-        self._uv = np.zeros((2 * self.m + 2, 2 * self.k_max))
-        self._uv[self.m + 1 - 2 * np.arange(self.m + 1)] = uv * 0.25
-        # the run itself, U(0) + V(0) = 2 Dp(0), over 4
-        self._own = 0.5 * z[:, 1:2, None]
         self._w4 = 4.0 * np.array(weights)[:, None, None, None]
         self.thr = _improve_threshold(self.n * self.n)
         self._out = None
+        if self.k_max <= 2:
+            # the moment kernel's t = [1, N + m - 1] - x_ij a
+            self._uv = None
+            self._t0 = np.array([1.0, self.n + self.m - 1])[: self.k_max, None, None, None]
+        else:
+            # Dp(d) = K(d + 1) - K(d) = z[d + 1] and Dm(d) = K(d - 1) - K(d)
+            # = -z[d], 0 where the step leaves 0..m, as U = Dp - Dm and V =
+            # Dp + Dm side by side
+            z = np.zeros((self.k_max, self.m + 2), dtype=np.int64)
+            z[:, 1:-1] = self.kraw[:, 1:] - self.kraw[:, :-1]
+            uv = np.concatenate([z[:, 1:] + z[:, :-1], z[:, 1:] - z[:, :-1]]).T
+            # the table kernel sums these in float64: exact while its partial
+            # sums, at most 2 (N + 1) max |U|, |V|, stay below 2^53
+            if 2 * (self.n + 1) * int(np.abs(uv).max()) >= 2**53:
+                raise TooLargeError(f"row deltas of a {self.n}x{self.m} design pass exact float64")
+            # [U | V] / 4 at distance d in row m + 1 - 2d of 2m + 2, the value
+            # of x_i . x_r + 1 on the ones-extended rows; take reads the
+            # negative ones from the end.  The scalings by 1/4 here and 4 in
+            # the weights are powers of two, so every sum is exact or rounds
+            # as unscaled.
+            self._uv = np.zeros((2 * self.m + 2, 2 * self.k_max))
+            self._uv[self.m + 1 - 2 * np.arange(self.m + 1)] = uv * 0.25
+            # the run itself, U(0) + V(0) = 2 Dp(0), over 4
+            self._own = 0.5 * z[:, 1:2, None]
         self._views()
 
     def _views(self) -> None:
         """The views of xo that row_deltas reads, made again when xo is replaced."""
         self._at = np.arange(len(self.xo))[:, None]
-        self._xt = self.xo.swapaxes(1, 2)
+        # the moment kernel's g leaves the ones column out, the table's index keeps it
+        self._xt = (self.x if self._uv is None else self.xo).swapaxes(1, 2)
         self._xo1 = self.xo[:, None]
+        self._xf = self.xo.reshape(-1)
 
     @property
     def x(self) -> np.ndarray:
@@ -208,37 +240,53 @@ class _Block:
         + w_2 t_2 + ...), the QB change of flipping (rows[r, l], j) in
         restart r times N^2, undivided, and t[k - 1, r, l, j] = (S_k' -
         S_k) / 4 the integer behind it.  t is (k_max, R, L, m + 1), as the
-        kernel lays it out; its last column, the ones column's, is no flip.
+        kernels lay it out; its last column, the ones column's, is no flip.
         """
         k = self.k_max
         xi = self.xo[self._at, rows]
-        # [U | V] / 4 at the rows' distances to every run, (R, L, N, 2k)
-        uv = self._uv.take((xi @ self._xt).astype(np.intp), axis=0)
-        # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = x_ij x_rj = +-1.
-        # Summed over the runs r it is one float64 matmul per row, exact on
-        # these quarter integers: sum_r U x_rj in the first m columns and
-        # sum_r V in the ones column, laid out k-major so that each pass
-        # below runs over long contiguous rows.  The run itself (d = 0,
-        # sg = +1), whose distance does not move, is taken back out.  The
-        # (2k, R, L, m + 1) output and its views live while the window's
-        # shape holds; t and s are new arrays, so no caller sees them.
+        # Each kernel ends in one float64 matmul per row against the
+        # ones-extended designs, laid out k-major so that each pass below runs
+        # over long contiguous rows: a[k - 1] in the first m columns is what
+        # multiplies x_ij in t_k.  The (R, L, k or 2k, m + 1) output, its
+        # views and the moment kernel's (R, L, k, N) operand live while the
+        # window's shape holds; t and s are new arrays, so no caller sees them.
         if self._out is None or self._out[0].shape[:2] != rows.shape:
             self._out = None  # freed before its successor is allocated
-            a = np.empty((2 * k,) + xi.shape)
-            self._out = a.transpose(1, 2, 0, 3), a[:k], a[k:, ..., -1]
-        out, u, v = self._out
-        np.matmul(uv.swapaxes(-1, -2), self._xo1, out=out)
-        t = u * xi
-        t += (v - self._own)[..., None]
+            if self._uv is None:
+                a = np.empty((k,) + xi.shape)
+                self._out = a.transpose(1, 2, 0, 3), a, np.ones(rows.shape + (k, self.n))
+            else:
+                a = np.empty((2 * k,) + xi.shape)
+                self._out = a.transpose(1, 2, 0, 3), a[:k], a[k:, ..., -1]
+        out, a, b = self._out
+        if self._uv is None:
+            # b is [1; g] per row, so a holds c_j and (X'g)_j (see the module docstring)
+            if k > 1:
+                np.matmul(xi[..., :-1], self._xt, out=b[..., 1, :])
+            np.matmul(b, self._xo1, out=out)
+            t = a * xi
+            np.subtract(self._t0, t, out=t)
+        else:
+            # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = x_ij x_rj = +-1,
+            # with [U | V] / 4 read at the rows' distances to every run, (R,
+            # L, N, 2k): sum_r U x_rj in the first m columns of a and sum_r V
+            # in b, the ones column, exact on these quarter integers.  The
+            # run itself (d = 0, sg = +1), whose distance does not move, is
+            # taken back out.
+            uv = self._uv.take((xi @ self._xt).astype(np.intp), axis=0)
+            np.matmul(uv.swapaxes(-1, -2), self._xo1, out=out)
+            t = a * xi
+            t += (b - self._own)[..., None]
         # 4 w_1 t_1 + 4 w_2 t_2 + ... left to right (add.reduce over the
         # outer axis), so each sum is the same float a per-coordinate sum
         # would give; column m, the ones column, is left out
         s = np.add.reduce(t * self._w4, axis=0)
         return s[..., :-1], t
 
-    def flip(self, at: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Sign-switch entry (rows[h], cols[h]) of restart at[h], for every h."""
-        np.negative.at(self.xo, (at, rows, cols))
+    def flip(self, flat: np.ndarray) -> None:
+        """Sign-switch the entries of xo at the distinct flat indices flat."""
+        xf = self._xf
+        xf[flat] = -xf[flat]
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the restarts where mask is False."""
@@ -314,7 +362,7 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         scored, first, lanes = improving[:, :width], improving[:, 0], improving.reshape(r, -1)
         wm = width * m
         # bound here, from the block, so that methods patched on _Block see every call
-        row_deltas, flip, thr = block.row_deltas, block.flip, block.thr
+        row_deltas, flip, thr, shape = block.row_deltas, block.flip, block.thr, block.xo.shape
         # few running restarts keep their cursors as Python ints (see SCALAR_CURSORS)
         scalar = r <= SCALAR_CURSORS
         if scalar:
@@ -341,28 +389,26 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
             # row, all against one state, are a local optimum.
             if scalar:
                 # window row l of cursor row i is (i + l) mod N, the table's
-                # entry, so a flip's row needs no gather
-                at, fr, fc, done = [], [], [], False
+                # entry, so a flip's flat index in xo needs no gather
+                flat, done = [], False
                 for h, ch in enumerate(c.tolist()):
                     hit = ch < wm
                     p = pl[h] - col[h] + ch + hit
                     pl[h] = p = p if p < ll[h] else ll[h]
                     if hit:
                         l, j = divmod(ch, m)
-                        at.append(h)
-                        fr.append((row[h] + l) % n)
-                        fc.append(j)
+                        flat.append((h * n + (row[h] + l) % n) * (m + 1) + j)
                         ll[h] = p + nm
                     elif p == ll[h]:
                         done = True
-                if at:
-                    flip(np.array(at), np.array(fr), np.array(fc))
+                if flat:
+                    flip(np.array(flat))
             else:
                 hit = c < wm
                 at = hit.nonzero()[0]
                 if at.size:
                     l, j = np.divmod(c[at], m)
-                    flip(at, rows[at, l], j)
+                    flip(np.ravel_multi_index((at, rows[at, l], j), shape))
                 pos -= col
                 pos += c + hit
                 np.minimum(pos, lim, out=pos)

@@ -120,12 +120,6 @@ def verify_block_pattern(d: Design) -> PatternReport:
     return _pattern_from_info(a)
 
 
-def verify_block_pattern_xtx(a: np.ndarray, n_runs: int) -> PatternReport:
-    """Same check applied directly to a first-order X'X matrix."""
-    _require_n_mod_4(n_runs)
-    return _pattern_from_info(np.asarray(a))
-
-
 def _pattern_from_info(a: np.ndarray) -> PatternReport:
     m = a.shape[0] - 1
     col_sums = a[0, 1:]

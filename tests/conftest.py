@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbdesign import cli, csvcells
+from qbdesign import cli, csvcells, theory
 from qbdesign.criteria import (
     RCOND_SINGULAR,
     Prior,
@@ -54,26 +54,32 @@ def watch_exact_state(monkeypatch):
     _Block.row_deltas and _Block.flip are now: at every accepted flip, 4 x
     the t that the last row_deltas gave that coordinate must equal
     krawtchouk_sums after the flip minus krawtchouk_sums before it, both
-    counted from scratch.  The list it returns grows by the restarts each
-    flip flipped."""
+    counted from scratch, and its sum must have passed the threshold.  The
+    list it returns grows by the restarts each flip flipped."""
     checked = []
     row_deltas, flip = _Block.row_deltas, _Block.flip
 
     def scored(block, rows):
         delta, t = row_deltas(block, rows)
-        block.scored = rows, t
+        block.scored = rows, delta, t
         return delta, t
 
-    def checked_flip(block, at, rows, cols):
-        # flip takes arrays, whichever path keeps the cursors
-        assert all(isinstance(a, np.ndarray) for a in (at, rows, cols))
+    def checked_flip(block, flat):
+        # each flat index of xo, decoded to (restart, row, column), is inside
+        # a real run and never in the ones column, one per flipped restart
+        at, rest = np.divmod(np.asarray(flat), block.n * (block.m + 1))
+        rows, cols = np.divmod(rest, block.m + 1)
+        assert at.ndim == 1 and at.size and (at >= 0).all() and (at < len(block.xo)).all()
+        assert (cols < block.m).all() and len(set(at.tolist())) == len(at)
         kraw = krawtchouk_table(block.m, block.k_max, block.n)[1:]
         before = krawtchouk_sums(block.x[at].astype(np.int64), kraw)
-        flip(block, at, rows, cols)
+        flip(block, flat)
         after = krawtchouk_sums(block.x[at].astype(np.int64), kraw)
-        # each flip's row is in its restart's window once: the window's rows differ
-        window, t = block.scored
+        # each flip's row is in its restart's window once: the window's rows
+        # differ; the flip was scored as an improving lane
+        window, delta, t = block.scored
         l = (window[at] == rows[:, None]).argmax(axis=1)
+        assert (delta[at, l, cols] <= block.thr).all()
         assert np.array_equal(4 * t[:, at, l, cols].T, after - before)
         checked.extend(at.tolist())
 
@@ -167,8 +173,8 @@ def row_of_one(block, i):
 
 
 def flip_one(block, i, j):
-    """Sign-switch entry (i, j) of a block of one."""
-    block.flip(np.array([0]), np.array([i]), np.array([j]))
+    """Sign-switch entry (i, j) of a block of one, at its flat index in xo."""
+    block.flip(np.array([i * (block.m + 1) + j]))
 
 
 def qb_of_one(block, prior):
@@ -289,6 +295,13 @@ def reference_row_deltas(x, rows, prior, scale=1):
     for k in range(1, len(weights)):
         acc = acc + weights[k] * t[k]
     return 4.0 * acc, t
+
+
+def verify_block_pattern_xtx(a, n_runs):
+    """theory.verify_block_pattern's check applied directly to a first-order
+    X'X matrix, such as a corpus listing or one no design realizes."""
+    theory._require_n_mod_4(n_runs)
+    return theory._pattern_from_info(np.asarray(a))
 
 
 def oracle_restarts(cfg):

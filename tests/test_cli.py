@@ -36,6 +36,9 @@ FROZEN_OPTIMIZE = {
     # a block of one: its cursor is a Python int throughout, and its windows
     # are as wide as the design
     "24x7-order2-r1": "--runs 24 --factors 7 --order 2 --pi1 0.8 --pi2 0.5 --restarts 1 --seed 7",
+    # second-order weights on the moment kernel (k_max = m = 2), at an odd N
+    # where b1 and b2 are both non-zero
+    "7x2-order2": "--runs 7 --factors 2 --order 2 --pi1 0.5 --pi2 0.5 --restarts 20 --seed 3",
 }
 
 

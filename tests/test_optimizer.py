@@ -347,7 +347,8 @@ def assert_matches_oracle(res, expected):
 
 
 # Shapes of the lockstep tests: the benchmark's, the smallest there are, and
-# pi1 = 0 and 1, where every flip or none may tie
+# pi1 = 0 and 1, where every flip or none may tie.  Those with k_max <= 2 (first
+# order, and second order at m <= 2) run the moment kernel, the rest the table.
 LOCKSTEP_SHAPES = [
     (12, 14, Prior(0.1)),
     (24, 7, Prior(0.8, 0.5, SECOND)),
@@ -595,9 +596,10 @@ class TestCertifiedStop:
             events.append(("rows", rows[0].tolist(), None))
             return row_deltas(block, rows)
 
-        def flipped(block, at, rows, cols):
-            events.append(("flip", int(rows[0]), int(cols[0])))
-            flip(block, at, rows, cols)
+        def flipped(block, flat):
+            # a block of one: the flat index is row * (m + 1) + column
+            events.append(("flip", *divmod(int(flat[0]), block.m + 1)))
+            flip(block, flat)
 
         monkeypatch.setattr(optimizer._Block, "row_deltas", scored)
         monkeypatch.setattr(optimizer._Block, "flip", flipped)
@@ -788,9 +790,10 @@ class TestExactState:
             delta, t = row_deltas(block, rows)
             return delta, t + 1
 
-        def next_column(block, at, rows, cols):
+        def next_column(block, flat):
             # the right terms, for another coordinate than the one flipped
-            flip(block, at, rows, (cols + 1) % block.m)
+            runs, cols = np.divmod(np.asarray(flat), block.m + 1)
+            flip(block, runs * (block.m + 1) + (cols + 1) % block.m)
 
         for _ in cursor_paths():
             for name, broken in (("row_deltas", terms_off_by_one), ("flip", next_column)):
@@ -885,7 +888,7 @@ class TestFloatRowDeltas:
         block = optimizer._Block(starts.copy(), prior)
         block.row_deltas(np.zeros((3, 1), dtype=np.intp))
         block.keep(np.array([True, False, True]))
-        block.flip(np.array([1]), np.array([n - 1]), np.array([0]))
+        block.flip(np.array([(1 * n + n - 1) * (m + 1)]))  # (restart 1, row n - 1, column 0)
         kept = starts[[0, 2]]
         kept[1, n - 1, 0] *= -1
         assert np.array_equal(block.x, kept)
@@ -905,8 +908,9 @@ class TestFloatRowDeltas:
 
     def test_refused_past_the_bound_and_exact_below_it(self, monkeypatch):
         # the table scaled by the least factor that reaches 2^53 is refused;
-        # one less is accepted, and every delta is still exact
-        n, m, prior = 4, 3, Prior(0.3)
+        # one less is accepted, and every delta is still exact.  Only the
+        # table kernel (k_max > 2, here 3) reads a table and has the bound.
+        n, m, prior = 4, 3, Prior(0.3, 0.5, SECOND)
         x = random_design(n, m, seed=1).entries[None].copy()
         top = int(4 * np.abs(optimizer._Block(x.copy(), prior)._uv).max())  # max |U|, |V|
         edge = -(-(2**53) // (2 * (n + 1) * top))
@@ -916,6 +920,18 @@ class TestFloatRowDeltas:
             optimizer._Block(x.copy(), prior)
         monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * (edge - 1))
         self.check_every_width(optimizer._Block(x.copy(), prior), prior, scale=edge - 1)
+
+    @pytest.mark.parametrize("order", [ModelOrder.FIRST_ORDER, SECOND])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+    def test_moment_kernel_exactly_when_k_max_at_most_2(self, order, m):
+        # the moment kernel reads no table and has no bound; either kernel's
+        # rows equal the int64 reference
+        prior = Prior(0.4, 0.6, order)
+        x = np.stack([random_design(6, m, seed=s).entries for s in (1, 2)])
+        block = optimizer._Block(x, prior)
+        assert block.k_max == len(qb_coefficients(prior, m))
+        assert (block._uv is None) == (block.k_max <= 2)
+        self.check_every_width(block, prior)
 
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
     def test_k_sum_is_left_to_right(self, monkeypatch, n, m, prior):

@@ -6,15 +6,16 @@ import pytest
 from qbdesign.design import Design
 from qbdesign.criteria import Prior, qb_from_word_counts
 from qbdesign.errors import BadCongruenceError
-from qbdesign.theory import (
-    balance_intervals,
-    qb_block_value,
-    verify_block_pattern,
-    verify_block_pattern_xtx,
-)
+from qbdesign.theory import balance_intervals, qb_block_value, verify_block_pattern
 from qbdesign.wordcounts import word_counts
 
-from conftest import enumerated_word_counts, es2_bound, lin_supersaturated, paley_hadamard
+from conftest import (
+    enumerated_word_counts,
+    es2_bound,
+    lin_supersaturated,
+    paley_hadamard,
+    verify_block_pattern_xtx,
+)
 
 
 class TestBalanceIntervals:
