@@ -17,40 +17,45 @@ sg_r = x_ij * x_rj = +-1 (0 for r = i).  So
 
     S_k' - S_k = 2 * sum_r [K_k(d_ir + sg_r; m) - K_k(d_ir; m)] = 4 t_k,
 
-with t_k an integer, scored from the design alone.  With the
-difference tables U = Dp - Dm and V = Dp + Dm, where Dp(d) = K_k(d + 1) -
-K_k(d) and Dm(d) = K_k(d - 1) - K_k(d), each term with sg = +-1 is
-2 [K_k(d + sg) - K_k(d)] = U(d) sg + V(d), so 4 t_k is x_ij sum_r U x_rj
-+ sum_r V over every run, less the run itself (d = 0, sg = +1).  A block
-holds its designs in float64 with a trailing column of ones and scores a
-row's m flips for every k in O(N m k_max) by one of two kernels, chosen
-by k_max; both end in one BLAS matmul against the ones-extended designs.
+with t_k an integer, scored from the design alone.  In the inner product
+g_r = x_i . x_r = m - 2 d_ir every step is one polynomial family (the
+Krawtchouk difference identities): with Q_0 = 0 and Q_k(g) = K_{k-1}(d - 1;
+m - 2), so Q_1 = 1, Q_2 = g, Q_3 = (g^2 - m + 2) / 2 and Q_4 = g (g^2 -
+3m + 8) / 6,
 
-Up to k = 2 (every first-order search, and second order at m <= 2) the
-differences are linear in the inner product g_r = x_i . x_r = m - 2 d_ir:
-K_1 = g and K_2 = (g^2 - m) / 2, so [U_1, U_2, V_1, V_2] / 4 = [-1, -g,
-0, 1].  (At d = 0 and d = m the table has 0 for the step that leaves
-0..m, but sg never takes that step, so the polynomial's value serves.)
-With c_j = sum_r x_rj that gives
+    K_k(d + sg) - K_k(d) = 2 [Q_{k-1}(g) - sg Q_k(g)]
+
+for each step sg = +-1 that stays inside 0..m.  Summed over every run, the
+run itself (g = m, sg = +1) taken back out,
+
+    t_k = Q_k(m) - Q_{k-1}(m) + sum_r Q_{k-1}(g_r) - x_ij sum_r Q_k(g_r) x_rj.
+
+A block holds its designs in float64 with a trailing column of ones, so one
+BLAS matmul of the rows [Q_1 .. Q_k](g_r) by the ones-extended designs
+scores a row's m flips for every k in O(N m k_max): it gives sum_r Q_k(g_r)
+x_rj in the first m columns and sum_r Q_k(g_r), which t_{k+1} reads, in the
+ones column (for t_2 it is N Q_1, a constant).  Two kernels, chosen by
+k_max, differ only in how they make those rows.  Up to k = 2 (every
+first-order search, and second order at m <= 2) the moment kernel writes g,
+one matmul of the row by the designs, into row 1 of a kept operand [1; g];
+with the column sums c_j that gives
 
     t_1 = 1 - x_ij c_j,    t_2 = N + m - 1 - x_ij (X'g)_j,
 
-and the moment kernel makes it in two matmuls: one writes g into row 1
-of an operand [1; g] whose row 0 is ones, and one multiplies that by the
-ones-extended designs, giving c_j and (X'g)_j for every j.  Its partial
-sums are integers no larger than N m, the size of the design itself, so
-float64 holds them exactly and the kernel needs no refusal.  Past k = 2
-the moment form would need g^2, g^3 and coefficients with denominators
-of 3, a few more passes, so the table kernel reads the differences from
-a table instead: x_i . x_r + 1 = m + 1 - 2 d_ir, one matmul on the
-ones-extended rows, indexes a table of [U | V] / 4, and the matmul of the
-rows read from it gives sum_r U x_rj in the first m columns and sum_r V
-in the ones column.  The table is scaled by 1/4 and the QB weights by 4,
-both powers of two, so t_k comes out as the exact integer and each
-flip's sum s is the same float as 4 (w_1 t_1 + w_2 t_2 + ...) summed left
-to right: N^2 times its QB change, undivided.  The table's sums are
-exact, as a block refuses a table whose partial sums could reach 2^53
-(at the int64 check's largest m, N = 2, they stay under 0.29 * 2^53).
+whose partial sums are integers no larger than N m, the size of the design
+itself, so float64 holds them exactly and the kernel needs no refusal.
+Past k = 2, where the rows would need g^2, g^3 and denominators of 3, the
+table kernel reads them from a table of Q by x_i . x_r + 1 = m + 1 - 2 d_ir,
+one matmul on the ones-extended rows, with one take.  The table comes from
+the block's Krawtchouk table: 4 Q_k(g) = K_k(d - 1) - K_k(d + 1) for
+0 < d < m, and at the ends, where only one step stays inside 0..m,
+Q_k(m) = Q_{k-1}(m) + (K_k(0) - K_k(1)) / 2 and Q_k(-m) = (-1)^(k-1) Q_k(m).
+Its entries are integers and its partial sums at most 2 (N + 1) max |Q|,
+so a block refuses a table where that could reach 2^53 (at the int64
+check's largest m, N = 2, it stays under 0.072 * 2^53).  The QB weights
+are scaled by 4, a power of two, so each flip's sum s is the same float as
+4 (w_1 t_1 + w_2 t_2 + ...) summed left to right: N^2 times its QB change,
+undivided.
 A flip improves when s / N^2 < -IMPROVE_TOL, which holds exactly when
 s <= thr (see _improve_threshold): the search divides nothing, and
 qb_delta makes the one division.  A flip negates its entry of xo by the
@@ -175,8 +180,9 @@ class _Block:
     and x its (R, N, m) view, owned by the block; the views of xo that
     row_deltas and flip read are made at build and again in keep, and the
     kernel's matmul buffers are kept while the rows' shape holds.  kraw,
-    the int64 table of K_1..K_kmax, gives the final word counts and, past
-    k_max = 2, [U | V]; _uv is None when the block runs the moment kernel.
+    the int64 table of K_1..K_kmax, gives the final word counts, t's terms
+    shared by every flip and, past k_max = 2, the table _q of Q_1..Q_kmax;
+    _q is None when the block runs the moment kernel.
     A flip whose row-delta sum s has s <= thr lowers QB by more than
     IMPROVE_TOL.  row_deltas and flip are the package's one row-delta and
     one flip; qb_delta and coordinate_exchange run a block of one.
@@ -194,37 +200,35 @@ class _Block:
         self._w4 = 4.0 * np.array(weights)[:, None, None, None]
         self.thr = _improve_threshold(self.n * self.n)
         self._out = None
-        if self.k_max <= 2:
-            # the moment kernel's t = [1, N + m - 1] - x_ij a
-            self._uv = None
-            self._t0 = np.array([1.0, self.n + self.m - 1])[: self.k_max, None, None, None]
-        else:
-            # Dp(d) = K(d + 1) - K(d) = z[d + 1] and Dm(d) = K(d - 1) - K(d)
-            # = -z[d], 0 where the step leaves 0..m, as U = Dp - Dm and V =
-            # Dp + Dm side by side
-            z = np.zeros((self.k_max, self.m + 2), dtype=np.int64)
-            z[:, 1:-1] = self.kraw[:, 1:] - self.kraw[:, :-1]
-            uv = np.concatenate([z[:, 1:] + z[:, :-1], z[:, 1:] - z[:, :-1]]).T
+        # t_k's terms shared by every flip: the run itself, Q_k(m) - Q_{k-1}(m)
+        # = (K_k(0) - K_k(1)) / 2, taken back out, and sum_r Q_1(g_r) = N Q_1
+        t0 = 0.5 * (self.kraw[:, 0] - self.kraw[:, 1])
+        t0[1:2] += self.n * t0[0]
+        self._t0 = t0[:, None, None, None]
+        self._q = None  # the moment kernel makes its rows from g
+        if self.k_max > 2:
+            # Q_k at d = 0..m: 4 Q_k(d) = K_k(d - 1) - K_k(d + 1) inside, and at
+            # the ends the values whose one step inside 0..m holds
+            q = np.empty((self.m + 1, self.k_max), dtype=np.int64)
+            q[1:-1] = ((self.kraw[:, :-2] - self.kraw[:, 2:]) // 4).T
+            q[0] = np.cumsum(self.kraw[:, 0] - self.kraw[:, 1]) // 2  # Q_k(m)
+            q[-1] = q[0] * (-1) ** np.arange(self.k_max)
             # the table kernel sums these in float64: exact while its partial
-            # sums, at most 2 (N + 1) max |U|, |V|, stay below 2^53
-            if 2 * (self.n + 1) * int(np.abs(uv).max()) >= 2**53:
+            # sums, at most 2 (N + 1) max |Q|, stay below 2^53
+            if 2 * (self.n + 1) * int(np.abs(q).max()) >= 2**53:
                 raise TooLargeError(f"row deltas of a {self.n}x{self.m} design pass exact float64")
-            # [U | V] / 4 at distance d in row m + 1 - 2d of 2m + 2, the value
-            # of x_i . x_r + 1 on the ones-extended rows; take reads the
-            # negative ones from the end.  The scalings by 1/4 here and 4 in
-            # the weights are powers of two, so every sum is exact or rounds
-            # as unscaled.
-            self._uv = np.zeros((2 * self.m + 2, 2 * self.k_max))
-            self._uv[self.m + 1 - 2 * np.arange(self.m + 1)] = uv * 0.25
-            # the run itself, U(0) + V(0) = 2 Dp(0), over 4
-            self._own = 0.5 * z[:, 1:2, None]
+            # Q at distance d in row m + 1 - 2d of 2m + 2, the value of
+            # x_i . x_r + 1 on the ones-extended rows; take reads the negative
+            # ones from the end
+            self._q = np.zeros((2 * self.m + 2, self.k_max))
+            self._q[self.m + 1 - 2 * np.arange(self.m + 1)] = q
         self._views()
 
     def _views(self) -> None:
         """The views of xo that row_deltas reads, made again when xo is replaced."""
         self._at = np.arange(len(self.xo))[:, None]
         # the moment kernel's g leaves the ones column out, the table's index keeps it
-        self._xt = (self.x if self._uv is None else self.xo).swapaxes(1, 2)
+        self._xt = (self.x if self._q is None else self.xo).swapaxes(1, 2)
         self._xo1 = self.xo[:, None]
         self._xf = self.xo.reshape(-1)
 
@@ -240,43 +244,36 @@ class _Block:
         + w_2 t_2 + ...), the QB change of flipping (rows[r, l], j) in
         restart r times N^2, undivided, and t[k - 1, r, l, j] = (S_k' -
         S_k) / 4 the integer behind it.  t is (k_max, R, L, m + 1), as the
-        kernels lay it out; its last column, the ones column's, is no flip.
+        kernel lays it out; its last column, the ones column's, is no flip.
         """
         k = self.k_max
         xi = self.xo[self._at, rows]
-        # Each kernel ends in one float64 matmul per row against the
-        # ones-extended designs, laid out k-major so that each pass below runs
-        # over long contiguous rows: a[k - 1] in the first m columns is what
-        # multiplies x_ij in t_k.  The (R, L, k or 2k, m + 1) output, its
-        # views and the moment kernel's (R, L, k, N) operand live while the
-        # window's shape holds; t and s are new arrays, so no caller sees them.
+        # One float64 matmul per row of the (R, L, k, N) operand, Q_1..Q_k at
+        # every run, against the ones-extended designs, laid out k-major so
+        # that each pass below runs over long contiguous rows: a[k - 1] is
+        # sum_r Q_k(g_r) x_rj in the first m columns and sum_r Q_k(g_r) in the
+        # ones column.  The output, its views and the moment kernel's operand
+        # live while the window's shape holds; t and s are new arrays, so no
+        # caller sees them.
         if self._out is None or self._out[0].shape[:2] != rows.shape:
             self._out = None  # freed before its successor is allocated
-            if self._uv is None:
-                a = np.empty((k,) + xi.shape)
-                self._out = a.transpose(1, 2, 0, 3), a, np.ones(rows.shape + (k, self.n))
-            else:
-                a = np.empty((2 * k,) + xi.shape)
-                self._out = a.transpose(1, 2, 0, 3), a[:k], a[k:, ..., -1]
+            a = np.empty((k,) + xi.shape)
+            b = np.ones(rows.shape + (k, self.n)) if self._q is None else None
+            self._out = a.transpose(1, 2, 0, 3), a, b
         out, a, b = self._out
-        if self._uv is None:
-            # b is [1; g] per row, so a holds c_j and (X'g)_j (see the module docstring)
+        if self._q is None:
+            # Q_1 = 1 is b's row 0, and Q_2 = g goes into row 1
             if k > 1:
                 np.matmul(xi[..., :-1], self._xt, out=b[..., 1, :])
-            np.matmul(b, self._xo1, out=out)
-            t = a * xi
-            np.subtract(self._t0, t, out=t)
         else:
-            # 2 [K(d + sg) - K(d)] = U[d] sg + V[d] for sg = x_ij x_rj = +-1,
-            # with [U | V] / 4 read at the rows' distances to every run, (R,
-            # L, N, 2k): sum_r U x_rj in the first m columns of a and sum_r V
-            # in b, the ones column, exact on these quarter integers.  The
-            # run itself (d = 0, sg = +1), whose distance does not move, is
-            # taken back out.
-            uv = self._uv.take((xi @ self._xt).astype(np.intp), axis=0)
-            np.matmul(uv.swapaxes(-1, -2), self._xo1, out=out)
-            t = a * xi
-            t += (b - self._own)[..., None]
+            b = self._q.take((xi @ self._xt).astype(np.intp), axis=0).swapaxes(-1, -2)
+        np.matmul(b, self._xo1, out=out)
+        # t_k = t0_k + sum_r Q_{k-1}(g_r) - x_ij a[k - 1], exact on these
+        # integers; the sum is the ones column of row k - 1, in t0 for k = 2
+        t = a * xi
+        np.subtract(self._t0, t, out=t)
+        if k > 2:
+            t[2:] += a[1:-1, ..., -1:]
         # 4 w_1 t_1 + 4 w_2 t_2 + ... left to right (add.reduce over the
         # outer axis), so each sum is the same float a per-coordinate sum
         # would give; column m, the ones column, is left out

@@ -39,6 +39,8 @@ FROZEN_OPTIMIZE = {
     # second-order weights on the moment kernel (k_max = m = 2), at an odd N
     # where b1 and b2 are both non-zero
     "7x2-order2": "--runs 7 --factors 2 --order 2 --pi1 0.5 --pi2 0.5 --restarts 20 --seed 3",
+    # the table kernel at its smallest k_max, 3 (m = 3)
+    "6x3-order2": "--runs 6 --factors 3 --order 2 --pi1 0.5 --pi2 0.5 --restarts 20 --seed 3",
 }
 
 

@@ -899,8 +899,8 @@ class TestFloatRowDeltas:
         # design the int64 check accepts; the float64 sums stay far from 2^53
         n, m, prior = 2, 86_251, Prior(0.5, 0.5, SECOND)
         block = optimizer._Block(random_design(n, m, seed=3).entries[None].copy(), prior)
-        # _uv holds [U | V] / 4
-        assert 2 * (n + 1) * 4 * np.abs(block._uv).max() < 2**53 / 2
+        # _q holds Q_1..Q_4
+        assert 2 * (n + 1) * np.abs(block._q).max() < 2**53 / 2
         rows = np.array([[0, 1]])
         self.check_rows(block.row_deltas(rows), block.x, rows, prior)
         with pytest.raises(TooLargeError):
@@ -909,17 +909,21 @@ class TestFloatRowDeltas:
     def test_refused_past_the_bound_and_exact_below_it(self, monkeypatch):
         # the table scaled by the least factor that reaches 2^53 is refused;
         # one less is accepted, and every delta is still exact.  Only the
-        # table kernel (k_max > 2, here 3) reads a table and has the bound.
-        n, m, prior = 4, 3, Prior(0.3, 0.5, SECOND)
-        x = random_design(n, m, seed=1).entries[None].copy()
-        top = int(4 * np.abs(optimizer._Block(x.copy(), prior)._uv).max())  # max |U|, |V|
-        edge = -(-(2**53) // (2 * (n + 1) * top))
+        # table kernel (k_max > 2, here 3 and 4) reads a table and has the bound.
+        prior = Prior(0.3, 0.5, SECOND)
         real = optimizer.krawtchouk_table
-        monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * edge)
-        with pytest.raises(TooLargeError, match="exact float64"):
-            optimizer._Block(x.copy(), prior)
-        monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * (edge - 1))
-        self.check_every_width(optimizer._Block(x.copy(), prior), prior, scale=edge - 1)
+        for n, m in ((4, 3), (5, 4)):
+            monkeypatch.setattr(optimizer, "krawtchouk_table", real)
+            x = random_design(n, m, seed=1).entries[None].copy()
+            block = optimizer._Block(x.copy(), prior)
+            assert block.k_max == m
+            top = int(np.abs(block._q).max())  # max |Q|
+            edge = -(-(2**53) // (2 * (n + 1) * top))
+            monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * edge)
+            with pytest.raises(TooLargeError, match="exact float64"):
+                optimizer._Block(x.copy(), prior)
+            monkeypatch.setattr(optimizer, "krawtchouk_table", lambda *a: real(*a) * (edge - 1))
+            self.check_every_width(optimizer._Block(x.copy(), prior), prior, scale=edge - 1)
 
     @pytest.mark.parametrize("order", [ModelOrder.FIRST_ORDER, SECOND])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
@@ -930,7 +934,7 @@ class TestFloatRowDeltas:
         x = np.stack([random_design(6, m, seed=s).entries for s in (1, 2)])
         block = optimizer._Block(x, prior)
         assert block.k_max == len(qb_coefficients(prior, m))
-        assert (block._uv is None) == (block.k_max <= 2)
+        assert (block._q is None) == (block.k_max <= 2)
         self.check_every_width(block, prior)
 
     @pytest.mark.parametrize("n, m, prior", LOCKSTEP_SHAPES + [(64, 30, Prior(0.5, 0.5, SECOND))])
