@@ -255,10 +255,7 @@ def cmd_project(args) -> int:
     if args.t_max is not None and args.t_max < 1:
         raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     d = _load(args.design)
-    t_values = None
-    if args.t_max is not None:
-        t_values = {f: range(1, args.t_max + 1) for f in args.f}
-    rep = projection_report(d, args.f, t_values)
+    rep = projection_report(d, args.f, args.t_max)
     sys.stdout.write(rep.to_csv())
     return 0
 

@@ -10,9 +10,11 @@ Scoring is batched.  The centered Grams of a stack of f-subsets are built at
 once, an (S, q, q) array with q = f + C(f,2): design.model_gram forms each
 subset's intercept, mains and pairs and their Gram, and design.schur_center
 centers it.  Each model's Gram is the p x p block (p = f + t) of its
-subset's Gram on the f mains and its t pairs.  Levels t are taken in
-increasing order.  Three steps make the work scale with the distinct subset
-Grams, the models that may be estimable and the distinct blocks:
+subset's Gram on the f mains and its t pairs.  Levels t = 1..T are taken
+in increasing order: level 1 is every single pair of each subset, and each
+level t > 1 joins level t - 1.  Three steps make the work scale with the
+distinct subset Grams, the models that may be estimable and the distinct
+blocks:
 
 - Subset groups.  The subsets of a stack are grouped by the bytes of their
   centered Grams, and only one representative per group is scored; every
@@ -22,15 +24,14 @@ Grams, the models that may be estimable and the distinct blocks:
   interlacing the model's smallest eigenvalue is at most the submodel's and
   its largest at least the submodel's, so in exact arithmetic its
   reciprocal condition is no larger, and a model with a non-estimable
-  one-pair-less submodel is not estimable either.  When level t - 1 of the
-  stack was scored, level t is built from its estimable models alone, by
-  Apriori candidate generation (Agrawal & Srikant, VLDB 1994; see _joined),
-  and the other models are counted non-estimable ("screened") without
-  being built.  In floating point the eigenvalues only approximate this
-  order: that every screened model is non-estimable under one eigvalsh call
-  per model is checked by the oracle tests on the paper's designs and on
-  random ones, not proved.  With a level missing below t (t_values such as
-  {5: [8]}), every choice of level t is enumerated and scored.
+  one-pair-less submodel is not estimable either.  So level t > 1 is built
+  from the estimable models of level t - 1 alone, by Apriori candidate
+  generation (Agrawal & Srikant, VLDB 1994; see _joined), and the other
+  models are counted non-estimable ("screened") without being built.  In
+  floating point the eigenvalues only approximate this order: that every
+  screened model is non-estimable under one eigvalsh call per model is
+  checked by the oracle tests on the paper's designs and on random ones,
+  not proved.
 - Dedup per slice.  The models of a slice of a level are keyed by their
   blocks' entries as small integers (see _keys) and sorted once.  Only the
   first block of each run of equal keys is gathered in float and goes to
@@ -60,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -125,33 +126,6 @@ class ProjectionReport:
             f"{r.f},{r.t},{r.n_models},{r.no_est},{r.mean_as:.3f}" for r in self.rows
         ]
         return "\n".join(lines) + "\n"
-
-
-def _all_choices(f: int, q: int, t: int, reps: np.ndarray, size: int):
-    """Every choice of t pairs for each of `reps`, in (rep, choice) order.
-
-    Yields (reps, rows) runs of at most max(size, 1) models; rows[k] holds
-    the Gram rows (f + pair index) of model k's pairs.
-    """
-    n_choices = math.comb(q - f, t)
-    if n_choices <= size:  # a group of reps shares one array of every choice
-        rows = _choices(itertools.combinations(range(f, q), t), t, n_choices)
-        group = size // n_choices
-        for r0 in range(0, len(reps), group):
-            g = reps[r0 : r0 + group]
-            yield np.repeat(g, n_choices), np.tile(rows, (len(g), 1))
-        return
-    for r in reps:
-        combos = itertools.combinations(range(f, q), t)
-        for c0 in range(0, n_choices, size):
-            k = min(size, n_choices - c0)
-            yield np.full(k, r), _choices(combos, t, k)
-
-
-def _choices(combos, t: int, k: int) -> np.ndarray:
-    """The next k choices of t pairs of an itertools.combinations iterator, shape (k, t)."""
-    flat = itertools.chain.from_iterable(itertools.islice(combos, k))
-    return np.fromiter(flat, dtype=np.intp, count=k * t).reshape(k, t)
 
 
 def _joined(reps: np.ndarray, rows: np.ndarray, ok: np.ndarray, f: int, comb: np.ndarray,
@@ -276,9 +250,9 @@ def _score_models(gram, keys, reps, rows, f: int, n: int):
 
 
 def _score_subsets(
-    x: np.ndarray, f: int, wanted: tuple[int, ...]
+    x: np.ndarray, f: int, t_max: int
 ) -> dict[int, tuple[np.ndarray, ProjectionCounts]]:
-    """Per t: (efficiencies of the estimable models, the cell's counts).
+    """Per t = 1..t_max <= C(f,2): (efficiencies of the estimable models, the cell's counts).
 
     Models are taken f-subset by f-subset in lexicographic order, and within
     a subset by choice of pairs in lexicographic order.
@@ -287,14 +261,15 @@ def _score_subsets(
     pair_pos = _pairs(f)
     n_pairs = len(pair_pos)
     q = f + n_pairs
-    levels = sorted(set(wanted))
+    levels = range(1, t_max + 1)
     vals: dict[int, list[np.ndarray]] = {t: [] for t in levels}
     counts = {t: dict.fromkeys(ProjectionCounts.__dataclass_fields__, 0) for t in levels}
     widest = max((math.comb(n_pairs, t) for t in levels), default=1)
     per_stack = max(1, FLAG_BYTES // (widest + 8 * (q + 1) * n))  # flags and float columns
     # comb[u, w] = C(w, u); any entry a rank sums is below C(P, t) < _CHOICES_CAP
     comb = np.array([[min(math.comb(w, u), _CHOICES_CAP) for w in range(n_pairs + 1)]
-                     for u in range(max(levels, default=0) + 1)])
+                     for u in range(t_max + 1)])
+    singles = np.arange(f, q, dtype=np.intp)[:, None]  # the Gram row of each pair
     small = np.min_scalar_type(q)  # the dtype of kept Gram rows
     xf = x.astype(float)  # every +-1 product and sum is exact
     subsets = itertools.combinations(range(m), f)
@@ -306,17 +281,16 @@ def _score_subsets(
         gram = gram[first]
         keys = _keys(gram, f)
         n_reps = len(first)
-        est = ok = None  # the estimable models of the level below and their flags by rank
         for t in levels:
             n_choices = math.comb(n_pairs, t)
             size = max(1, FLAG_BYTES // (8 * (f + 2 * t)))  # 8 (p + t) bytes each
-            if est is None:  # no level below: every model is scored
-                source = _all_choices(f, q, t, np.arange(n_reps), size)
-            elif t == 1:  # the mains-only model of each rep is the one submodel
-                source = _all_choices(f, q, t, est[0], size)
-            else:
+            if t == 1:  # every pair of each rep, whole reps per slice
+                group = max(1, size // n_pairs)
+                source = ((np.repeat(g, n_pairs), np.tile(singles, (len(g), 1)))
+                          for g in np.split(np.arange(n_reps), range(group, n_reps, group)))
+            else:  # the estimable models of level t - 1 and their flags by rank
                 source = _joined(*est, ok, f, comb, size)
-            keep = t + 1 in wanted
+            keep = t < t_max
             next_reps, next_rows = [np.empty(0, np.intp)], [np.empty((0, t), small)]
             next_ok = np.zeros((n_reps, n_choices), dtype=bool) if keep else None
             scored = np.zeros(n_reps, dtype=np.intp)
@@ -352,22 +326,18 @@ def _score_subsets(
             est = (np.concatenate(next_reps), np.concatenate(next_rows)) if keep else None
             ok = next_ok
     return {
-        t: (np.concatenate(vals[t]) if vals[t] else np.empty(0), ProjectionCounts(**counts[t]))
-        for t in levels
+        t: (np.concatenate(vals[t]), ProjectionCounts(**counts[t])) for t in levels
     }
 
 
 def projection_report(
-    d: Design,
-    f_values: Iterable[int],
-    t_values: Mapping[int, Sequence[int]] | None = None,
+    d: Design, f_values: Iterable[int], t_max: int | None = None
 ) -> ProjectionReport:
     """Mean As and non-estimable counts per (f, t) cell.
 
-    t_values optionally restricts the interaction counts per f; the default
-    is t = 1..C(f,2).  Only t in 0..C(f,2) are scored, each once and in
-    increasing order; a t_values[f] is only asked whether it holds each of
-    them, so a range of any length costs nothing.
+    Each f scores the levels t = 1..min(t_max, C(f,2)), each once and in
+    increasing order; the default t_max is C(f,2), every level.  An f = 1
+    has no pairs and no cells.
     """
     m = d.factors
     f_sorted = sorted(set(f_values))
@@ -380,19 +350,14 @@ def projection_report(
     counts = []
     for f in f_sorted:
         max_t = f * (f - 1) // 2
-        if t_values and f in t_values:
-            wanted = tuple(t for t in range(max_t + 1) if t in t_values[f])
-        else:
-            wanted = tuple(range(1, max_t + 1))
-        for t in wanted:
+        top = max_t if t_max is None else min(t_max, max_t)
+        for t in range(1, top + 1):
             if math.comb(max_t, t) >= _CHOICES_CAP:
                 raise TooLargeError(
                     f"{f}-factor projections with t = {t} have C({max_t}, {t}) models"
                     " per factor subset, too many to score"
                 )
-        scores = _score_subsets(d.entries, f, wanted)
-        for t in wanted:
-            vals, cell = scores[t]
+        for t, (vals, cell) in _score_subsets(d.entries, f, top).items():
             n_models = math.comb(m, f) * math.comb(max_t, t)
             assert cell.models == n_models == len(vals) + cell.no_est
             rows.append(

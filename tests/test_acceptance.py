@@ -290,9 +290,8 @@ TABLE4 = {
 
 def test_criterion_8_projection_table(fx):
     with criterion(8, "projection table reproduction"):
-        t_ranges = {3: range(1, 4), 4: range(1, 7), 5: range(1, 11), 6: range(1, 10)}
         for fid, cells in TABLE4.items():
-            rep = projection_report(fx(fid).design, [3, 4, 5, 6], t_ranges)
+            rep = projection_report(fx(fid).design, [3, 4, 5, 6], 10)
             for (f, t), (mean_expected, noest_expected) in cells.items():
                 cell = rep.cell(f, t)
                 assert cell.no_est == noest_expected, (fid, f, t)

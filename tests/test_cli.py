@@ -19,6 +19,7 @@ from conftest import oracle_restarts, pointwise_sweep
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "qbdesign" / "fixtures" / "data"
 EXPECTED = Path(__file__).resolve().parent / "expected"
+TABLE4_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 # The optimize --progress runs of CI's process-pool step, by the name of
 # their frozen stdout and stderr in tests/expected: blocks of 64 + 64 + 64 +
@@ -233,6 +234,16 @@ class TestFrozenOutputs:
         code, out, err = run(capsys, "project", "fixture:had16", "--f", "5", "--t-max", "10")
         assert code == 0 and err == ""
         assert out == (EXPECTED / "project-had16-f5.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "fid,fs", [(f"case4.d{x}", "3 4 5 6") for x in (1, 3, 6)] + [("had16", "3")]
+    )
+    def test_project_table4_bytes(self, capsys, fid, fs):
+        # the Table-4 cells, frozen in the benchmark's expected outputs
+        argv = ("project", f"fixture:{fid}", "--f", *fs.split(), "--t-max", "10")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (TABLE4_EXPECTED / f"project-{fid}.csv").read_text()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", FROZEN_OPTIMIZE)

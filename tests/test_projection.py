@@ -16,7 +16,6 @@ from qbdesign.projection import ProjectionCounts, _score_subsets, projection_rep
 from conftest import (
     enumerated_projection_models,
     enumerated_projection_values,
-    full_factorial,
     singular_eigenvalues,
 )
 
@@ -31,7 +30,7 @@ class TestProjectionReport:
             assert cell.mean_as == pytest.approx(1.0, abs=1e-12)
 
     def test_all_non_estimable_cell(self, fx):
-        rep = projection_report(fx("case4.d1").design, [5], {5: [8]})
+        rep = projection_report(fx("case4.d1").design, [5], 8)
         cell = rep.cell(5, 8)
         assert cell.n_models == math.comb(6, 5) * math.comb(10, 8) == 270
         assert cell.no_est == 270
@@ -39,14 +38,11 @@ class TestProjectionReport:
 
     def test_huge_t_range_is_never_iterated(self, fx):
         d = fx("had16").design
-        want = projection_report(d, [3], {3: range(1, 4)})
-        assert projection_report(d, [3], {3: range(1, 10**20)}) == want
-        # rows come out in increasing t, each t once
-        rep = projection_report(d, [3], {3: [3, 1, 3, 7]})
-        assert [row.t for row in rep.rows] == [1, 3]
+        want = projection_report(d, [3], 3)
+        assert projection_report(d, [3], 10**20) == want
 
     def test_algorithm_design_cell(self, fx):
-        rep = projection_report(fx("case4.d6").design, [4], {4: [6]})
+        rep = projection_report(fx("case4.d6").design, [4], 6)
         cell = rep.cell(4, 6)
         assert cell.no_est == 0
         assert round(cell.mean_as, 3) == pytest.approx(0.800, abs=1e-9)
@@ -61,13 +57,6 @@ class TestProjectionReport:
             assert 0 <= cell.no_est <= cell.n_models
             assert 0.0 <= cell.mean_as <= 1.0 + 1e-12
 
-    def test_mains_only_orthogonal(self):
-        rep = projection_report(full_factorial(4), [2, 3], {2: [0], 3: [0]})
-        for cell in rep.rows:
-            assert cell.t == 0
-            assert cell.mean_as == pytest.approx(1.0, abs=1e-12)
-            assert cell.no_est == 0
-
     def test_full_second_order_no_better_than_single(self, fx):
         for fid in ("case4.d1", "case4.d3", "case4.d6"):
             rep = projection_report(fx(fid).design, [4])
@@ -78,13 +67,12 @@ class TestProjectionReport:
             projection_report(fx("case4.d1").design, [7])
 
     def test_too_many_models_rejected_before_scoring(self, monkeypatch):
-        # C(78, 40) > 2**62 choices of pairs per 13-factor subset
+        # C(78, 21) >= 2**62 choices of pairs per 13-factor subset, the
+        # first level past the cap
         d = random_design(16, 13, 1)
-        rep = projection_report(d, [13], {13: [0, 1, 77, 78]})
-        assert [r.n_models for r in rep.rows] == [1, 78, 78, 1]
         monkeypatch.setattr(projection, "_score_subsets", None)
-        with pytest.raises(TooLargeError, match="t = 40"):
-            projection_report(d, [13], {13: [1, 40]})
+        with pytest.raises(TooLargeError, match="t = 21"):
+            projection_report(d, [13], 40)
 
     def test_csv_shape(self, fx):
         rep = projection_report(fx("case4.d1").design, [3])
@@ -92,13 +80,20 @@ class TestProjectionReport:
         assert lines[0] == "f,t,n_models,no_est,mean_as"
         assert lines[1] == "3,1,60,0,1.000"
 
+    def test_no_pair_and_one_pair(self, fx):
+        # f = 1 has no pairs and no cells; f = 2 has one pair and one cell
+        assert projection_report(fx("had16").design, [1]).rows == ()
+        out = cli_stdout(["project", "fixture:had16", "--f", "1", "2", "--t-max", "5"])
+        assert out == "f,t,n_models,no_est,mean_as\n2,1,105,0,1.000\n"
 
-def assert_matches_enumeration(x, f, t_values=None):
+
+def assert_matches_enumeration(x, f, t_max=None):
     """The batched scorer's per-model values are == the one-model-at-a-time loop's."""
-    wanted = tuple(range(f * (f - 1) // 2 + 1)) if t_values is None else tuple(t_values)
-    scores = _score_subsets(np.asarray(x), f, wanted)
+    top = f * (f - 1) // 2 if t_max is None else t_max
+    scores = _score_subsets(np.asarray(x), f, top)
+    assert list(scores) == list(range(1, top + 1))
     no_est = 0
-    for t in wanted:
+    for t in scores:
         vals, counts = scores[t]
         n_bad = counts.no_est
         want_vals, want_bad = enumerated_projection_values(x, f, t)
@@ -109,7 +104,7 @@ def assert_matches_enumeration(x, f, t_values=None):
 
 
 class TestBatchedScoring:
-    """Every (f, t) cell from t = 0 up, against the enumeration oracle."""
+    """Every (f, t) cell from t = 1 up, against the enumeration oracle."""
 
     @pytest.mark.parametrize("fid", ["case4.d1", "case4.d3", "case4.d6"])
     def test_case4(self, fx, fid):
@@ -134,7 +129,7 @@ class TestBatchedScoring:
         monkeypatch.setattr(projection, "FLAG_BYTES", 10_000)
         assert_matches_enumeration(fx("had16").design.entries, 3)
         assert_matches_enumeration(fx("case4.d6").design.entries, 4)
-        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
+        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, 6)
 
     @pytest.mark.parametrize("window_bytes", [1, 7 * 8 * 5 * 5])
     def test_window_boundaries(self, fx, monkeypatch, window_bytes):
@@ -147,7 +142,7 @@ class TestBatchedScoring:
         assert cli_stdout(argv) == want
         assert_matches_enumeration(fx("had16").design.entries, 3)
         assert_matches_enumeration(fx("case4.d6").design.entries, 4)
-        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
+        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, 6)
 
     @pytest.mark.parametrize(
         "budget,value",
@@ -165,7 +160,7 @@ class TestBatchedScoring:
         assert cli_stdout(argv) == want
         assert_matches_enumeration(fx("had16").design.entries, 3)
         assert_matches_enumeration(fx("case4.d6").design.entries, 5)
-        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
+        assert_matches_enumeration(random_design(12, 8, 3).entries, 4, 6)
 
     def test_one_subset_per_stack(self, monkeypatch):
         # flags of a wide level cut a stack down to one subset
@@ -183,16 +178,18 @@ def cli_stdout(argv):
 def screened_by_oracle(x, f):
     """Models of size f with a non-estimable one-pair-less submodel, under the oracle.
 
-    Asserts that each of them is non-estimable itself, as interlacing says
-    it is in exact arithmetic; returns their number per t.
+    Level 1 is enumerated whole, as the scorer enumerates it, and levels
+    t > 1 are screened by level t - 1.  Asserts that each screened model is
+    non-estimable itself, as interlacing says it is in exact arithmetic;
+    returns their number per t.
     """
     singular = {}
     screened = {}
-    for t in range(f * (f - 1) // 2 + 1):
+    for t in range(1, f * (f - 1) // 2 + 1):
         screened[t] = 0
         for fs, choice, eig in enumerated_projection_models(x, f, t):
             bad = singular_eigenvalues(eig)
-            if any(singular[fs, choice[:j] + choice[j + 1 :]] for j in range(t)):
+            if t > 1 and any(singular[fs, choice[:j] + choice[j + 1 :]] for j in range(t)):
                 assert bad, (fs, choice)
                 screened[t] += 1
             singular[fs, choice] = bad
@@ -218,15 +215,8 @@ class TestSupersetScreen:
     @staticmethod
     def check(x, f):
         want = screened_by_oracle(x, f)
-        scores = _score_subsets(x, f, tuple(want))
+        scores = _score_subsets(x, f, max(want))
         assert {t: counts.screened for t, (_, counts) in scores.items()} == want
-
-    def test_off_without_the_level_below(self, fx):
-        scores = _score_subsets(random_design(12, 8, 3).entries, 4, (0, 2, 5, 6))
-        assert [scores[t][1].screened for t in (0, 2, 5)] == [0, 0, 0]
-        assert scores[6][1].screened > 0
-        rep = projection_report(fx("case4.d1").design, [5], {5: [8]})
-        assert rep.counts[0].screened == 0 and rep.counts[0].no_est == 270
 
 
 class TestCounts:
@@ -270,7 +260,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("fid", sorted(PINNED))
     def test_pinned_counts(self, fx, fid):
-        rep = projection_report(fx(fid).design, [6], {6: range(1, 11)})
+        rep = projection_report(fx(fid).design, [6], 10)
         got = [(row.t, *(getattr(c, k) for k in ProjectionCounts.__dataclass_fields__))
                for row, c in zip(rep.rows, rep.counts)]
         assert got == self.PINNED[fid]
@@ -300,7 +290,7 @@ class TestSubsetGroups:
     )
     def test_distinct_subsets(self, fx, fid, f):
         want = len(np.unique(np.array(subset_gram_bytes(fx(fid).design.entries, f), dtype=object)))
-        rep = projection_report(fx(fid).design, [f], {f: [1, 2]})
+        rep = projection_report(fx(fid).design, [f], 2)
         assert [c.subsets for c in rep.counts] == [want, want]
 
     def test_had16_grams(self, fx):
@@ -310,7 +300,7 @@ class TestSubsetGroups:
         assert len(set(subset_gram_bytes(x, 3))) == 4
         for f, want in ((4, 33), (5, 228)):
             assert len(set(subset_gram_bytes(x, f))) == want
-            rep = projection_report(fx("had16").design, [f], {f: range(1, 11)})
+            rep = projection_report(fx("had16").design, [f], 10)
             assert {c.subsets for c in rep.counts} == {want}
 
     def test_groups_across_stack_boundaries(self, fx, monkeypatch):
@@ -351,10 +341,10 @@ class TestWork:
         # budget cuts the stack; the peak is about 2x the budget at N = 256
         # and at N = 1024
         d = random_design(1024, 10, 1)
-        projection_report(d, [6], {6: [1]})
+        projection_report(d, [6], 1)
         tracemalloc.start()
         try:
-            projection_report(d, [6], {6: [1]})
+            projection_report(d, [6], 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
