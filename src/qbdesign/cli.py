@@ -226,26 +226,21 @@ def cmd_sweep(args) -> int:
             pis.append(np.tile(grid.pi2.ravel(), len(pi1)))
         qmin = qbs.min(axis=1, keepdims=True)
         rel = np.divide(qmin, qbs, out=np.ones_like(qbs), where=qbs != qmin)
-        text = csv_rows(np.column_stack([*pis, qbs, rel]))
+        cells = np.column_stack([*pis, qbs, rel])
         # argmin is the first minimal design, as list.index gives it; each
-        # change is reported right after its row
+        # change is reported right after its row, its point as its cells print
         argmin = qbs.argmin(axis=1)
         before = np.concatenate(([argmin[0] if prev_argmin is None else prev_argmin], argmin[:-1]))
-        changes = np.flatnonzero(argmin != before)
-        if len(changes):
-            # row i of the text is text[ends[i] : ends[i + 1]]
-            ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n"))
-            ends = [0] + (ends + 1).tolist()
-            done = 0
-            for i in changes.tolist():
-                sys.stdout.write(text[done : ends[i + 1]])
-                done = ends[i + 1]
-                point = text[ends[i] : done].split(",")[: len(pis)]
-                at = " ".join(f"{k}={v}" for k, v in zip(("pi1", "pi2"), point))
-                change = f"{names[before[i]]} -> {names[argmin[i]]}"
-                print(f"argmin change at {at}: {change}", file=sys.stderr)
-            text = text[done:]
-        sys.stdout.write(text)
+        text = csv_rows(cells)
+        changes = np.flatnonzero(argmin != before).tolist()
+        # one format call a chunk, split into rows only if a change falls in it
+        rows, done = text.splitlines(keepends=True) if changes else [text], 0
+        for i in changes:
+            sys.stdout.write("".join(rows[done : i + 1]))
+            done = i + 1
+            at = " ".join(f"{k}={v:.6g}" for k, v in zip(header, cells[i, : len(pis)].tolist()))
+            print(f"argmin change at {at}: {names[before[i]]} -> {names[argmin[i]]}", file=sys.stderr)
+        sys.stdout.write("".join(rows[done:]))
         prev_argmin = argmin[-1]
     return 0
 

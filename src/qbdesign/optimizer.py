@@ -133,7 +133,6 @@ SCALAR_CURSORS = 12
 # and a search whose one restart does not fit is refused before anything is
 # allocated.
 BLOCK_BYTES = 2**27
-START_WORDS = 2**12  # Philox words held at once while starts are drawn (one restart's at least)
 
 
 @dataclass(frozen=True)
@@ -453,28 +452,24 @@ def _starts(cfg: OptimizerConfig, lo: int, hi: int) -> np.ndarray:
     where the top bit of the t-th 32-bit half of those words, low half
     first, is set, and -1 where it is clear: 2 b - 1 for the bit b that
     numpy's Generator.integers(0, 2) takes from the same half by Lemire's
-    method.  The restarts are drawn in chunks of at most START_WORDS words
-    (one restart at least), each chunk read in one pass, so the words held
-    beside the starts stay a small part of them.
+    method.  Every restart's words are drawn into one array and read in one
+    pass; at 4 bytes an entry, they are freed on return, before the block's
+    float designs (8 (m + 1) bytes a row) exist, so never set its peak.
     """
     nm = cfg.runs * cfg.factors
-    words = -(-nm // 2)
     bitgen = np.random.Philox(key=cfg.seed)
     state = bitgen.state  # a copy: counter 0, nothing buffered
     counter = state["state"]["counter"]
+    raw = np.empty((hi - lo, -(-nm // 2)), dtype=np.uint64)
+    for i, r in enumerate(range(lo, hi)):
+        counter[2:] = r % 2**64, r >> 64
+        bitgen.state = state
+        raw[i] = bitgen.random_raw(raw.shape[1])
+    # the 32-bit halves, low half first whatever the byte order; a half's top
+    # bit is its sign bit, so the shift gives -1 where it is set and 0 where
+    # it is clear, and -2 v - 1 maps those to +1 and -1
     x = np.empty((hi - lo, nm), dtype=np.int64)
-    raw = np.empty((min(hi - lo, max(1, START_WORDS // words)), words), dtype=np.uint64)
-    for c in range(lo, hi, len(raw)):
-        chunk = raw[: min(len(raw), hi - c)]
-        for i, r in enumerate(range(c, c + len(chunk))):
-            counter[2:] = r % 2**64, r >> 64
-            bitgen.state = state
-            chunk[i] = bitgen.random_raw(words)
-        # the 32-bit halves, low half first whatever the byte order; a
-        # half's top bit is its sign bit, so the shift gives -1 where it is
-        # set and 0 where it is clear, and -2 v - 1 maps those to +1 and -1
-        halves = chunk.astype("<u8", copy=False).view("<i4")[:, :nm]
-        np.right_shift(halves, 31, out=x[c - lo : c - lo + len(chunk)])
+    np.right_shift(raw.astype("<u8", copy=False).view("<i4")[:, :nm], 31, out=x)
     x *= -2
     x -= 1
     return x.reshape(hi - lo, cfg.runs, cfg.factors)

@@ -133,18 +133,17 @@ def _joined(reps: np.ndarray, rows: np.ndarray, ok: np.ndarray, f: int, comb: np
     """Level-t models whose every one-pair-less submodel is estimable, in (rep, choice) order.
 
     reps and rows are the estimable models of level t - 1 >= 1, in (rep,
-    choice) order, and ok[r, rank] flags them by lexicographic rank.  Two of
-    them of one rep that share their first t - 2 pairs, A before B, make the
+    choice) order, and ok[r, rank] flags them by colex rank.  Two of them of
+    one rep that share their first t - 2 pairs, A before B, make the
     candidate A + B's last pair, whose submodels without its last two pairs
     are A and B (Apriori candidate generation).  The others, without pair j
-    < t - 2, are looked up in ok: a choice c_0 < ... < c_{r-1} of the P pairs
-    has rank C(P, r) - 1 - sum_i C(P - 1 - c_i, r - i), so with c_j dropped
-    the rank is C(P, t - 1) - 1 - sum_{i<j} C(P - 1 - c_i, t - 1 - i) -
-    sum_{i>j} C(P - 1 - c_i, t - i), a prefix and a suffix sum.  Yields
-    (reps, rows) runs of at most about `size` candidates, pruned.
+    < t - 2, are looked up in ok: a choice c_0 < ... < c_{r-1} of the pairs
+    has colex rank sum_i C(c_i, i + 1) (the combinatorial number system), so
+    with c_j dropped the rank is sum_{i<j} C(c_i, i + 1) + sum_{i>j} C(c_i,
+    i), a prefix and a suffix sum.  Yields (reps, rows) runs of at most
+    about `size` candidates, pruned.
     """
     e, t = rows.shape[0], rows.shape[1] + 1
-    n_pairs = comb.shape[1] - 1
     # runs of models of one rep that share their first t - 2 pairs
     last = np.empty(e, dtype=bool)
     last[-1:] = True
@@ -165,11 +164,11 @@ def _joined(reps: np.ndarray, rows: np.ndarray, ok: np.ndarray, f: int, comb: np
         cand[:, :-1] = rows[a]
         cand[:, -1] = rows[b, -1]
         if t > 2:  # the rank without c_0 is a suffix sum; each j moves c_{j-1} to the prefix
-            d = n_pairs - 1 - (cand - f)
-            rank = math.comb(n_pairs, t - 1) - 1 - comb[t - np.arange(1, t), d[:, 1:]].sum(axis=1)
+            c = cand - f
+            rank = comb[np.arange(1, t), c[:, 1:]].sum(axis=1)
             keep = ok[rep, rank]
             for j in range(1, t - 2):
-                rank += comb[t - j].take(d[:, j]) - comb[t - j].take(d[:, j - 1])
+                rank += comb[j].take(c[:, j - 1]) - comb[j].take(c[:, j])
                 keep &= ok[rep, rank]
             rep, cand = rep[keep], cand[keep]
         yield rep, cand
@@ -288,7 +287,7 @@ def _score_subsets(
                 group = max(1, size // n_pairs)
                 source = ((np.repeat(g, n_pairs), np.tile(singles, (len(g), 1)))
                           for g in np.split(np.arange(n_reps), range(group, n_reps, group)))
-            else:  # the estimable models of level t - 1 and their flags by rank
+            else:  # level t - 1's estimable models, flagged by colex rank sum_i C(c_i, i + 1)
                 source = _joined(*est, ok, f, comb, size)
             keep = t < t_max
             next_reps, next_rows = [np.empty(0, np.intp)], [np.empty((0, t), small)]
@@ -311,8 +310,7 @@ def _score_subsets(
                 if keep:
                     next_reps.append(reps)
                     next_rows.append(rows.astype(small))
-                    rank = n_choices - 1 - comb[t - np.arange(t), n_pairs - 1 - (rows - f)].sum(1)
-                    next_ok[reps, rank] = True
+                    next_ok[reps, comb[np.arange(1, t + 1), rows - f].sum(1)] = True
             # each member takes its representative's values and counts, in subset order
             n_good = good[member]
             at = np.repeat(good.cumsum()[member] - n_good.cumsum(), n_good)

@@ -423,6 +423,14 @@ class TestFixturesCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("fid", ["supp1.d1", "had16.proj3", "table3.second", "case5.a"])
+    def test_check_one_prints_its_lines_of_the_whole(self, capsys, fid):
+        # a fixture checked alone, a stack of one, prints what the whole corpus's check does
+        code, out, _ = run(capsys, "fixtures", "check", fid)
+        lines = (EXPECTED / "fixtures-check.out").read_text().splitlines(keepends=True)
+        assert code == 0
+        assert out == "".join(ln for ln in lines if ln.split()[0] == fid)
+
 
 class TestOptimizeBenchmarks:
     def test_supersaturated_low_prior(self, capsys):
@@ -548,7 +556,15 @@ ORACLE_SWEEPS = {
         "--lo", "1e-300", "--hi", "1e-5", "--step", "1e-6",
         "--pi2-lo", "1e-300", "--pi2-hi", "1", "--pi2-step", "0.25",
     ),
+    # every pi1 row of 1,001 pi2 points split across the default chunks
+    "2d-rows-split": (
+        "sweep", "fixture:case4.d1", "fixture:case4.d6", "--order", "2",
+        "--lo", "0.1", "--hi", "0.3", "--step", "0.1",
+        "--pi2-lo", "0", "--pi2-hi", "1", "--pi2-step", "0.001",
+    ),
 }
+# the lines, header included, of the sweeps above that span many chunks
+ORACLE_LINES = {"first-order-0.0001": 10_002, "2d-rows-split": 3_004}
 
 
 def random_batch(tmp_path):
@@ -575,7 +591,9 @@ class TestSweepGrid:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SWEEPS))
     def test_equals_pointwise_oracle(self, capsys, name):
-        self.assert_as_oracle(capsys, ORACLE_SWEEPS[name])
+        out, _ = self.assert_as_oracle(capsys, ORACLE_SWEEPS[name])
+        if name in ORACLE_LINES:
+            assert out.count("\n") == ORACLE_LINES[name]
 
     def test_random_batch_2d(self, capsys, tmp_path):
         self.assert_as_oracle(capsys, (

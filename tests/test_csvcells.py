@@ -105,6 +105,11 @@ class TestOracle:
     def test_columns(self, cols):
         assert_as_oracle(philox(7).random(30 * cols), cols)
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_no_rows(self, cols):
+        # sweep formats an empty tail when an argmin change falls on a chunk's last row
+        assert csv_rows(np.empty((0, cols))) == ""
+
 
 class TestFallback:
     def test_undecided_cells_only(self, fallbacks):

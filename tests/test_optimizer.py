@@ -1095,28 +1095,30 @@ class TestStarts:
             got = optimizer._starts(cfg, 62, 66)
             assert np.array_equal(got, np.stack(restart_starts(cfg, range(62, 66))))
 
-    @pytest.mark.parametrize("start_words", [1, 2 * 46, 3 * 46 + 1])
-    def test_chunks_of_words_draw_the_same_starts(self, monkeypatch, start_words):
-        # ten starts of 46 words (N*m = 91) read in chunks of one restart, of
-        # two, and of three with a shorter last chunk
-        cfg = OptimizerConfig(runs=13, factors=7, prior=Prior(0.1), restarts=1, seed=2**64 + 5)
-        want = np.stack(restart_starts(cfg, range(3, 13)))
-        monkeypatch.setattr(optimizer, "START_WORDS", start_words)
-        assert np.array_equal(optimizer._starts(cfg, 3, 13), want)
-
     @pytest.mark.parametrize("n, m", [(1500, 3), (64, 30)])
     def test_words_stay_within_the_block_budget(self, n, m):
-        # what a block of 64 starts allocates beside the int64 starts that
-        # BLOCK_BYTES counts: at most a quarter more
+        # a block of 7 and of 64 restarts: the draw holds one buffer of words
+        # beside the int64 starts, and frees it before the search begins
         cfg = OptimizerConfig(runs=n, factors=m, prior=Prior(0.1), restarts=64, seed=1)
-        tracemalloc.start()
-        try:
-            x = optimizer._starts(cfg, 0, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 8 * 64 * n * m
-        assert np.array_equal(x[[0, 63]], np.stack(restart_starts(cfg, [0, 63])))
+        r = optimizer._block_size(cfg, 1)
+
+        def traced_peak(call, *args):
+            tracemalloc.start()
+            try:
+                out = call(*args)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        optimizer._run_block(cfg, 0, 1)  # what the first draw and search import, untraced
+        # the starts and one buffer of words at most: a second one would pass the slack
+        x, peak = traced_peak(optimizer._starts, cfg, 0, r)
+        assert peak <= 8 * r * n * m + 8 * r * -(-n * m // 2) + 2**16
+        assert np.array_equal(x[[0, -1]], np.stack(restart_starts(cfg, [0, r - 1])))
+        # a block's peak is its starts beside the search: nothing else of the draw is left
+        _, search = traced_peak(optimizer._exchange, x, cfg.prior)
+        _, block = traced_peak(optimizer._run_block, cfg, 0, r)
+        assert abs(block - (x.nbytes + search)) <= 2**12
 
     @pytest.mark.parametrize("r", [0, 1, 5, 2**64 + 3])
     def test_reused_generator_draws_as_a_new_one(self, r):
