@@ -83,14 +83,14 @@ rejections in a row; its sweep count is the sweeps begun.  A block builds
 one table of each row's window, as wide as a set of one restart takes;
 each set of running restarts, whose count alone sets its width, copies
 its first columns and its buffer of improving lanes, and computes no
-table.  Only the window's first row has lanes before the cursor to mask,
-so an iteration's bookkeeping is a few array passes, none larger than the
-window.  Those passes cost about as much for one running restart as for
-many, so a set of at most SCALAR_CURSORS restarts (a small block, a
-block's tail and coordinate_exchange's block of one) keeps its cursors as
-Python ints and advances them, and works out the flips' flat indices, in
-one loop over the argmax lanes, which costs per restart; larger sets keep
-the arrays.  Both read the same rows
+table.  Only the window's first row has lanes before the cursor, and the
+array path masks them in a few array passes, none larger than the window,
+that cost about as much for one running restart as for many.  So a set of
+at most SCALAR_CURSORS restarts (a small block, a block's tail and
+coordinate_exchange's block of one) keeps its cursors as Python ints: one
+loop over the whole window's argmax lanes, which costs per restart,
+searches again from the cursor where a lane lies before it, moves each
+cursor and works out its flip's flat index.  Both read the same rows
 and lanes and make the same flips.  No quantity mixes restarts,
 and every decision rests on integer t_k and on the same float expression
 per restart, so the results do not depend on the block size, the window
@@ -120,12 +120,12 @@ WINDOW_WORK = 2**16  # multiply-adds one iteration may spend on lookahead rows
 # Sets of at most this many running restarts keep their cursors in Python
 # ints, larger sets in arrays.  The int loop costs per restart, the array
 # passes per iteration, so ints win on few restarts and arrays on many.  Set
-# by set (both paths on the same sets, 2-vCPU x86_64, two runs), ints were
-# no slower up to 12 running restarts at 12x14, 13-14 at 24x7 o2 and 16x6
-# o2, 12-15 at 32x10, 12-16 at 48x12 o2 and 18-20 at 64x30 o2 (first order
-# unless "o2"), and 1.12-1.23x slower at 24.  The crossover grows with the
-# work per iteration; the cut is the smallest seen, so no shape measured
-# runs ints where arrays are faster.
+# by set (both paths on the same sets of 40 blocks of 64, 2-vCPU x86_64, two
+# runs), ints were no slower up to 25-26 running restarts at 12x14, 25-31 at
+# 24x7 o2, 22-24 at 16x6 o2, 23-24 at 32x10, 38 at 48x12 o2 and 45-54 at
+# 64x30 o2 (first order unless "o2"), and 1.11-1.28x slower at 64.  The cut
+# is below the smallest seen, so no shape measured runs ints where arrays
+# are faster.
 SCALAR_CURSORS = 12
 # Bytes of a block's int64 (R, N, m) starts beside, during the search, its
 # float64 (R, N, m + 1) designs and, in the final count, its int64 (R, N, m)
@@ -252,18 +252,19 @@ class _Block:
         # that each pass below runs over long contiguous rows: a[k - 1] is
         # sum_r Q_k(g_r) x_rj in the first m columns and sum_r Q_k(g_r) in the
         # ones column.  The output, its views and the moment kernel's operand
-        # live while the window's shape holds; t and s are new arrays, so no
-        # caller sees them.
-        if self._out is None or self._out[0].shape[:2] != rows.shape:
+        # with its Q_2 row live while the window's shape, their key, holds; t
+        # and s are new arrays, so no caller sees them.
+        if self._out is None or self._out[0] != rows.shape:
             self._out = None  # freed before its successor is allocated
             a = np.empty((k,) + xi.shape)
             b = np.ones(rows.shape + (k, self.n)) if self._q is None else None
-            self._out = a.transpose(1, 2, 0, 3), a, b
-        out, a, b = self._out
+            g = b[..., 1, :] if b is not None and k > 1 else None
+            self._out = rows.shape, a.transpose(1, 2, 0, 3), a, b, g
+        _, out, a, b, g = self._out
         if self._q is None:
             # Q_1 = 1 is b's row 0, and Q_2 = g goes into row 1
-            if k > 1:
-                np.matmul(xi[..., :-1], self._xt, out=b[..., 1, :])
+            if g is not None:
+                np.matmul(xi[..., :-1], self._xt, out=g)
         else:
             b = self._q.take((xi @ self._xt).astype(np.intp), axis=0).swapaxes(-1, -2)
         np.matmul(b, self._xo1, out=out)
@@ -274,9 +275,10 @@ class _Block:
         if k > 2:
             t[2:] += a[1:-1, ..., -1:]
         # 4 w_1 t_1 + 4 w_2 t_2 + ... left to right (add.reduce over the
-        # outer axis), so each sum is the same float a per-coordinate sum
-        # would give; column m, the ones column, is left out
-        s = np.add.reduce(t * self._w4, axis=0)
+        # outer axis, or at k = 2 its one add), so each sum is the same float
+        # a per-coordinate sum would give; column m, the ones column, is left out
+        tw = t * self._w4
+        s = tw[0] + tw[1] if k == 2 else np.add.reduce(tw, axis=0)
         return s[..., :-1], t
 
     def flip(self, flat: np.ndarray) -> None:
@@ -363,20 +365,15 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
         scalar = r <= SCALAR_CURSORS
         if scalar:
             pl, ll = pos.tolist(), lim.tolist()
+            row, col = map(list, zip(*[divmod(p, m) for p in pl]))
         while True:
-            if scalar:
-                row, col = zip(*[divmod(p, m) for p in pl])
-            else:
+            if not scalar:
                 row, col = np.divmod(pos, m)
             rows = win.take(row, axis=0, mode="wrap")
             s, _ = row_deltas(rows)
             np.less_equal(s, thr, out=scored)
             # the lanes before the cursor, all in the window's first row, do not count
-            if scalar:
-                for h, k in enumerate(col):
-                    if k:
-                        first[h, :k] = False
-            else:
+            if not scalar:
                 first &= cols >= col[:, None]
             c = lanes.argmax(axis=1)
             # past the flip at lane c, or past the window at c = width * m, up
@@ -388,8 +385,11 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
                 # entry, so a flip's flat index in xo needs no gather
                 flat, done = [], False
                 for h, ch in enumerate(c.tolist()):
+                    k = col[h]
+                    if ch < k:
+                        ch = k + int(lanes[h, k:].argmax())
                     hit = ch < wm
-                    p = pl[h] - col[h] + ch + hit
+                    p = pl[h] - k + ch + hit
                     pl[h] = p = p if p < ll[h] else ll[h]
                     if hit:
                         l, j = divmod(ch, m)
@@ -397,6 +397,7 @@ def _exchange(x: np.ndarray, prior: Prior) -> list[tuple[np.ndarray, float, int,
                         ll[h] = p + nm
                     elif p == ll[h]:
                         done = True
+                    row[h], col[h] = divmod(p, m)
                 if flat:
                     flip(np.array(flat))
             else:
