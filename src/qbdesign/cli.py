@@ -258,7 +258,9 @@ def cmd_project(args) -> int:
 def cmd_theory(args) -> int:
     # everything that can fail runs before the first line is printed
     bi = balance_intervals(args.runs, args.factors)
-    split = bi.split_for(args.pi1) if args.pi1 is not None else None
+    # the split follows the prior as typed: 0.1 is the endpoint 1/10, not the float above it
+    pi1 = Fraction(repr(args.pi1)) if args.pi1 is not None and 0 < args.pi1 <= 1 else args.pi1
+    split = bi.split_for(pi1) if pi1 is not None else None
     rep = None
     if args.design:
         d = _load(args.design)

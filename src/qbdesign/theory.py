@@ -1,11 +1,11 @@
 """Closed-form level-balance theory for run sizes N = 2 (mod 4).
 
 For the main-effects maximal model there is a QB-optimal family whose
-information matrix is block diagonal: one block for the intercept plus the
-non-level-balanced columns (column sums +-2), one for the level-balanced
-columns, with every off-diagonal entry of magnitude 2 inside a block and 0
-across blocks.  The QB value of such a design depends only on the number of
-level-balanced columns n1:
+information matrix X'X follows one block rule.  Block 0 is the intercept
+with the non-level-balanced columns (column sums +-2), block 1 the
+level-balanced columns; every off-diagonal entry has magnitude 2 inside a
+block and is 0 across blocks.  The QB value of such a design depends only
+on the number of level-balanced columns n1:
 
     QB(n1) = [4 pi1 (m - n1) + 4 pi1^2 ((m - n1)^2 + n1^2 - m)] / N^2
 
@@ -15,6 +15,7 @@ giving an interval table over pi1.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,14 +49,13 @@ class BalanceIntervals:
         """(non_level_balanced, level_balanced) for a prior value.
 
         Interior endpoints belong to both adjacent intervals (exact tie);
-        the lower interval is reported.
+        the lower interval is reported.  The endpoint compare is exact, so a
+        float just above a decimal endpoint (0.1 > 1/10) falls above it.
         """
         if not 0 < pi1 <= 1:
             raise ValueError(f"pi1 must be in (0, 1], got {pi1}")
-        for lo, hi, nlb, lb in self.intervals():
-            if pi1 <= hi:
-                return nlb, lb
-        raise AssertionError("unreachable")
+        nlb = bisect.bisect_left(self.endpoints, pi1) - 1
+        return nlb, self.m - nlb
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,17 @@ class PatternReport:
     matches: bool
     n_level_balanced: int
     n_non_level_balanced: int
-    violations: tuple[tuple[int, int, int], ...]  # (i, j, a_ij) 0 = intercept
+    violations: tuple[tuple[int, int, int], ...]  # (i, j, a_ij) 0 = intercept, row-major
     block_signs: tuple[str, str]  # observed off-diagonal signs per block
+
+
+# the set of a block's +-2 entries, by its label
+_SIGN_LABELS = {
+    frozenset(): "none",
+    frozenset({2}): "+2",
+    frozenset({-2}): "-2",
+    frozenset({-2, 2}): "mixed",
+}
 
 
 def _require_n_mod_4(n_runs: int) -> None:
@@ -79,7 +88,7 @@ def balance_intervals(n_runs: int, m: int) -> BalanceIntervals:
     _require_n_mod_4(n_runs)
     if not 1 <= m <= n_runs - 1:
         raise ValueError(f"need 1 <= m <= N-1, got m={m}, N={n_runs}")
-    k = (m + 1) // 2 if m % 2 == 1 else m // 2 + 1
+    k = m // 2 + 1
     endpoints = [Fraction(0)]
     endpoints += [Fraction(1, 2 * m + 2 - 4 * j) for j in range(1, k)]
     endpoints.append(Fraction(1))
@@ -107,13 +116,14 @@ def qb_block_value(n_runs: int, m: int, n1: int, pi1):
 
 
 def verify_block_pattern(d: Design) -> PatternReport:
-    """Check a design's first-order X'X against the block-diagonal optimal form.
+    """Check a design's first-order X'X against the block rule.
 
-    Columns are grouped by column sum mod 4 (0: level-balanced group, 2:
-    non-level-balanced group).  Requirements: level-balanced columns have
-    column sum exactly 0, the others exactly +-2, off-diagonals inside each
-    group have magnitude 2, and off-diagonals across groups are 0.  Either
-    consistent sign may appear inside a group; observed signs are reported.
+    A column is level-balanced (block 1) when its sum is 0 mod 4; the
+    intercept and the other columns form block 0.  Every entry above the
+    diagonal must have |a_ij| = 2 inside a block and a_ij = 0 across blocks,
+    which also asks column sums of exactly 0 or +-2.  Either consistent sign
+    may appear inside a block; the observed signs are reported, and the
+    violations are listed in row-major order of X'X.
     """
     _require_n_mod_4(d.runs)
     a = information_matrix(d, ModelOrder.FIRST_ORDER).a
@@ -121,46 +131,19 @@ def verify_block_pattern(d: Design) -> PatternReport:
 
 
 def _pattern_from_info(a: np.ndarray) -> PatternReport:
-    m = a.shape[0] - 1
     col_sums = a[0, 1:]
-    balanced = [j for j in range(1, m + 1) if col_sums[j - 1] % 4 == 0]
-    unbalanced = [j for j in range(1, m + 1) if col_sums[j - 1] % 4 != 0]
-
-    violations: list[tuple[int, int, int]] = []
-    for j in balanced:
-        if a[0, j] != 0:
-            violations.append((0, j, int(a[0, j])))
-    for j in unbalanced:
-        if abs(a[0, j]) != 2:
-            violations.append((0, j, int(a[0, j])))
-    group = {j: 0 for j in unbalanced}
-    group.update({j: 1 for j in balanced})
-    signs: list[set[int]] = [set(), set()]
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            v = int(a[i, j])
-            if group[i] == group[j]:
-                if abs(v) != 2:
-                    violations.append((i, j, v))
-                else:
-                    signs[group[i]].add(v)
-            elif v != 0:
-                violations.append((i, j, v))
-    # the intercept belongs to the non-level-balanced block
-    for j in unbalanced:
-        if abs(a[0, j]) == 2:
-            signs[0].add(int(a[0, j]))
-
-    def sign_label(s: set[int]) -> str:
-        return {frozenset(): "none", frozenset({2}): "+2", frozenset({-2}): "-2"}.get(
-            frozenset(s), "mixed"
-        )
-
+    block = np.concatenate(([0], col_sums % 4 == 0))
+    same = block[:, None] == block
+    upper = np.triu(np.ones(a.shape, dtype=bool), 1)
+    bad = upper & (np.abs(a) != 2 * same)
+    held = upper & same & ~bad
     n_lb = int((col_sums == 0).sum())
     return PatternReport(
-        matches=not violations,
+        matches=not bad.any(),
         n_level_balanced=n_lb,
-        n_non_level_balanced=m - n_lb,
-        violations=tuple(violations),
-        block_signs=(sign_label(signs[0]), sign_label(signs[1])),
+        n_non_level_balanced=len(col_sums) - n_lb,
+        violations=tuple((int(i), int(j), int(a[i, j])) for i, j in zip(*np.nonzero(bad))),
+        block_signs=tuple(
+            _SIGN_LABELS[frozenset(a[held & (block == b)[:, None]].tolist())] for b in (0, 1)
+        ),
     )

@@ -304,6 +304,35 @@ def verify_block_pattern_xtx(a, n_runs):
     return theory._pattern_from_info(np.asarray(a))
 
 
+def loop_pattern_from_info(a):
+    """theory._pattern_from_info entry by entry: column j (0 = intercept) is
+    in block 1 when j >= 1 and its sum is 0 mod 4, else in block 0; an entry
+    above the diagonal needs |a_ij| = 2 inside a block and 0 across blocks."""
+    m = len(a) - 1
+    block = [0] + [1 if a[0][j] % 4 == 0 else 0 for j in range(1, m + 1)]
+    violations = []
+    signs = [set(), set()]
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            v = int(a[i][j])
+            if block[i] != block[j]:
+                if v != 0:
+                    violations.append((i, j, v))
+            elif abs(v) != 2:
+                violations.append((i, j, v))
+            else:
+                signs[block[i]].add(v)
+    labels = {(): "none", (2,): "+2", (-2,): "-2", (-2, 2): "mixed"}
+    n_lb = sum(a[0][j] == 0 for j in range(1, m + 1))
+    return theory.PatternReport(
+        matches=not violations,
+        n_level_balanced=n_lb,
+        n_non_level_balanced=m - n_lb,
+        violations=tuple(violations),
+        block_signs=tuple(labels[tuple(sorted(s))] for s in signs),
+    )
+
+
 def oracle_restarts(cfg):
     """(entries, qb, sweeps) of every restart of cfg, by the serial oracle."""
     return [serial_coordinate_exchange(Design(x), cfg.prior) for x in restart_starts(cfg)]

@@ -399,6 +399,58 @@ class TestTheory:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "runs, factors, pi1, line",
+        [
+            # 0.1 is the endpoint 1/10 and 0.05 the endpoint 1/20: each takes
+            # the lower interval, and the QB of the tie is either split's
+            ("14", "10", "0.1", "non-level-balanced=2 level-balanced=8 QB=0.0159184"),
+            ("22", "15", "0.05", "non-level-balanced=2 level-balanced=13 QB=0.00409091"),
+        ],
+    )
+    def test_split_at_a_decimal_endpoint(self, capsys, runs, factors, pi1, line):
+        code, out, err = run(capsys, "theory", "--runs", runs, "--factors", factors, "--pi1", pi1)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"pi1={pi1}: optimal split {line}"
+
+    @pytest.mark.parametrize(
+        "pi1, shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("1.5", "1.5")]
+    )
+    def test_pi1_out_of_range(self, capsys, pi1, shown):
+        code, out, err = run(capsys, "theory", "--runs", "14", "--factors", "10", "--pi1", pi1)
+        assert (code, out, err) == (1, "", f"error: pi1 must be in (0, 1], got {shown}\n")
+
+    def test_violations_print_in_row_major_order(self, capsys, tmp_path):
+        # a random 10x4 design: every column sum is 2 mod 4 but column 3's,
+        # and the intercept row breaks the rule at a[0,1], a[0,2] and a[0,3]
+        rows = np.array(
+            [
+                [-1, -1, -1, -1],
+                [-1, -1, 1, -1],
+                [1, -1, -1, 1],
+                [-1, 1, 1, 1],
+                [1, -1, 1, -1],
+                [-1, -1, 1, 1],
+                [-1, 1, 1, 1],
+                [-1, -1, 1, -1],
+                [-1, -1, -1, 1],
+                [-1, -1, 1, 1],
+            ]
+        )
+        path = tmp_path / "d.txt"
+        np.savetxt(path, rows, fmt="%d")
+        code, out, _ = run(
+            capsys, "theory", "--runs", "10", "--factors", "4", "--design", str(path)
+        )
+        assert code == 0
+        assert out.splitlines()[-5:] == [
+            "pattern match: no (level-balanced=0, non-level-balanced=4, block signs mixed/none)",
+            "  violation: a[0,1] = -6",
+            "  violation: a[0,2] = -6",
+            "  violation: a[0,3] = 4",
+            "  violation: a[1,3] = -4",
+        ]
+
 
 class TestFixturesCommand:
     def test_list(self, capsys):

@@ -3,17 +3,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbdesign.design import Design
+from qbdesign.design import Design, ModelOrder, information_matrix
 from qbdesign.criteria import Prior, qb_from_word_counts
 from qbdesign.errors import BadCongruenceError
-from qbdesign.theory import balance_intervals, qb_block_value, verify_block_pattern
+from qbdesign.fixtures import list_fixtures, load_fixtures
+from qbdesign.theory import (
+    _pattern_from_info,
+    balance_intervals,
+    qb_block_value,
+    verify_block_pattern,
+)
 from qbdesign.wordcounts import word_counts
 
 from conftest import (
     enumerated_word_counts,
     es2_bound,
     lin_supersaturated,
+    loop_pattern_from_info,
     paley_hadamard,
+    random_designs,
     verify_block_pattern_xtx,
 )
 
@@ -69,6 +77,22 @@ class TestBalanceIntervals:
         assert bi.split_for(0.3) == (5, 7)
         assert bi.split_for(0.05) == (1, 11)
         assert bi.split_for(1) == (6, 6)
+        assert bi.split_for(Fraction("0.1")) == (3, 9)  # the endpoint 1/10
+        assert bi.split_for(0.1) == (4, 8)  # the float 0.1 lies above 1/10
+
+    def test_split_for_equals_an_interval_scan(self):
+        # every endpoint, as a Fraction and as a float, and every midpoint,
+        # for every N = 2 (mod 4) up to 30 and every m; an exact endpoint
+        # goes to the lower interval, a float above it to the upper one
+        for n_runs in range(6, 31, 4):
+            for m in range(1, n_runs):
+                bi = balance_intervals(n_runs, m)
+                intervals = bi.intervals()
+                points = [*bi.endpoints[1:], *map(float, bi.endpoints[1:])]
+                points += [(lo + hi) / 2 for lo, hi, _, _ in intervals]
+                for pi1 in points:
+                    scan = next((nlb, lb) for _, hi, nlb, lb in intervals if pi1 <= hi)
+                    assert bi.split_for(pi1) == scan, (n_runs, m, pi1)
 
 
 class TestQbBlockValue:
@@ -165,6 +189,48 @@ class TestVerifyBlockPattern:
         assert word_counts(d, 2).s(2) == 4  # |J| = 2, the attainable minimum
         rep = verify_block_pattern(d)
         assert rep.matches and rep.n_level_balanced == 2
+
+    def test_equals_the_entry_loop_on_corpus_first_order_matrices(self):
+        fixtures = load_fixtures(list_fixtures())
+        mats = [
+            information_matrix(f.design, ModelOrder.FIRST_ORDER).a
+            for f in fixtures
+            if f.design is not None
+        ]
+        mats += [
+            f.expected_xtx
+            for f in fixtures
+            if f.expected_xtx is not None and f.order is ModelOrder.FIRST_ORDER
+        ]
+        assert len(mats) > 40
+        for a in mats:
+            assert _pattern_from_info(a) == loop_pattern_from_info(a)
+
+    def test_equals_the_entry_loop_on_random_designs(self):
+        matches = 0
+        for d, _ in random_designs(400, seed=37, n_lo=6, n_hi=22, m_lo=1, m_hi=12):
+            a = information_matrix(d, ModelOrder.FIRST_ORDER).a
+            rep = _pattern_from_info(a)
+            assert rep == loop_pattern_from_info(a)
+            matches += rep.matches
+        assert 0 < matches < 400
+
+    def test_equals_the_entry_loop_on_synthetic_matrices(self):
+        # symmetric matrices of 0, +-2, +-4 and +-6 entries: the signs and the
+        # violations of every kind of block, the intercept row's included
+        rng = np.random.Generator(np.random.Philox(key=37))
+        matches = 0
+        for _ in range(600):
+            m = int(rng.integers(1, 10))
+            p = rng.choice([0.45, 0.98]) * np.array([0.5, 0.25, 0.25, 0, 0, 0, 0])
+            p[3:] = (1 - p.sum()) / 4
+            entries = [0, 2, -2, 4, -4, 6, -6]
+            upper = np.triu(rng.choice(entries, size=(m + 1, m + 1), p=p), 1)
+            a = upper + upper.T + 10 * np.eye(m + 1, dtype=np.int64)
+            rep = _pattern_from_info(a)
+            assert rep == loop_pattern_from_info(a)
+            matches += rep.matches
+        assert 0 < matches < 600
 
     def test_bad_congruence(self):
         d = Design(np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]]))
